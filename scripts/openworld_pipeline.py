@@ -13,19 +13,17 @@ Usage: python scripts/openworld_pipeline.py [--seed S]
 """
 
 import argparse
-import itertools
 import random
 
 from infpdb.approx import approx_boolean
-from infpdb.completion import complete, completion_sample
-from infpdb.core import Fact, FiniteDiscretePDB, Schema, Instance, expected_size
+from infpdb.completion import complete, completion_sample, head_worlds
+from infpdb.core import Fact, Schema, expected_size
 from infpdb.fo import parse
 from infpdb.independence import (
     FactProbabilityAssignment,
     GeometricTail,
     ProductSupply,
     ti_construct,
-    ti_instance_prob,
 )
 from infpdb.universe import FactEnumeration, Universe
 
@@ -47,13 +45,7 @@ def main() -> int:
     print(f"closed-world table: total mass {closed.total_mass:.3f}")
 
     # expand into the explicit 16-world space (closed under subsets/unions)
-    facts = [f for f, _ in head]
-    worlds = {}
-    for r in range(len(facts) + 1):
-        for combo in itertools.combinations(facts, r):
-            d = Instance(combo)
-            worlds[d] = ti_instance_prob(closed, d).lo
-    base = FiniteDiscretePDB(schema, universe, worlds)
+    base = head_worlds(closed, schema, universe)
     print(f"expanded to {len(base.worlds)} worlds, expected size {expected_size(base):.3f}")
 
     tail = GeometricTail(
@@ -65,7 +57,7 @@ def main() -> int:
         ),
         c=1.0,
         q=0.5,
-        exclude=frozenset(facts),
+        exclude=frozenset(f for f, _ in head),
     )
     completion = complete(base, FactProbabilityAssignment((), tail))
     print(f"fresh-fact mass: {completion.tail_pdb.total_mass}")

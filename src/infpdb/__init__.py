@@ -1,10 +1,10 @@
 """Probabilistic databases over countably infinite universes.
 
-Tuple-independent and block-independent-disjoint measures built from
-fact-probability assignments with convergent tails, open-world
-completion of finite spaces, and first-order query evaluation with a
-guaranteed additive error, all validated against a brute-force
-possible-worlds oracle.
+Block-independent-disjoint measures (tuple-independent ones being the
+singleton-block case) built from fact-probability assignments with
+convergent tails, open-world completion of finite spaces, and
+first-order query evaluation with a guaranteed additive error, all
+validated against a brute-force possible-worlds oracle.
 """
 
 from .core import (
@@ -25,7 +25,6 @@ from .numerics import (
     ProbabilityInterval,
     euler_tail_lower_bound,
     log_product_one_minus,
-    product_one_minus_enclosure,
     subset_expansion_check,
 )
 from .independence import (
@@ -54,6 +53,7 @@ from .completion import (
     completion_condition_check,
     completion_instance_prob,
     completion_sample,
+    head_worlds,
 )
 from .fo import (
     INFINITE_ANSWER,

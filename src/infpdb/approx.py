@@ -36,8 +36,17 @@ TRUNCATION_SEARCH_CAP = 1_000_000
 
 
 def world_cap() -> int:
+    """``PDB_WORLD_CAP`` if set (ValueError unless a nonnegative integer), else the default."""
     raw = os.environ.get(WORLD_CAP_ENV)
-    return int(raw) if raw else DEFAULT_WORLD_CAP
+    if not raw:
+        return DEFAULT_WORLD_CAP
+    try:
+        cap = int(raw)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{WORLD_CAP_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,15 @@ Subcommands::
     pdb complete BASE TAIL [--c C] -o OUT
     pdb oracle-compare SPEC --query FILE
 
+Every spec kind loads into a space offering ``expected_size``,
+``instance_prob`` and ``sample`` (a ``ti`` space is the ``bid`` space with
+singleton blocks), so ``expected-size``, ``prob`` and ``sample`` never ask
+which kind they have.  ``query`` and ``oracle-compare`` need a ``ti`` spec.
+
 Exit codes: 0 ok, 1 usage, 2 validation, 3 capability (enumeration caps).
-The environment variable ``PDB_WORLD_CAP`` raises the world-enumeration
-cap used by ``query``.
+The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) raises
+the world-enumeration cap used by ``query``; any other value is a usage
+error.
 """
 
 from __future__ import annotations
@@ -23,14 +29,9 @@ import random
 import sys
 
 from . import approx, completion as completion_mod, fo, oracle
-from .core import FiniteDiscretePDB, Instance, expected_size
-from .errors import (
-    PdbError,
-    QuerySyntaxError,
-    ValidationError,
-    WorldCapExceeded,
-)
-from .independence import bid_sample, ti_event_probs, ti_sample
+from .core import FiniteDiscretePDB
+from .errors import PdbError, ValidationError, WorldCapExceeded
+from .independence import ti_event_probs
 from .numerics import ProbabilityInterval
 from .specio import (
     SpecDocument,
@@ -59,59 +60,37 @@ def _usage_error(message: str) -> int:
 
 
 def _report_error(exc: Exception) -> int:
-    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     if isinstance(exc, WorldCapExceeded):
+        print(f"WorldCapExceeded: {exc} (required n = {exc.required})", file=sys.stderr)
         return EXIT_CAPABILITY
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_VALIDATION
 
 
-def _finite_expected_size(doc: SpecDocument) -> float:
-    return expected_size(doc.finite())
+_VALIDATE_LINE = {
+    "ti": lambda s: (
+        f"TI, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
+    ),
+    "bid": lambda s: (
+        f"BID, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
+    ),
+    "finite": lambda s: f"finite, {len(s.worlds)} worlds, expected size {s.expected_size:.3f}",
+    "completion": lambda s: (
+        f"completion, {len(s.original.worlds)} base worlds, "
+        f"tail mass {s.tail_pdb.total_mass:.3f}, convergent, "
+        f"expected size {s.expected_size:.3f}"
+    ),
+}
 
 
 def cmd_validate(args) -> int:
     doc = load_spec(args.spec)
-    if doc.kind == "ti":
-        t = doc.ti()
-        print(
-            f"TI, total mass {t.total_mass:.3f}, convergent, "
-            f"expected size {t.expected_size:.3f}"
-        )
-    elif doc.kind == "bid":
-        b = doc.bid()
-        print(
-            f"BID, total mass {b.total_mass:.3f}, convergent, "
-            f"expected size {b.expected_size:.3f}"
-        )
-    elif doc.kind == "finite":
-        p = doc.finite()
-        print(
-            f"finite, {len(p.worlds)} worlds, "
-            f"expected size {expected_size(p):.3f}"
-        )
-    else:
-        c = doc.completion()
-        size = expected_size(c.original) + c.tail_pdb.total_mass
-        print(
-            f"completion, {len(c.original.worlds)} base worlds, "
-            f"tail mass {c.tail_pdb.total_mass:.3f}, convergent, "
-            f"expected size {size:.3f}"
-        )
+    print(_VALIDATE_LINE[doc.kind](doc.space()))
     return EXIT_OK
 
 
 def cmd_expected_size(args) -> int:
-    doc = load_spec(args.spec)
-    if doc.kind == "ti":
-        value = doc.ti().expected_size
-    elif doc.kind == "bid":
-        value = doc.bid().expected_size
-    elif doc.kind == "finite":
-        value = _finite_expected_size(doc)
-    else:
-        c = doc.completion()
-        value = expected_size(c.original) + c.tail_pdb.total_mass
-    print(repr(value))
+    print(repr(load_spec(args.spec).space().expected_size))
     return EXIT_OK
 
 
@@ -125,24 +104,17 @@ def _print_interval(p: ProbabilityInterval) -> None:
 def cmd_prob(args) -> int:
     doc = load_spec(args.spec)
     d = load_instance(args.instance, doc.schema, doc.universe)
-    if doc.kind == "ti":
-        from .independence import ti_instance_prob
-
-        _print_interval(ti_instance_prob(doc.ti(), d))
-    elif doc.kind == "bid":
-        from .independence import bid_instance_prob
-
-        _print_interval(bid_instance_prob(doc.bid(), d))
-    elif doc.kind == "finite":
-        print(f"probability = {doc.finite().probability(d)!r}")
-    else:
-        _print_interval(completion_mod.completion_instance_prob(doc.completion(), d))
+    _print_interval(doc.space().instance_prob(d))
     return EXIT_OK
 
 
 def cmd_query(args) -> int:
     if not (0.0 < args.epsilon < 0.5):
         return _usage_error(f"--epsilon must lie in (0, 1/2), got {args.epsilon}")
+    try:
+        cap = approx.world_cap()
+    except ValueError as exc:
+        return _usage_error(str(exc))
     doc = load_spec(args.spec)
     if doc.kind != "ti":
         raise ValidationError(f"query evaluation needs a TI spec, got kind {doc.kind!r}")
@@ -152,14 +124,14 @@ def cmd_query(args) -> int:
     formula = fo.parse(text, doc.schema)
     free = fo.free_variables(formula)
     if not free:
-        p, cert = approx.approx_boolean(t, formula, args.epsilon, doc.universe)
+        p, cert = approx.approx_boolean(t, formula, args.epsilon, doc.universe, cap=cap)
         print(f"probability = {p:.6f} (additive error <= {args.epsilon})")
         print(
             f"certificate: n={cert.n} alpha={cert.alpha_n!r} "
             f"tail_sum={cert.tail_sum!r} epsilon={cert.epsilon!r}"
         )
     else:
-        table = approx.approx_nonboolean(t, formula, args.epsilon, doc.universe)
+        table = approx.approx_nonboolean(t, formula, args.epsilon, doc.universe, cap=cap)
         for combo in sorted(table, key=lambda c: tuple((isinstance(e, str), e) for e in c)):
             key = "(" + ", ".join(repr(e) for e in combo) + ")"
             print(f"{key}\t{table[combo]:.6f}")
@@ -175,32 +147,10 @@ def cmd_sample(args) -> int:
         return _usage_error(f"--n must be >= 0, got {args.n}")
     if not (0.0 < args.delta < 1.0):
         return _usage_error(f"--delta must lie in (0, 1), got {args.delta}")
-    doc = load_spec(args.spec)
+    space = load_spec(args.spec).space()
     rng = random.Random(args.seed)
-    if doc.kind == "ti":
-        t = doc.ti()
-        draw = lambda: ti_sample(t, rng, args.delta)
-    elif doc.kind == "bid":
-        b = doc.bid()
-        draw = lambda: bid_sample(b, rng, args.delta)
-    elif doc.kind == "finite":
-        p = doc.finite()
-        worlds = p.instances()
-
-        def draw() -> Instance:
-            x = rng.random()
-            acc = 0.0
-            for d in worlds:
-                acc += p.probability(d)
-                if x < acc:
-                    return d
-            return worlds[-1]
-
-    else:
-        c = doc.completion()
-        draw = lambda: completion_mod.completion_sample(c, rng, args.delta)
     for _ in range(args.n):
-        print(json.dumps(instance_to_json(draw()), sort_keys=True))
+        print(json.dumps(instance_to_json(space.sample(rng, args.delta)), sort_keys=True))
     return EXIT_OK
 
 
@@ -210,25 +160,7 @@ def _base_to_finite(doc: SpecDocument) -> FiniteDiscretePDB:
     if doc.kind == "finite":
         return doc.finite()
     if doc.kind == "ti":
-        t = doc.ti()
-        if t.tail is not None:
-            raise ValidationError("completion base must be finite; TI base may not have a tail")
-        facts = [f for f, _ in t.head]
-        if len(facts) > oracle.WORLD_FACT_CAP:
-            raise WorldCapExceeded(
-                f"expanding {len(facts)} head facts exceeds the cap",
-                required=len(facts),
-                cap=oracle.WORLD_FACT_CAP,
-            )
-        from .independence import ti_instance_prob
-        from itertools import combinations
-
-        worlds = {}
-        for r in range(len(facts) + 1):
-            for combo in combinations(facts, r):
-                d = Instance(combo)
-                worlds[d] = ti_instance_prob(t, d).lo
-        return FiniteDiscretePDB(doc.schema, doc.universe, worlds)
+        return completion_mod.head_worlds(doc.ti(), doc.schema, doc.universe)
     raise ValidationError(f"completion base must be finite or ti, got {doc.kind!r}")
 
 
@@ -346,13 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuerySyntaxError as exc:
-        print(f"QuerySyntaxError: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except WorldCapExceeded as exc:
-        print(f"WorldCapExceeded: {exc} (required n = {exc.required})", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except (ValidationError, PdbError, OSError, ValueError) as exc:
+    except (PdbError, OSError, ValueError) as exc:
         return _report_error(exc)
 
 

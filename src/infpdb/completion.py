@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .core import Fact, FiniteDiscretePDB, Instance, facts_of
+from .core import Fact, FiniteDiscretePDB, Instance, Schema, expected_size, facts_of
 from .errors import (
     NotClosed,
     OverlappingFacts,
     UnitTailProbability,
+    ValidationError,
+    WorldCapExceeded,
 )
 from .independence import (
     ConstantTail,
@@ -36,6 +38,8 @@ from .independence import (
     ti_sample,
 )
 from .numerics import ProbabilityInterval
+from .oracle import WORLD_FACT_CAP
+from .universe import Universe
 
 CLOSURE_FACT_CAP = 16
 
@@ -44,6 +48,22 @@ def _all_subsets(facts: list[Fact]) -> Iterable[Instance]:
     for r in range(len(facts) + 1):
         for combo in combinations(facts, r):
             yield Instance(combo)
+
+
+def head_worlds(t: TIPdb, schema: Schema, universe: Universe) -> FiniteDiscretePDB:
+    """The explicit world table of a head-only TI space: every subset of
+    the head with its exact probability, so closed under subsets and unions."""
+    if t.tail is not None:
+        raise ValidationError("completion base must be finite; TI base may not have a tail")
+    facts = [f for f, _ in t.head]
+    if len(facts) > WORLD_FACT_CAP:
+        raise WorldCapExceeded(
+            f"expanding {len(facts)} head facts exceeds the cap",
+            required=len(facts),
+            cap=WORLD_FACT_CAP,
+        )
+    worlds = {d: ti_instance_prob(t, d).lo for d in _all_subsets(facts)}
+    return FiniteDiscretePDB(schema, universe, worlds)
 
 
 def check_closed(p0: FiniteDiscretePDB) -> None:
@@ -123,6 +143,16 @@ class Completion:
     @property
     def original_facts(self) -> frozenset[Fact]:
         return frozenset(facts_of(self.original))
+
+    @property
+    def expected_size(self) -> float:
+        return expected_size(self.original) + self.tail_pdb.total_mass
+
+    def instance_prob(self, d: Instance) -> ProbabilityInterval:
+        return completion_instance_prob(self, d)
+
+    def sample(self, rng, delta: float) -> Instance:
+        return completion_sample(self, rng, delta)
 
 
 def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> Completion:
@@ -226,16 +256,6 @@ def bounded_tail_validate(
 def completion_sample(c: Completion, rng, delta: float) -> Instance:
     """Draw ``D`` from the original by inverse CDF and fresh facts from the
     tail sampler, returning their disjoint union."""
-    if math.isnan(delta) or not (0.0 < delta < 1.0):
-        raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
-    worlds = c.original.instances()
-    x = rng.random()
-    acc = 0.0
-    drawn = worlds[-1]
-    for d in worlds:
-        acc += c.original.probability(d)
-        if x < acc:
-            drawn = d
-            break
+    drawn = c.original.sample(rng)
     fresh = ti_sample(c.tail_pdb, rng, delta)
     return drawn.union(fresh)

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
+
+from .numerics import ProbabilityInterval
 
 RENORMALIZE_TOLERANCE = 1e-12
 WARN_TOLERANCE = 1e-9
@@ -166,7 +170,8 @@ class FiniteDiscretePDB:
 
     Probabilities must be in [0, 1] and sum to one; sums off by more than
     1e-12 are renormalized on construction (with a warning beyond 1e-9,
-    rejection beyond 1e-6), which absorbs file-format rounding.
+    rejection beyond 1e-6), which absorbs file-format rounding.  The
+    world table is not modified after construction.
     """
 
     def __init__(self, schema: Schema, universe, worlds: Mapping[Instance, float]):
@@ -185,6 +190,7 @@ class FiniteDiscretePDB:
         self.schema = schema
         self.universe = universe
         self.worlds: dict[Instance, float] = dict(worlds)
+        self._cdf: tuple[list[Instance], list[float]] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,6 +208,25 @@ class FiniteDiscretePDB:
 
     def instances(self) -> list[Instance]:
         return sorted(self.worlds, key=lambda d: (len(d), [f.sort_key() for f in d]))
+
+    @property
+    def expected_size(self) -> float:
+        return expected_size(self)
+
+    def instance_prob(self, d: Instance) -> ProbabilityInterval:
+        return ProbabilityInterval.point(self.probability(d))
+
+    def sample(self, rng, delta: float | None = None) -> Instance:
+        """Draw a world by inverse CDF over :meth:`instances` order.
+
+        The draw is exact; ``delta`` is the tolerance the other spaces'
+        samplers take and is not used.
+        """
+        if self._cdf is None:
+            worlds = self.instances()
+            self._cdf = (worlds, list(accumulate(self.worlds[d] for d in worlds)))
+        worlds, cumulative = self._cdf
+        return worlds[min(bisect_right(cumulative, rng.random()), len(worlds) - 1)]
 
 
 def expected_size(p: FiniteDiscretePDB) -> float:

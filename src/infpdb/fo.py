@@ -360,78 +360,58 @@ def _print(f: Formula, parent: int) -> str:
 # --- analysis ----------------------------------------------------------
 
 
+def _analysis(f: Formula) -> tuple[int, set[Element], list[str], frozenset[str]]:
+    """(quantifier rank, constants, ordered free variables, relations) in
+    one walk over the formula."""
+    consts: set[Element] = set()
+    free: list[str] = []
+    relations: set[str] = set()
+
+    def walk(g: Formula, bound: frozenset[str]) -> int:
+        if isinstance(g, (Atom, Eq)):
+            if isinstance(g, Atom):
+                relations.add(g.relation)
+                terms = g.terms
+            else:
+                terms = (g.left, g.right)
+            for t in terms:
+                if isinstance(t, Const):
+                    consts.add(t.value)
+                elif t.name not in bound and t.name not in free:
+                    free.append(t.name)
+            return 0
+        if isinstance(g, Not):
+            return walk(g.body, bound)
+        if isinstance(g, (And, Or, Implies)):
+            return max(walk(g.left, bound), walk(g.right, bound))
+        return 1 + walk(g.body, bound | {g.var})
+
+    rank = walk(f, frozenset())
+    return rank, consts, free, frozenset(relations)
+
+
 def quantifier_rank(f: Formula) -> int:
     """Maximum nesting depth of quantifiers."""
-    if isinstance(f, (Atom, Eq)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    return 1 + quantifier_rank(f.body)
+    return _analysis(f)[0]
 
 
 def constants(f: Formula) -> set[Element]:
     """The active domain of the formula: all constants occurring in it."""
-    out: set[Element] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            out.update(t.value for t in g.terms if isinstance(t, Const))
-        elif isinstance(g, Eq):
-            out.update(t.value for t in (g.left, g.right) if isinstance(t, Const))
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        else:
-            walk(g.body)
-
-    walk(f)
-    return out
+    return _analysis(f)[1]
 
 
 def free_variables(f: Formula) -> list[str]:
     """Free variables in order of first occurrence."""
-    seen: list[str] = []
+    return _analysis(f)[2]
 
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            for t in g.terms:
-                if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-                    seen.append(t.name)
-        elif isinstance(g, Eq):
-            for t in (g.left, g.right):
-                if isinstance(t, Var) and t.name not in bound and t.name not in seen:
-                    seen.append(t.name)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        else:
-            walk(g.body, bound | {g.var})
 
-    walk(f, frozenset())
-    return seen
+def relations_of(f: Formula) -> frozenset[str]:
+    return _analysis(f)[3]
 
 
 def analyze(f: Formula) -> tuple[int, set[Element], list[str]]:
     """(quantifier rank, constants, ordered free variables)."""
-    return quantifier_rank(f), constants(f), free_variables(f)
-
-
-def relations_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.relation})
-    if isinstance(f, Eq):
-        return frozenset()
-    if isinstance(f, Not):
-        return relations_of(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return relations_of(f.left) | relations_of(f.right)
-    return relations_of(f.body)
+    return _analysis(f)[:3]
 
 
 def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
@@ -466,11 +446,10 @@ def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
 
 
 def _quantifier_domain(
-    d: Instance, f: Formula, u: Universe, pool_size: int | None
+    d: Instance, consts: set[Element], u: Universe, pool_size: int
 ) -> list[Element]:
-    adom = active_domain(d) | constants(f)
-    r = quantifier_rank(f) if pool_size is None else pool_size
-    generics = u.fresh_elements(adom, r)
+    adom = active_domain(d) | consts
+    generics = u.fresh_elements(adom, pool_size)
     ordered = sorted(adom, key=lambda e: (isinstance(e, str), e))
     return ordered + generics
 
@@ -483,10 +462,10 @@ def eval_boolean(
     ``pool_size`` overrides the number of generic elements (default: the
     quantifier rank); enlarging it must not change the result.
     """
-    free = free_variables(f)
+    rank, consts, free, _ = _analysis(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    domain = _quantifier_domain(d, f, u, pool_size)
+    domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size)
     return _eval(f, d, {}, domain)
 
 
@@ -534,11 +513,11 @@ def eval_query(
     well, and if any of them satisfies the formula the true answer
     relation is infinite.
     """
-    free = free_variables(f)
+    _, consts, free, _ = _analysis(f)
     k = len(free)
     if k < 1:
         raise ValueError("open formula expected; use eval_boolean for sentences")
-    candidates = sorted(active_domain(d) | constants(f), key=lambda e: (isinstance(e, str), e))
+    candidates = sorted(active_domain(d) | consts, key=lambda e: (isinstance(e, str), e))
     generics = u.fresh_elements(set(candidates), k)
     answers: set[tuple] = set()
     for combo in itertools.product(candidates + generics, repeat=k):

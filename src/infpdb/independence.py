@@ -1,20 +1,25 @@
-"""Tuple-independent and block-independent-disjoint probability spaces.
+"""Block-independent-disjoint and tuple-independent probability spaces.
 
 A fact-probability assignment is a finite *head* of explicit
 (fact, probability) pairs plus an optional infinite *tail* generated by
-a rule over the canonical fact enumeration.  A tuple-independent space
+a rule over the canonical fact enumeration.  An independent space
 exists for such an assignment exactly when the probability sum is
 finite, so construction certifies the tail's mass in closed form and
-refuses anything it cannot certify.  The resulting measure assigns each
-finite instance the product of its facts' probabilities times the
-product of ``1 - p`` over all absent positive-probability facts; the
-infinite part of that product is never evaluated, only enclosed.
+refuses anything it cannot certify.
 
 Block-disjoint spaces partition facts into blocks: facts in one block
 are mutually exclusive, facts across blocks independent.  Blocks are
 derived structurally (key-attribute projection, explicit listing, or
 singletons); each block keeps the remainder mass it places on "no fact
-from this block".  Tail facts always form singleton blocks.
+from this block".  Tail facts always form singleton blocks.  A finite
+instance with at most one fact per block has the product of its facts'
+probabilities times the remainders of the untouched blocks times the
+product of ``1 - p`` over all absent tail facts; the infinite part of
+that product is never evaluated, only enclosed.
+
+A tuple-independent space is the block-disjoint space whose blocks are
+all singletons: :class:`TIPdb` is that case of :class:`BIDPdb`, and the
+two share their construction, instance probabilities and sampler.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterator, Sequence
 
 from .core import Fact, Instance
@@ -330,197 +336,6 @@ class FactProbabilityAssignment:
         return math.fsum(p for _, p in self.head)
 
 
-# --- tuple-independent spaces ------------------------------------------
-
-
-class TIPdb:
-    """A tuple-independent measure over finite instances.
-
-    Construct via :func:`ti_construct`; the constructor assumes a
-    certified-convergent assignment with zero-probability facts dropped.
-    """
-
-    def __init__(self, assignment: FactProbabilityAssignment, total_mass: float):
-        self.assignment = assignment
-        self.head: tuple[tuple[Fact, float], ...] = assignment.head
-        self.tail: GeometricTail | None = assignment.tail  # type: ignore[assignment]
-        self.total_mass = total_mass
-        self._head_probs = {f: p for f, p in self.head}
-        self._tail_plans: dict[float, tuple[tuple[Fact, float], ...]] = {}
-
-    def tail_sampling_plan(self, delta: float) -> tuple[tuple[Fact, float], ...]:
-        """Truncated tail fact list for sampling, cached per tolerance."""
-        if self.tail is None:
-            return ()
-        plan = self._tail_plans.get(delta)
-        if plan is None:
-            n = self.tail.truncation_count(delta)
-            plan = tuple(itertools.islice(self.tail.facts_probs(), n))
-            self._tail_plans[delta] = plan
-        return plan
-
-    @property
-    def expected_size(self) -> float:
-        return self.total_mass
-
-    def probability_of(self, f: Fact) -> float:
-        p = self._head_probs.get(f)
-        if p is not None:
-            return p
-        if self.tail is not None:
-            return self.tail.probability_of(f)
-        return 0.0
-
-    def head_count(self) -> int:
-        return len(self.head)
-
-    def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
-        """The first n facts in canonical order (head first, then tail)."""
-        out = list(self.head[:n])
-        remaining = n - len(out)
-        if remaining > 0:
-            if self.tail is None:
-                raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
-            for f, p in self.tail.facts_probs():
-                out.append((f, p))
-                remaining -= 1
-                if remaining == 0:
-                    break
-        return out
-
-    def mass_beyond(self, n: int) -> float:
-        """Probability mass of facts after the n-th in canonical order."""
-        head_rest = math.fsum(p for _, p in self.head[n:]) if n < len(self.head) else 0.0
-        if self.tail is None:
-            return head_rest
-        if n <= len(self.head):
-            return head_rest + self.tail.total_mass()
-        k = n - len(self.head)
-        acc = CompensatedAccumulator()
-        for idx, (_, p) in enumerate(self.tail.facts_probs()):
-            if idx >= k:
-                break
-            acc.add(p)
-        return self.tail.total_mass() - acc.value
-
-
-def ti_construct(assignment: FactProbabilityAssignment) -> TIPdb:
-    """Build a tuple-independent space, certifying that the mass is finite."""
-    tail = assignment.tail
-    if isinstance(tail, ConstantTail):
-        if tail.value > 0.0:
-            raise DivergentAssignment(
-                f"constant positive probability {tail.value} over infinitely many facts diverges"
-            )
-        tail = None
-    head = tuple((f, p) for f, p in assignment.head if p > 0.0)
-    trimmed = FactProbabilityAssignment(head, tail)
-    total = trimmed.head_mass + (tail.total_mass() if tail is not None else 0.0)
-    return TIPdb(trimmed, total)
-
-
-def _tail_one_minus_enclosure(
-    tail: GeometricTail | None,
-    skip: frozenset[Fact] = frozenset(),
-    mass_target: float = ENCLOSURE_MASS_TARGET,
-) -> ProbabilityInterval:
-    """Enclose ``prod (1 - p)`` over all tail facts not in ``skip``.
-
-    Facts are expanded explicitly until the unseen mass drops below the
-    target and the next probability is at most 1/2 (so the exponential
-    lower bound applies to the unseen remainder); skipped facts must all
-    be passed before stopping so they never land in the remainder.
-    """
-    if tail is None:
-        return ProbabilityInterval.point(1.0)
-    total = tail.total_mass()
-    skip_horizon = 0
-    for f in skip:
-        i = tail.supply.intrinsic_index(f)
-        if i is not None and f not in tail.exclude and i > skip_horizon:
-            skip_horizon = i
-    log_factors = CompensatedAccumulator()
-    seen_mass = CompensatedAccumulator()
-    count = 0
-    capped = False
-    for i, f, p in tail.indexed_facts():
-        unseen = total - seen_mass.value
-        if i > skip_horizon and unseen <= mass_target and p <= 0.5:
-            break
-        if count >= ENCLOSURE_FACT_CAP:
-            capped = True
-            break
-        seen_mass.add(p)
-        if f not in skip:
-            if p >= 1.0:
-                return ProbabilityInterval.point(0.0)
-            log_factors.add(math.log1p(-p))
-        count += 1
-    hi = LogProbability(min(log_factors.value, 0.0)).probability
-    unseen = max(total - seen_mass.value, 0.0)
-    if capped:
-        return ProbabilityInterval(0.0, hi)
-    lo = hi * math.exp(-1.5 * unseen)
-    return ProbabilityInterval(min(lo, hi), hi)
-
-
-def ti_instance_prob(t: TIPdb, d: Instance) -> ProbabilityInterval:
-    """Probability of drawing exactly the instance ``d``.
-
-    Exact (a point interval) when the tail is absent; with a tail the
-    infinite absent-fact product is enclosed.
-    """
-    log_present = 0.0
-    for f in d:
-        p = t.probability_of(f)
-        if p <= 0.0:
-            return ProbabilityInterval.point(0.0)
-        log_present += math.log(p) if p < 1.0 else 0.0
-    absent_head = [p for f, p in t.head if f not in d]
-    log_absent = log_product_one_minus(absent_head)
-    if log_absent.value == -math.inf:
-        return ProbabilityInterval.point(0.0)
-    point = math.exp(log_present + log_absent.value)
-    if t.tail is None:
-        return ProbabilityInterval.point(min(point, 1.0))
-    skip = frozenset(f for f in d if t.tail.generates(f))
-    return _tail_one_minus_enclosure(t.tail, skip).scale(min(point, 1.0))
-
-
-def ti_event_probs(t: TIPdb, fs: Sequence[Fact]) -> tuple[float, float]:
-    """(probability all facts occur, probability at least one occurs)."""
-    facts = list(fs)
-    if len(set(facts)) != len(facts):
-        raise DuplicateFact("event facts must be distinct")
-    ps = [t.probability_of(f) for f in facts]
-    if any(p == 0.0 for p in ps):
-        conj = 0.0
-    else:
-        conj = math.exp(math.fsum(math.log(p) for p in ps))
-    union = 1.0 - log_product_one_minus(ps).probability
-    return conj, union
-
-
-def _check_delta(delta: float) -> None:
-    if math.isnan(delta) or not (0.0 < delta < 1.0):
-        raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
-
-
-def ti_sample(t: TIPdb, rng, delta: float) -> Instance:
-    """Draw an instance; within total-variation ``delta`` of the true law.
-
-    Head facts are exact independent coin flips; the tail is truncated at
-    the first point where the unseen mass is at most ``delta`` (a fact
-    beyond the truncation occurs with probability at most that mass).
-    """
-    _check_delta(delta)
-    chosen = [f for f, p in t.head if rng.random() < p]
-    for f, p in t.tail_sampling_plan(delta):
-        if rng.random() < p:
-            chosen.append(f)
-    return Instance(chosen)
-
-
 # --- block-independent-disjoint spaces ----------------------------------
 
 
@@ -582,27 +397,59 @@ def is_good(partition: BlockPartition, d: Instance) -> bool:
 
 
 class BIDPdb:
-    """A block-independent-disjoint measure over finite instances."""
+    """A block-independent-disjoint measure over finite instances.
 
-    def __init__(
-        self,
-        partition: BlockPartition,
-        blocks: dict[Hashable, tuple[tuple[Fact, float], ...]],
-        tail: GeometricTail | None,
-        total_mass: float,
-    ):
+    Construct via :func:`bid_construct`.  Like every space the CLI
+    handles, it offers ``expected_size``, ``instance_prob(d)`` and
+    ``sample(rng, delta)``.
+    """
+
+    def __init__(self, partition: BlockPartition, assignment: FactProbabilityAssignment):
+        tail = assignment.tail
+        if isinstance(tail, ConstantTail):
+            if tail.value > 0.0:
+                raise DivergentAssignment(
+                    f"constant positive probability {tail.value} over infinitely many facts diverges"
+                )
+            tail = None
+        if tail is not None:
+            tail_relations = tail.supply.relations()
+            for r, _ in partition.key_attributes:
+                if r in tail_relations:
+                    raise ValidationError(
+                        f"key-attribute blocks over tail relation {r!r} would have infinite "
+                        "support; only singleton tail blocks are supported"
+                    )
+            for f, _ in partition.explicit:
+                if tail.generates(f):
+                    raise ValidationError(
+                        f"explicitly listed fact {f} is generated by the tail; only "
+                        "singleton tail blocks are supported"
+                    )
+        blocks: dict[Hashable, list[tuple[Fact, float]]] = {}
+        for f, p in assignment.head:
+            if p > 0.0:
+                blocks.setdefault(partition.key(f), []).append((f, p))
         self.partition = partition
-        self.blocks = blocks
-        self.tail = tail
-        self.total_mass = total_mass
-        self.remainders: dict[Hashable, float] = {
-            k: max(0.0, 1.0 - math.fsum(p for _, p in facts))
-            for k, facts in blocks.items()
+        self.blocks = {k: tuple(facts) for k, facts in blocks.items()}
+        self.tail: GeometricTail | None = tail
+        self.masses: dict[Hashable, float] = {
+            k: math.fsum(p for _, p in facts) for k, facts in blocks.items()
         }
+        for key, mass in self.masses.items():
+            if mass > 1.0 + 1e-12:
+                raise BlockMassExceedsOne(f"block {key!r} has mass {mass}, exceeding 1")
+        self.total_mass = assignment.head_mass + (tail.total_mass() if tail is not None else 0.0)
         self._head_probs = {f: p for facts in blocks.values() for f, p in facts}
         self._tail_plans: dict[float, tuple[tuple[Fact, float], ...]] = {}
 
+    @property
+    def remainders(self) -> dict[Hashable, float]:
+        """Per block, the probability that none of its facts occurs."""
+        return {k: max(0.0, 1.0 - m) for k, m in self.masses.items()}
+
     def tail_sampling_plan(self, delta: float) -> tuple[tuple[Fact, float], ...]:
+        """Truncated tail fact list for sampling, cached per tolerance."""
         if self.tail is None:
             return ()
         plan = self._tail_plans.get(delta)
@@ -624,8 +471,43 @@ class BIDPdb:
             return self.tail.probability_of(f)
         return 0.0
 
-    def head_facts(self) -> list[tuple[Fact, float]]:
-        return [(f, p) for facts in self.blocks.values() for f, p in facts]
+    def instance_prob(self, d: Instance) -> ProbabilityInterval:
+        return bid_instance_prob(self, d)
+
+    def sample(self, rng, delta: float) -> Instance:
+        return bid_sample(self, rng, delta)
+
+
+class TIPdb(BIDPdb):
+    """A tuple-independent measure: the BID space whose blocks are all
+    singletons.
+
+    Construct via :func:`ti_construct`.  Query evaluation truncates the
+    canonical fact listing, so this type adds that listing; it also keeps
+    ``approx`` from being called on a space with real blocks.
+    """
+
+    @cached_property
+    def head(self) -> tuple[tuple[Fact, float], ...]:
+        """Positive-probability head facts in listing order."""
+        return tuple(self._head_probs.items())
+
+    def head_count(self) -> int:
+        return len(self.head)
+
+    def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
+        """The first n facts in canonical order (head first, then tail)."""
+        out = list(self.head[:n])
+        remaining = n - len(out)
+        if remaining > 0:
+            if self.tail is None:
+                raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
+            for f, p in self.tail.facts_probs():
+                out.append((f, p))
+                remaining -= 1
+                if remaining == 0:
+                    break
+        return out
 
 
 def bid_construct(
@@ -633,45 +515,100 @@ def bid_construct(
 ) -> BIDPdb:
     """Build a block-disjoint space; every block mass must stay at most one.
 
-    Tail facts always form singleton blocks, so the declared partition
-    must not claim any tail relation or tail-generated fact.
+    The tail mass is certified finite in closed form.  Tail facts always
+    form singleton blocks, so the declared partition must not claim any
+    tail relation or tail-generated fact.
     """
-    tail = assignment.tail
-    if isinstance(tail, ConstantTail):
-        if tail.value > 0.0:
-            raise DivergentAssignment(
-                f"constant positive probability {tail.value} over infinitely many facts diverges"
-            )
-        tail = None
-    if tail is not None:
-        tail_relations = tail.supply.relations()
-        for r, _ in partition.key_attributes:
-            if r in tail_relations:
-                raise ValidationError(
-                    f"key-attribute blocks over tail relation {r!r} would have infinite "
-                    "support; only singleton tail blocks are supported"
-                )
-        for f, _ in partition.explicit:
-            if tail.generates(f):
-                raise ValidationError(
-                    f"explicitly listed fact {f} is generated by the tail; only "
-                    "singleton tail blocks are supported"
-                )
-    blocks: dict[Hashable, list[tuple[Fact, float]]] = {}
-    for f, p in assignment.head:
+    return BIDPdb(partition, assignment)
+
+
+def ti_construct(assignment: FactProbabilityAssignment) -> TIPdb:
+    """Build a tuple-independent space, certifying that the mass is finite."""
+    return TIPdb(BlockPartition.singletons(), assignment)
+
+
+# --- instance probabilities ----------------------------------------------
+
+
+def _tail_one_minus_enclosure(
+    tail: GeometricTail | None,
+    skip: frozenset[Fact] = frozenset(),
+    mass_target: float = ENCLOSURE_MASS_TARGET,
+) -> ProbabilityInterval:
+    """Enclose ``prod (1 - p)`` over all tail facts not in ``skip``.
+
+    Facts are expanded explicitly until the unseen mass drops below the
+    target and the next probability is at most 1/2 (so the exponential
+    lower bound applies to the unseen remainder); skipped facts must all
+    be passed before stopping so they never land in the remainder.
+    """
+    if tail is None:
+        return ProbabilityInterval.point(1.0)
+    total = tail.total_mass()
+    skip_horizon = 0
+    for f in skip:
+        i = tail.supply.intrinsic_index(f)
+        if i is not None and f not in tail.exclude and i > skip_horizon:
+            skip_horizon = i
+    log_factors = CompensatedAccumulator()
+    seen_mass = CompensatedAccumulator()
+    count = 0
+    capped = False
+    for i, f, p in tail.indexed_facts():
+        unseen = total - seen_mass.value
+        if i > skip_horizon and unseen <= mass_target and p <= 0.5:
+            break
+        if count >= ENCLOSURE_FACT_CAP:
+            capped = True
+            break
+        seen_mass.add(p)
+        if f not in skip:
+            if p >= 1.0:
+                return ProbabilityInterval.point(0.0)
+            log_factors.add(math.log1p(-p))
+        count += 1
+    hi = LogProbability(min(log_factors.value, 0.0)).probability
+    unseen = max(total - seen_mass.value, 0.0)
+    if capped:
+        return ProbabilityInterval(0.0, hi)
+    lo = hi * math.exp(-1.5 * unseen)
+    return ProbabilityInterval(min(lo, hi), hi)
+
+
+def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
+    """Product of the present facts' probabilities, of ``1 - mass`` over the
+    untouched blocks, and of the enclosed absent-tail factors.
+
+    The caller guarantees that ``d`` has at most one fact per block.
+    """
+    log_present = 0.0
+    touched: set[Hashable] = set()
+    tail_skip: list[Fact] = []
+    for f in d:
+        p = b.probability_of(f)
         if p <= 0.0:
-            continue
-        blocks.setdefault(partition.key(f), []).append((f, p))
-    for key, facts in blocks.items():
-        mass = math.fsum(p for _, p in facts)
-        if mass > 1.0 + 1e-12:
-            raise BlockMassExceedsOne(
-                f"block {key!r} has mass {mass}, exceeding 1"
-            )
-    head_mass = math.fsum(p for facts in blocks.values() for _, p in facts)
-    total = head_mass + (tail.total_mass() if tail is not None else 0.0)
-    frozen = {k: tuple(v) for k, v in blocks.items()}
-    return BIDPdb(partition, frozen, tail, total)
+            return ProbabilityInterval.point(0.0)
+        log_present += math.log(p) if p < 1.0 else 0.0
+        if f in b._head_probs:
+            touched.add(b.partition.key(f))
+        else:
+            tail_skip.append(f)
+    log_absent = log_product_one_minus(
+        [min(m, 1.0) for k, m in b.masses.items() if k not in touched]
+    )
+    if log_absent.value == -math.inf:
+        return ProbabilityInterval.point(0.0)
+    point = min(math.exp(log_present + log_absent.value), 1.0)
+    return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point)
+
+
+def ti_instance_prob(t: TIPdb, d: Instance) -> ProbabilityInterval:
+    """Probability of drawing exactly the instance ``d``.
+
+    Exact (a point interval) when the tail is absent; with a tail the
+    infinite absent-fact product is enclosed.
+    """
+    return _instance_prob(t, d)
 
 
 def bid_instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
@@ -680,35 +617,32 @@ def bid_instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     blocks' remainder masses."""
     if not is_good(b.partition, d):
         return ProbabilityInterval.point(0.0)
-    log_point = 0.0
-    touched: set[Hashable] = set()
-    tail_skip: list[Fact] = []
-    for f in d:
-        p = b.probability_of(f)
-        if p <= 0.0:
-            return ProbabilityInterval.point(0.0)
-        log_point += math.log(p) if p < 1.0 else 0.0
-        if f in b._head_probs:
-            touched.add(b.partition.key(f))
-        else:
-            tail_skip.append(f)
-    for key, remainder in b.remainders.items():
-        if key in touched:
-            continue
-        if remainder <= 0.0:
-            return ProbabilityInterval.point(0.0)
-        log_point += math.log(remainder) if remainder < 1.0 else 0.0
-    point = min(math.exp(log_point), 1.0)
-    if b.tail is None:
-        return ProbabilityInterval.point(point)
-    return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point)
+    return _instance_prob(b, d)
 
 
-def bid_sample(b: BIDPdb, rng, delta: float) -> Instance:
-    """Draw an instance: one categorical outcome per block, tail truncated.
+def ti_event_probs(t: TIPdb, fs: Sequence[Fact]) -> tuple[float, float]:
+    """(probability all facts occur, probability at least one occurs)."""
+    facts = list(fs)
+    if len(set(facts)) != len(facts):
+        raise DuplicateFact("event facts must be distinct")
+    ps = [t.probability_of(f) for f in facts]
+    if any(p == 0.0 for p in ps):
+        conj = 0.0
+    else:
+        conj = math.exp(math.fsum(math.log(p) for p in ps))
+    union = 1.0 - log_product_one_minus(ps).probability
+    return conj, union
 
-    Every sampled instance is good by construction.
-    """
+
+# --- sampling ------------------------------------------------------------
+
+
+def _check_delta(delta: float) -> None:
+    if math.isnan(delta) or not (0.0 < delta < 1.0):
+        raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
+
+
+def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     _check_delta(delta)
     chosen: list[Fact] = []
     for facts in b.blocks.values():
@@ -723,3 +657,22 @@ def bid_sample(b: BIDPdb, rng, delta: float) -> Instance:
         if rng.random() < p:
             chosen.append(f)
     return Instance(chosen)
+
+
+def ti_sample(t: TIPdb, rng, delta: float) -> Instance:
+    """Draw an instance; within total-variation ``delta`` of the true law.
+
+    Head facts are exact independent coin flips; the tail is truncated at
+    the first point where the unseen mass is at most ``delta`` (a fact
+    beyond the truncation occurs with probability at most that mass).
+    """
+    return _draw(t, rng, delta)
+
+
+def bid_sample(b: BIDPdb, rng, delta: float) -> Instance:
+    """Draw an instance: one categorical outcome per block, tail truncated
+    as in :func:`ti_sample`.
+
+    Every sampled instance is good by construction.
+    """
+    return _draw(b, rng, delta)

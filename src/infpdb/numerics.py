@@ -145,30 +145,6 @@ def euler_tail_lower_bound(tail_sum: float) -> float:
     return math.exp(-1.5 * tail_sum)
 
 
-def product_one_minus_enclosure(
-    head: Sequence[float],
-    tail_sum_bound: float = 0.0,
-    tail_max_p: float = 0.0,
-) -> ProbabilityInterval:
-    """Enclose ``prod_head (1-p) * prod_tail (1-p)`` for any admissible tail.
-
-    The tail is known only through an upper bound on its probability sum
-    and an upper bound on its individual probabilities.  The upper end of
-    the enclosure is the head product alone (tail factors are <= 1); the
-    lower end multiplies in the exponential tail bound, which requires
-    ``tail_max_p <= 1/2``.
-    """
-    if math.isnan(tail_sum_bound) or tail_sum_bound < 0.0:
-        raise ValueError(f"tail sum bound must be nonnegative, got {tail_sum_bound!r}")
-    if tail_sum_bound > 0.0 and tail_max_p > 0.5:
-        raise ValueError(
-            f"tail bound requires every tail probability <= 1/2, got max {tail_max_p!r}"
-        )
-    hi = log_product_one_minus(head).probability
-    lo = hi * euler_tail_lower_bound(tail_sum_bound)
-    return ProbabilityInterval(min(lo, hi), hi)
-
-
 def subset_expansion_check(a: Sequence[float]) -> tuple[float, float]:
     """Both sides of the finite identity ``prod (1+a_i) = sum_J prod_{i in J} a_i``.
 

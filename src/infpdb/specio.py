@@ -81,6 +81,12 @@ class SpecDocument:
     def completion(self) -> Completion:
         return complete(self.finite(), self.assignment())
 
+    def space(self) -> BIDPdb | FiniteDiscretePDB | Completion:
+        """The space of this spec's kind; every kind's space offers
+        ``expected_size``, ``instance_prob(d)`` and ``sample(rng, delta)``."""
+        build = {"ti": self.ti, "bid": self.bid, "finite": self.finite, "completion": self.completion}
+        return build[self.kind]()
+
 
 def _parse_fact(obj: dict, schema: Schema, universe: Universe) -> Fact:
     relation = obj["relation"]

@@ -168,6 +168,15 @@ class TestQuery:
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.05"]) == 3
         assert "required n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
+    def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):
+        monkeypatch.setenv("PDB_WORLD_CAP", raw)
+        args = ["query", example_spec, "--query", query_file, "--epsilon", "0.1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "PDB_WORLD_CAP must be a nonnegative integer" in err
+        assert "Traceback" not in err
+
 
 class TestSample:
     def test_deterministic_given_seed(self, example_spec, capsys):

@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infpdb.core import Fact, Instance, Schema
+from infpdb.independence import (
+    EnumerationSupply,
+    FactProbabilityAssignment,
+    GeometricTail,
+    ti_construct,
+    ti_instance_prob,
+)
 from infpdb.numerics import (
     LogProbability,
     ProbabilityInterval,
     compensated_sum,
     euler_tail_lower_bound,
     log_product_one_minus,
-    product_one_minus_enclosure,
     subset_expansion_check,
 )
+from infpdb.universe import FactEnumeration, Universe
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -80,24 +88,47 @@ class TestEulerTailLowerBound:
             assert direct == bound == 1.0
 
 
+def _enclosure(head, tail_sum):
+    """Head product as the upper end, times the exponential tail bound."""
+    hi = log_product_one_minus(head).probability
+    return hi * euler_tail_lower_bound(tail_sum), hi
+
+
+def _empty_instance_prob(head, c, q):
+    """Enclosure of the empty instance of S-head facts plus an R-tail c*q**i."""
+    schema = Schema.of(R=1, S=1)
+    tail = GeometricTail(
+        EnumerationSupply(FactEnumeration(schema, Universe.naturals()), relation="R"), c=c, q=q
+    )
+    facts = tuple((Fact("S", (i,)), p) for i, p in enumerate(head, start=1))
+    t = ti_construct(FactProbabilityAssignment(facts, tail))
+    return ti_instance_prob(t, Instance.empty())
+
+
 class TestProductOneMinusEnclosure:
     def test_no_tail_is_a_point(self):
-        iv = product_one_minus_enclosure([0.5], 0.0)
-        assert iv.lo == iv.hi == 0.5
+        lo, hi = _enclosure([0.5], 0.0)
+        assert lo == hi == 0.5
 
     def test_pure_tail(self):
-        iv = product_one_minus_enclosure([], 0.6, 0.5)
-        assert iv.lo == pytest.approx(0.40657, abs=1e-5)
-        assert iv.hi == 1.0
+        lo, hi = _enclosure([], 0.6)
+        assert lo == pytest.approx(0.40657, abs=1e-5)
+        assert hi == 1.0
 
     def test_head_and_tail(self):
-        iv = product_one_minus_enclosure([0.2], 0.1, 0.5)
-        assert iv.lo == pytest.approx(0.8 * math.exp(-0.15), abs=1e-12)
-        assert iv.hi == pytest.approx(0.8, abs=1e-15)
+        lo, hi = _enclosure([0.2], 0.1)
+        assert lo == pytest.approx(0.8 * math.exp(-0.15), abs=1e-12)
+        assert hi == pytest.approx(0.8, abs=1e-15)
 
-    def test_rejects_large_tail_probability(self):
-        with pytest.raises(ValueError):
-            product_one_minus_enclosure([0.2], 0.1, 0.75)
+    def test_large_tail_probabilities_expanded(self):
+        # the exponential bound needs tail probabilities <= 1/2; a tail that
+        # starts above it is expanded explicitly until it drops below
+        iv = _empty_instance_prob([0.2], c=1.0, q=0.75)
+        truth = 0.8
+        for i in range(1, 400):
+            truth *= 1.0 - 0.75**i
+        assert iv.lo - 1e-12 <= truth <= iv.hi + 1e-12
+        assert iv.width <= 1e-11
 
     def test_contains_truth_for_geometric_tails(self):
         # geometric tail q**i beyond a head: truth computed by expanding far
@@ -109,8 +140,7 @@ class TestProductOneMinusEnclosure:
             truth = 1.0
             for p in head + tail:
                 truth *= 1.0 - p
-            tail_mass = q / (1.0 - q)
-            iv = product_one_minus_enclosure(head, tail_mass, q)
+            iv = _empty_instance_prob(head, c=1.0, q=q)
             assert iv.lo - 1e-12 <= truth <= iv.hi + 1e-12
 
 
