@@ -4,7 +4,8 @@ The query probability is approximated by conditioning on the event that
 only the first n facts of the canonical listing occur.  The truncation
 index n is chosen so that (a) every fact beyond it has probability at
 most 1/2 and (b) ``exp(alpha) <= 1 + eps`` and ``exp(-alpha) >= 1 - eps``
-for ``alpha = (3/2) * (mass beyond n)``.  The exponential tail bound then
+for ``alpha = (3/2) * (mass beyond n)``; the tail's closed-form mass
+yields that n without listing the tail.  The exponential tail bound then
 sandwiches the conditioned value within an additive ``eps`` of the true
 probability.  Conditioned on the truncation event, the space is an
 ordinary finite tuple-independent space, so the conditional probability
@@ -32,7 +33,6 @@ from .universe import Element, Universe
 
 DEFAULT_WORLD_CAP = 25
 WORLD_CAP_ENV = "PDB_WORLD_CAP"
-TRUNCATION_SEARCH_CAP = 1_000_000
 
 
 def world_cap() -> int:
@@ -75,31 +75,33 @@ def _check_epsilon(epsilon: float) -> None:
 def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     """Smallest truncation point satisfying both exponential conditions.
 
-    Head facts are always included; the tail is listed fact by fact
-    until its unseen mass is small enough and the next fact's
-    probability has dropped to at most 1/2.
+    Head facts are always included; the tail's closed-form unseen mass
+    gives the first count of tail facts after which that mass is small
+    enough and the next fact's probability has dropped to at most 1/2.
     """
     _check_epsilon(epsilon)
     allowed = min(math.log1p(epsilon), -math.log1p(-epsilon))
     h = t.head_count()
     if t.tail is None:
         return TruncationCertificate(n=h, alpha_n=0.0, tail_sum=0.0, epsilon=epsilon)
-    total = t.tail.total_mass()
-    seen = CompensatedAccumulator()
-    n = h
-    for _, _, p in t.tail.indexed_facts():
-        unseen = max(total - seen.value, 0.0)
-        if p <= 0.5 and 1.5 * unseen <= allowed:
-            return TruncationCertificate(
-                n=n, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon
-            )
-        seen.add(p)
-        n += 1
-        if n - h > TRUNCATION_SEARCH_CAP:
-            raise ValueError(
-                f"no certifiable truncation within {TRUNCATION_SEARCH_CAP} tail facts"
-            )
-    raise AssertionError("unreachable: tail iterator is infinite")
+    # every unseen mass at or below this bound passes 1.5 * unseen <= allowed
+    bound = allowed / 1.5
+    while 1.5 * bound > allowed:
+        bound = math.nextafter(bound, 0.0)
+    k = t.tail.position(bound, p_max=0.5)
+    unseen, _ = t.tail.mass_after(k)
+    return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
+
+
+def _check_world_cap(n: int, cap: int | None) -> None:
+    limit = world_cap() if cap is None else cap
+    if n > limit:
+        raise WorldCapExceeded(
+            f"enumerating 2**{n} worlds exceeds the cap 2**{limit}; "
+            f"set {WORLD_CAP_ENV} to raise it",
+            required=n,
+            cap=limit,
+        )
 
 
 def conditional_query_prob(
@@ -114,14 +116,7 @@ def conditional_query_prob(
     free = free_variables(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    limit = world_cap() if cap is None else cap
-    if n > limit:
-        raise WorldCapExceeded(
-            f"enumerating 2**{n} worlds exceeds the cap 2**{limit}; "
-            f"set {WORLD_CAP_ENV} to raise it",
-            required=n,
-            cap=limit,
-        )
+    _check_world_cap(n, cap)
     facts = t.facts_up_to(n)
     visible = relations_of(f)
     memo: dict[frozenset, bool] = {}
@@ -182,6 +177,7 @@ def approx_nonboolean(
     if not free:
         raise ValueError("open formula expected; use approx_boolean for sentences")
     cert = choose_truncation(t, epsilon)
+    _check_world_cap(cert.n, cap)
     elements: set[Element] = set(constants(f))
     for fact, _ in t.facts_up_to(cert.n):
         elements.update(fact.args)

@@ -17,6 +17,10 @@ probabilities times the remainders of the untouched blocks times the
 product of ``1 - p`` over all absent tail facts; the infinite part of
 that product is never evaluated, only enclosed.
 
+Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
+solves one closed form, :meth:`GeometricTail.mass_after`, for its point
+with :meth:`GeometricTail.position`; no caller walks the tail to find it.
+
 A tuple-independent space is the block-disjoint space whose blocks are
 all singletons: :class:`TIPdb` is that case of :class:`BIDPdb`, and the
 two share their construction, instance probabilities and sampler.
@@ -24,6 +28,7 @@ two share their construction, instance probabilities and sampler.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -264,27 +269,57 @@ class GeometricTail:
                     yield i, f, p
             i += 1
 
-    def facts_probs(self) -> Iterator[tuple[Fact, float]]:
-        for _, f, p in self.indexed_facts():
-            yield f, p
+    @cached_property
+    def _excluded_indices(self) -> tuple[int, ...]:
+        """Sorted intrinsic indices of the excluded facts the supply lists."""
+        return tuple(sorted(i for f in self.exclude if (i := self.supply.intrinsic_index(f))))
+
+    def listed_through(self, i: int) -> int:
+        """How many listed tail facts have intrinsic index at most ``i``."""
+        groups = max(i - self.supply.first_index + 1, 0)
+        return self.supply.multiplicity * groups - bisect.bisect_right(self._excluded_indices, i)
+
+    def mass_after(self, k: int) -> tuple[float, float]:
+        """(mass of the listed tail facts after the first k, probability of
+        fact k + 1), in closed form: with fact k + 1 in index group ``i``,
+        the rest of group ``i``, plus ``m * c * q**(i+1) / (1 - q)``, minus
+        the excluded facts beyond group ``i``.
+        """
+        m, first, excluded = self.supply.multiplicity, self.supply.first_index, self._excluded_indices
+        # group i holds fact k + 1 when it is the first to list more than k
+        # facts; at most len(excluded) missing facts push it past first + k // m
+        groups = range(first + k // m, first + (k + len(excluded)) // m + 1)
+        i = groups[bisect.bisect_left(groups, k + 1, key=self.listed_through)]
+        p, beyond = self.rule_value(i), excluded[bisect.bisect_right(excluded, i):]
+        rest_of_group = (self.listed_through(i) - k) * p
+        later = m * self.rule_value(i + 1) / (1.0 - self.q) - math.fsum(map(self.rule_value, beyond))
+        return rest_of_group + later, p
+
+    def position(self, bound: float, start: int = 0, p_max: float = 1.0) -> int:
+        """Smallest ``k >= start`` whose mass after k facts is at most ``bound``
+        and whose fact k + 1 has probability at most ``p_max``.  Both are
+        monotone in k: the step doubles until they hold, then bisects."""
+        if not bound >= 0.0:
+            raise ValueError(f"mass bound must be nonnegative, got {bound!r}")
+
+        def holds(k: int) -> bool:
+            mass, p = self.mass_after(k)
+            return mass <= bound and p <= p_max
+
+        failing, step = start - 1, 1
+        while not holds(failing + step):
+            failing, step = failing + step, 2 * step
+        candidates = range(failing + 1, failing + step + 1)
+        return candidates[bisect.bisect_left(candidates, True, key=holds)]
 
     def truncation_count(self, delta: float) -> int:
         """Smallest n with the mass beyond the n-th tail fact at most delta."""
-        total = self.total_mass()
-        if total <= delta:
-            return 0
-        acc = CompensatedAccumulator()
-        n = 0
-        for _, _, p in self.indexed_facts():
-            acc.add(p)
-            n += 1
-            if total - acc.value <= delta:
-                return n
-            if n > ENCLOSURE_FACT_CAP:
-                raise ValidationError(
-                    f"tail truncation did not certify within {ENCLOSURE_FACT_CAP} facts"
-                )
-        raise AssertionError("unreachable: infinite iterator")
+        n = self.position(delta)
+        if n > ENCLOSURE_FACT_CAP:
+            raise ValidationError(
+                f"tail truncation needs {n} facts, more than the cap {ENCLOSURE_FACT_CAP}"
+            )
+        return n
 
 
 @dataclass(frozen=True)
@@ -455,7 +490,7 @@ class BIDPdb:
         plan = self._tail_plans.get(delta)
         if plan is None:
             n = self.tail.truncation_count(delta)
-            plan = tuple(itertools.islice(self.tail.facts_probs(), n))
+            plan = tuple((f, p) for _, f, p in itertools.islice(self.tail.indexed_facts(), n))
             self._tail_plans[delta] = plan
         return plan
 
@@ -497,16 +532,10 @@ class TIPdb(BIDPdb):
 
     def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
         """The first n facts in canonical order (head first, then tail)."""
-        out = list(self.head[:n])
-        remaining = n - len(out)
-        if remaining > 0:
-            if self.tail is None:
-                raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
-            for f, p in self.tail.facts_probs():
-                out.append((f, p))
-                remaining -= 1
-                if remaining == 0:
-                    break
+        tail = () if self.tail is None else ((f, p) for _, f, p in self.tail.indexed_facts())
+        out = list(itertools.islice(itertools.chain(self.head, tail), n))
+        if len(out) < n:
+            raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
         return out
 
 
@@ -531,47 +560,29 @@ def ti_construct(assignment: FactProbabilityAssignment) -> TIPdb:
 
 
 def _tail_one_minus_enclosure(
-    tail: GeometricTail | None,
-    skip: frozenset[Fact] = frozenset(),
-    mass_target: float = ENCLOSURE_MASS_TARGET,
+    tail: GeometricTail | None, skip: frozenset[Fact] = frozenset()
 ) -> ProbabilityInterval:
     """Enclose ``prod (1 - p)`` over all tail facts not in ``skip``.
 
-    Facts are expanded explicitly until the unseen mass drops below the
-    target and the next probability is at most 1/2 (so the exponential
-    lower bound applies to the unseen remainder); skipped facts must all
-    be passed before stopping so they never land in the remainder.
+    The first n facts are expanded explicitly, where n is the smallest
+    count past every skipped fact whose closed-form unseen mass is at
+    most the target and whose next probability is at most 1/2, so the
+    exponential lower bound applies to the unseen remainder.
     """
     if tail is None:
         return ProbabilityInterval.point(1.0)
-    total = tail.total_mass()
-    skip_horizon = 0
-    for f in skip:
-        i = tail.supply.intrinsic_index(f)
-        if i is not None and f not in tail.exclude and i > skip_horizon:
-            skip_horizon = i
+    horizon = max((tail.supply.intrinsic_index(f) or 0 for f in skip - tail.exclude), default=0)
+    n = tail.position(ENCLOSURE_MASS_TARGET, start=tail.listed_through(horizon), p_max=0.5)
     log_factors = CompensatedAccumulator()
-    seen_mass = CompensatedAccumulator()
-    count = 0
-    capped = False
-    for i, f, p in tail.indexed_facts():
-        unseen = total - seen_mass.value
-        if i > skip_horizon and unseen <= mass_target and p <= 0.5:
-            break
-        if count >= ENCLOSURE_FACT_CAP:
-            capped = True
-            break
-        seen_mass.add(p)
+    for _, f, p in itertools.islice(tail.indexed_facts(), min(n, ENCLOSURE_FACT_CAP)):
         if f not in skip:
             if p >= 1.0:
                 return ProbabilityInterval.point(0.0)
             log_factors.add(math.log1p(-p))
-        count += 1
     hi = LogProbability(min(log_factors.value, 0.0)).probability
-    unseen = max(total - seen_mass.value, 0.0)
-    if capped:
+    if n > ENCLOSURE_FACT_CAP:
         return ProbabilityInterval(0.0, hi)
-    lo = hi * math.exp(-1.5 * unseen)
+    lo = hi * math.exp(-1.5 * tail.mass_after(n)[0])
     return ProbabilityInterval(min(lo, hi), hi)
 
 

@@ -115,6 +115,17 @@ def _parse_number(raw) -> float:
     raise ValidationError(f"number must be a decimal string, got {raw!r}")
 
 
+def _parse_int(raw, path: str) -> int:
+    """An integer field: an int, an integral float or a decimal integer string."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, float) and raw.is_integer() or (
+        isinstance(raw, str) and raw.removeprefix("-").isdecimal()
+    ):
+        return int(raw)
+    raise ValidationError(f"{path} must be an integer, got {raw!r}")
+
+
 def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
     enumeration = FactEnumeration(schema, universe)
     supply_obj = obj.get("supply", {"type": "enumeration"})
@@ -123,17 +134,17 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
         supply = EnumerationSupply(
             enumeration,
             relation=supply_obj.get("relation"),
-            offset=int(supply_obj.get("offset", 0)),
+            offset=_parse_int(supply_obj.get("offset", 0), "tail.supply.offset"),
         )
     elif stype == "product":
-        fixed = tuple(
-            (int(pos), tuple(values))
-            for pos, values in sorted(supply_obj["fixed"].items(), key=lambda kv: int(kv[0]))
-        )
+        fixed = tuple(sorted(
+            ((_parse_int(pos, f"tail.supply.fixed.{pos}"), tuple(values))
+             for pos, values in supply_obj["fixed"].items()), key=lambda pv: pv[0]
+        ))
         supply = ProductSupply(
             enumeration,
             relation=supply_obj["relation"],
-            index_position=int(supply_obj["index_position"]),
+            index_position=_parse_int(supply_obj["index_position"], "tail.supply.index_position"),
             fixed=fixed,
         )
     else:
@@ -181,7 +192,7 @@ def _tail_to_json(tail: Tail) -> dict:
 
 
 def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
-    keys = tuple((r, int(j)) for r, j in obj.get("keys", {}).items())
+    keys = tuple((r, _parse_int(j, f"blocks.keys.{r}")) for r, j in obj.get("keys", {}).items())
     explicit = tuple(
         (_parse_fact(e, schema, universe), e["block"]) for e in obj.get("explicit", ())
     )
@@ -206,7 +217,7 @@ def parse_spec(data: dict) -> SpecDocument:
     schema_obj = data.get("schema")
     if not isinstance(schema_obj, dict) or not schema_obj:
         raise ValidationError("spec needs a nonempty schema mapping")
-    schema = Schema(tuple((name, int(arity)) for name, arity in schema_obj.items()))
+    schema = Schema(tuple((r, _parse_int(a, f"schema.{r}")) for r, a in schema_obj.items()))
     universe_obj = data.get("universe", {"kind": "naturals"})
     if universe_obj.get("kind") == "strings":
         universe = Universe.strings(universe_obj.get("alphabet", ""))

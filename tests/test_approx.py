@@ -17,6 +17,7 @@ from infpdb.independence import (
     EnumerationSupply,
     FactProbabilityAssignment,
     GeometricTail,
+    TIPdb,
     ti_construct,
 )
 from infpdb.oracle import enumerate_worlds, exact_event_prob
@@ -97,6 +98,19 @@ class TestChooseTruncation:
                 for i in range(cert.n + 1, cert.n + 300):
                     truncation_event *= 1 - q**i
                 assert truncation_event >= math.exp(-cert.alpha_n) - 1e-12
+
+
+    def test_slow_tail_is_solved_without_listing(self, monkeypatch):
+        t = pure_tail_space(c=0.001, q=0.99999)
+
+        def no_walk(self):
+            raise AssertionError("the tail was listed")
+
+        monkeypatch.setattr(GeometricTail, "indexed_facts", no_walk)
+        cert = choose_truncation(t, 0.1)
+        assert cert.n == 736121
+        assert 1.5 * cert.tail_sum <= math.log1p(0.1)
+        assert t.tail.mass_after(cert.n - 1)[0] * 1.5 > math.log1p(0.1)
 
 
 class TestConditionalQueryProb:
@@ -228,6 +242,17 @@ class TestApproxNonBoolean:
         t = ti_construct(FactProbabilityAssignment(()))
         with pytest.raises(ValueError):
             approx_nonboolean(t, parse("exists x. R(x)", R1), 0.1, NAT)
+
+    def test_world_cap_checked_before_listing(self, monkeypatch):
+        t = pure_tail_space(c=0.001, q=0.99999)
+
+        def no_listing(self, n):
+            raise AssertionError("facts were listed before the cap check")
+
+        monkeypatch.setattr(TIPdb, "facts_up_to", no_listing)
+        with pytest.raises(WorldCapExceeded) as err:
+            approx_nonboolean(t, parse("R(x)", R1), 0.1, NAT, cap=20)
+        assert err.value.required == 736121
 
     def test_candidates_cover_formula_constants(self):
         t = ti_construct(FactProbabilityAssignment(((fact("R", 1), 0.8),)))

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -115,6 +116,40 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/spec.json"]) == 2
+
+    @pytest.mark.parametrize("raw", [2.5, "x", True])
+    def test_non_integer_offset_is_validation_error(self, raw, tmp_path, capsys):
+        spec = {
+            "kind": "ti",
+            "schema": {"R": 1},
+            "universe": {"kind": "naturals"},
+            "tail": {"rule": "geometric", "c": "0.5", "q": "0.5",
+                     "supply": {"type": "enumeration", "offset": raw}},
+        }
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: tail.supply.offset must be an integer, got {raw!r}" in err
+
+    @pytest.mark.parametrize("field", [
+        "tail.supply.index_position", "tail.supply.fixed.1.5", "blocks.keys.S", "schema.S",
+    ])
+    def test_non_integer_fields_name_their_path(self, field, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        spec.update(kind="bid", schema={"R": 2, "S": 2}, blocks={"keys": {"S": 1}})
+        supply = spec["tail"]["supply"]
+        edit = {
+            "tail.supply.index_position": lambda: supply.update(index_position=2.5),
+            "tail.supply.fixed.1.5": lambda: supply.update(fixed={"1.5": supply["fixed"]["1"]}),
+            "blocks.keys.S": lambda: spec["blocks"]["keys"].update(S=2.5),
+            "schema.S": lambda: spec["schema"].update(S=2.5),
+        }
+        edit[field]()
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        assert f"ValidationError: {field} must be an integer" in capsys.readouterr().err
 
 
 class TestQuery:

@@ -12,11 +12,13 @@ from infpdb.errors import (
     ValidationError,
 )
 from infpdb.independence import (
+    ENCLOSURE_FACT_CAP,
     BlockPartition,
     ConstantTail,
     EnumerationSupply,
     FactProbabilityAssignment,
     GeometricTail,
+    ProductSupply,
     bid_construct,
     bid_instance_prob,
     bid_sample,
@@ -52,6 +54,19 @@ EXAMPLE_TABLE = (
 def geometric_tail(c=1.0, q=0.5, offset=0, exclude=()):
     e = FactEnumeration(R1, NAT)
     return GeometricTail(EnumerationSupply(e, offset=offset), c=c, q=q, exclude=frozenset(exclude))
+
+
+def product_tail(keys, exclude=(), c=1.0, q=0.5):
+    """Tail R(key, i) over naturals: one fact per key in each index group."""
+    e = FactEnumeration(Schema.of(R=2), NAT)
+    supply = ProductSupply(e, "R", index_position=2, fixed=((1, tuple(keys)),))
+    return GeometricTail(supply, c=c, q=q, exclude=frozenset(exclude))
+
+
+def listed_mass_after(tail, k, terms=4000):
+    """(fsum of the listed probabilities after the first k, the next one)."""
+    ps = [p for _, _, p in itertools.islice(tail.indexed_facts(), k, k + terms)]
+    return math.fsum(ps), ps[0]
 
 
 def all_head_instances(head):
@@ -199,6 +214,69 @@ class TestTiEventProbs:
             oracle_m = exact_event_prob(worlds, lambda d: f in d)
             assert abs(conj - oracle_m) <= 1e-10
             assert abs(conj - p) <= 1e-12
+
+
+PRIMITIVE_TAILS = {
+    "enumeration-offset": geometric_tail(offset=3),
+    "enumeration-slow": geometric_tail(c=0.5, q=0.9, offset=2, exclude=rfacts(4, 9, 30)),
+    # exclusions at groups 2, 5 (the whole group) and 9
+    "product-m2": product_tail((1, 2), [fact("R", 1, 2), fact("R", 1, 5), fact("R", 2, 5),
+                                        fact("R", 2, 9)]),
+    "product-m3": product_tail((1, 2, 3), [fact("R", 3, 1), fact("R", 2, 4), fact("R", 1, 4),
+                                           fact("R", 3, 12)], c=0.9, q=0.8),
+}
+
+
+class TestTailPrimitive:
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
+    def test_mass_after_matches_listing(self, name):
+        tail = PRIMITIVE_TAILS[name]
+        for k in range(0, 40):
+            mass, p = tail.mass_after(k)
+            ref_mass, ref_p = listed_mass_after(tail, k)
+            assert p == ref_p
+            assert abs(mass - ref_mass) <= 1e-15 * ref_mass, (k, mass, ref_mass)
+
+    def test_listed_through_counts_exclusions(self):
+        tail = PRIMITIVE_TAILS["product-m2"]
+        listed = [i for i, _, _ in itertools.islice(tail.indexed_facts(), 30)]
+        for i in range(0, 12):
+            assert tail.listed_through(i) == sum(1 for j in listed if j <= i)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
+    def test_position_is_the_linear_scan(self, name):
+        tail = PRIMITIVE_TAILS[name]
+
+        def scan(bound, start, p_max):
+            k = start
+            while True:
+                mass, p = tail.mass_after(k)
+                if mass <= bound and p <= p_max:
+                    return k
+                k += 1
+
+        for bound, start, p_max in itertools.product((0.3, 1e-3, 1e-9), (0, 5, 17), (1.0, 0.2)):
+            assert tail.position(bound, start, p_max) == scan(bound, start, p_max)
+
+    @pytest.mark.parametrize("bound", [-1e-9, math.nan])
+    def test_position_rejects_unreachable_bounds(self, bound):
+        with pytest.raises(ValueError):
+            geometric_tail().position(bound)
+
+    def test_sampler_cap_names_the_needed_count(self, monkeypatch):
+        tail = geometric_tail(c=0.001, q=0.99999)
+        needed = tail.position(0.01)
+        assert needed > ENCLOSURE_FACT_CAP
+
+        def no_walk(self):
+            raise AssertionError("the tail was listed")
+
+        monkeypatch.setattr(GeometricTail, "indexed_facts", no_walk)
+        with pytest.raises(ValidationError, match=f"needs {needed} facts"):
+            tail.truncation_count(0.01)
+        t = ti_construct(FactProbabilityAssignment((), tail))
+        with pytest.raises(ValidationError, match=f"needs {needed} facts"):
+            ti_sample(t, random.Random(0), 0.01)
 
 
 class TestTiSample:
