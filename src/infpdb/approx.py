@@ -9,8 +9,9 @@ yields that n without listing the tail.  The exponential tail bound then
 sandwiches the conditioned value within an additive ``eps`` of the true
 probability.  Conditioned on the truncation event, the space is an
 ordinary finite tuple-independent space, so the conditional probability
-is computed by brute-force world enumeration (exponential in n by
-construction; capped, with an environment override).
+is computed by brute-force enumeration of the worlds over the truncated
+facts whose relations the query mentions (exponential in their number;
+the cap, with an environment override, still applies to n).
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -24,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .core import Instance
+from .core import Fact, Instance
 from .errors import WorldCapExceeded
 from .fo import Formula, constants, eval_boolean, free_variables, relations_of, substitute
 from .independence import TIPdb
@@ -67,11 +68,6 @@ class TruncationCertificate:
             raise ValueError("certificate violates exp(-alpha) >= 1 - eps")
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if math.isnan(epsilon) or not (0.0 < epsilon < 0.5):
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
-
-
 def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     """Smallest truncation point satisfying both exponential conditions.
 
@@ -79,7 +75,8 @@ def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     gives the first count of tail facts after which that mass is small
     enough and the next fact's probability has dropped to at most 1/2.
     """
-    _check_epsilon(epsilon)
+    if math.isnan(epsilon) or not (0.0 < epsilon < 0.5):
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     allowed = min(math.log1p(epsilon), -math.log1p(-epsilon))
     h = t.head_count()
     if t.tail is None:
@@ -93,7 +90,7 @@ def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
 
 
-def _check_world_cap(n: int, cap: int | None) -> None:
+def _truncated_facts(t: TIPdb, n: int, cap: int | None) -> list[tuple[Fact, float]]:
     limit = world_cap() if cap is None else cap
     if n > limit:
         raise WorldCapExceeded(
@@ -102,38 +99,29 @@ def _check_world_cap(n: int, cap: int | None) -> None:
             required=n,
             cap=limit,
         )
+    return t.facts_up_to(n)
 
 
-def conditional_query_prob(
-    t: TIPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
-) -> float:
-    """Exact query probability conditioned on seeing only the first n facts.
+def _world_walk(
+    facts: list[tuple[Fact, float]], sentences: list[Formula], universe: Universe
+) -> list[float]:
+    """Exact probability of each sentence on the finite TI space of ``facts``.
 
-    Enumerates all 2**n subsets of the first n facts of the canonical
-    listing; conditioned on the truncation event these form a finite
-    tuple-independent space with the original fact probabilities.
+    Facts of relations no sentence mentions are summed out: their branches
+    weigh ``(1 - p) + p = 1`` and their elements act as generics.
     """
-    free = free_variables(f)
-    if free:
-        raise ValueError(f"sentence expected, found free variables {free}")
-    _check_world_cap(n, cap)
-    facts = t.facts_up_to(n)
-    visible = relations_of(f)
-    memo: dict[frozenset, bool] = {}
-    acc = CompensatedAccumulator()
+    relations = frozenset().union(*map(relations_of, sentences))
+    kept = [(fact, p) for fact, p in facts if fact.relation in relations]
+    accs = [CompensatedAccumulator() for _ in sentences]
 
     def descend(i: int, chosen: list, weight: float) -> None:
-        if i == len(facts):
+        if i == len(kept):
             d = Instance(chosen)
-            key = d.restrict_to_relations(visible)
-            sat = memo.get(key)
-            if sat is None:
-                sat = eval_boolean(d, f, universe)
-                memo[key] = sat
-            if sat:
-                acc.add(weight)
+            for f, acc in zip(sentences, accs):
+                if eval_boolean(d, f, universe):
+                    acc.add(weight)
             return
-        fact, p = facts[i]
+        fact, p = kept[i]
         if p < 1.0:
             descend(i + 1, chosen, weight * (1.0 - p))
         if p > 0.0:
@@ -142,7 +130,22 @@ def conditional_query_prob(
             chosen.pop()
 
     descend(0, [], 1.0)
-    return min(max(acc.value, 0.0), 1.0)
+    return [min(max(acc.value, 0.0), 1.0) for acc in accs]
+
+
+def conditional_query_prob(
+    t: TIPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
+) -> float:
+    """Exact query probability conditioned on seeing only the first n facts.
+
+    Conditioned on the truncation event, the first n facts of the
+    canonical listing form a finite tuple-independent space with the
+    original fact probabilities; its worlds are enumerated exactly.
+    """
+    free = free_variables(f)
+    if free:
+        raise ValueError(f"sentence expected, found free variables {free}")
+    return _world_walk(_truncated_facts(t, n, cap), [f], universe)[0]
 
 
 def approx_boolean(
@@ -172,18 +175,15 @@ def approx_nonboolean(
     that candidate set can only be an answer in a world beyond the
     truncation, so its marginal is at most eps and it is not reported.
     """
-    _check_epsilon(epsilon)
     free = free_variables(f)
     if not free:
         raise ValueError("open formula expected; use approx_boolean for sentences")
     cert = choose_truncation(t, epsilon)
-    _check_world_cap(cert.n, cap)
+    facts = _truncated_facts(t, cert.n, cap)
     elements: set[Element] = set(constants(f))
-    for fact, _ in t.facts_up_to(cert.n):
+    for fact, _ in facts:
         elements.update(fact.args)
     candidates = sorted(elements, key=lambda e: (isinstance(e, str), e))
-    out: dict[tuple[Element, ...], float] = {}
-    for combo in itertools.product(candidates, repeat=len(free)):
-        grounded = substitute(f, dict(zip(free, combo)))
-        out[combo] = conditional_query_prob(t, grounded, cert.n, universe, cap=cap)
-    return out
+    combos = list(itertools.product(candidates, repeat=len(free)))
+    grounded = [substitute(f, dict(zip(free, combo))) for combo in combos]
+    return dict(zip(combos, _world_walk(facts, grounded, universe)))

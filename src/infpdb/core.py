@@ -15,7 +15,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .numerics import ProbabilityInterval
 
@@ -140,9 +140,6 @@ class Instance:
         keep = set(facts)
         return Instance(f for f in self._facts if f in keep)
 
-    def restrict_to_relations(self, relations: frozenset[str]) -> frozenset:
-        return frozenset(f for f in self._facts if f.relation in relations)
-
     def tuples_of(self, relation: str) -> set[tuple]:
         """Tuples of one relation, indexed lazily for repeated atom lookups."""
         if self._by_relation is None:
@@ -202,9 +199,6 @@ class FiniteDiscretePDB:
 
     def probability(self, d: Instance) -> float:
         return self.worlds.get(d, 0.0)
-
-    def event_probability(self, predicate: Callable[[Instance], bool]) -> float:
-        return math.fsum(p for d, p in self.worlds.items() if predicate(d))
 
     def instances(self) -> list[Instance]:
         return sorted(self.worlds, key=lambda d: (len(d), [f.sort_key() for f in d]))

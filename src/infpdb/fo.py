@@ -485,22 +485,15 @@ def _eval(f: Formula, d: Instance, env: dict[str, Element], domain: list[Element
         return _eval(f.left, d, env, domain) or _eval(f.right, d, env, domain)
     if isinstance(f, Implies):
         return (not _eval(f.left, d, env, domain)) or _eval(f.right, d, env, domain)
-    if isinstance(f, Exists):
-        for e in domain:
-            env[f.var] = e
-            if _eval(f.body, d, env, domain):
-                del env[f.var]
-                return True
-        env.pop(f.var, None)
-        return False
-    # Forall
+    # a quantifier looks for a witness (exists) or a counterexample (forall);
+    # it binds its variable in a copy, so an outer binding of it survives
+    exists = isinstance(f, Exists)
+    inner = dict(env)
     for e in domain:
-        env[f.var] = e
-        if not _eval(f.body, d, env, domain):
-            del env[f.var]
-            return False
-    env.pop(f.var, None)
-    return True
+        inner[f.var] = e
+        if _eval(f.body, d, inner, domain) == exists:
+            return exists
+    return not exists
 
 
 def eval_query(
@@ -552,12 +545,6 @@ class View:
                 raise ValueError(
                     f"view formula for {name!r} has {k} free variables, target arity is {arity}"
                 )
-
-    def formula_for(self, relation: str) -> Formula:
-        for name, formula in self.formulas:
-            if name == relation:
-                return formula
-        raise KeyError(relation)
 
 
 def apply_view(d: Instance, v: View, u: Universe) -> Instance:

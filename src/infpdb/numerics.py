@@ -109,9 +109,6 @@ class ProbabilityInterval:
             raise ValueError(f"scale factor must be a probability, got {factor}")
         return ProbabilityInterval(self.lo * factor, self.hi * factor)
 
-    def times(self, other: "ProbabilityInterval") -> "ProbabilityInterval":
-        return ProbabilityInterval(self.lo * other.lo, self.hi * other.hi)
-
 
 def _check_probabilities(ps: Sequence[float]) -> None:
     for p in ps:

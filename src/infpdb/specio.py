@@ -88,9 +88,21 @@ class SpecDocument:
         return build[self.kind]()
 
 
-def _parse_fact(obj: dict, schema: Schema, universe: Universe) -> Fact:
-    relation = obj["relation"]
-    args = tuple(obj["args"])
+def _field(obj, key: str, path: str):
+    """``obj[key]`` of a JSON object, or a ValidationError naming the path."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValidationError(f"{path}.{key} is missing")
+    return obj[key]
+
+
+def _parse_fact(obj: dict, schema: Schema, universe: Universe, path: str) -> Fact:
+    relation = _field(obj, "relation", path)
+    args = _field(obj, "args", path)
+    if not isinstance(args, list):
+        raise ValidationError(f"{path}.args must be a list, got {args!r}")
+    args = tuple(args)
     if relation not in schema:
         raise ValidationError(f"fact relation {relation!r} not in schema")
     if len(args) != schema.arity_of(relation):
@@ -101,6 +113,10 @@ def _parse_fact(obj: dict, schema: Schema, universe: Universe) -> Fact:
         if not universe.contains(e):
             raise ValidationError(f"element {e!r} of fact {relation}{args} not in universe")
     return Fact(relation, args)
+
+
+def _parse_facts(items, schema: Schema, universe: Universe, path: str) -> list[Fact]:
+    return [_parse_fact(obj, schema, universe, f"{path}[{i}]") for i, obj in enumerate(items)]
 
 
 def _fact_to_json(f: Fact) -> dict:
@@ -149,9 +165,7 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
         )
     else:
         raise ValidationError(f"unknown tail supply type {stype!r}")
-    exclude = frozenset(
-        _parse_fact(e, schema, universe) for e in obj.get("exclude", ())
-    )
+    exclude = frozenset(_parse_facts(obj.get("exclude", ()), schema, universe, "tail.exclude"))
     rule = obj.get("rule", "geometric")
     if rule == "geometric":
         return GeometricTail(
@@ -194,7 +208,8 @@ def _tail_to_json(tail: Tail) -> dict:
 def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
     keys = tuple((r, _parse_int(j, f"blocks.keys.{r}")) for r, j in obj.get("keys", {}).items())
     explicit = tuple(
-        (_parse_fact(e, schema, universe), e["block"]) for e in obj.get("explicit", ())
+        (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"), e["block"])
+        for i, e in enumerate(obj.get("explicit", ()))
     )
     return BlockPartition(key_attributes=keys, explicit=explicit)
 
@@ -211,6 +226,8 @@ def _blocks_to_json(blocks: BlockPartition) -> dict:
 
 
 def parse_spec(data: dict) -> SpecDocument:
+    if not isinstance(data, dict):
+        raise ValidationError(f"a spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"spec kind must be one of {KINDS}, got {kind!r}")
@@ -219,15 +236,17 @@ def parse_spec(data: dict) -> SpecDocument:
         raise ValidationError("spec needs a nonempty schema mapping")
     schema = Schema(tuple((r, _parse_int(a, f"schema.{r}")) for r, a in schema_obj.items()))
     universe_obj = data.get("universe", {"kind": "naturals"})
-    if universe_obj.get("kind") == "strings":
+    universe_kind = _field(universe_obj, "kind", "universe")
+    if universe_kind == "strings":
         universe = Universe.strings(universe_obj.get("alphabet", ""))
-    elif universe_obj.get("kind") == "naturals":
+    elif universe_kind == "naturals":
         universe = Universe.naturals()
     else:
-        raise ValidationError(f"unknown universe kind {universe_obj.get('kind')!r}")
+        raise ValidationError(f"unknown universe kind {universe_kind!r}")
     head = tuple(
-        (_parse_fact(h, schema, universe), _parse_number(h["p"]))
-        for h in data.get("head_facts", ())
+        (_parse_fact(h, schema, universe, f"head_facts[{i}]"),
+         _parse_number(_field(h, "p", f"head_facts[{i}]")))
+        for i, h in enumerate(data.get("head_facts", ()))
     )
     tail = _parse_tail(data["tail"], schema, universe) if data.get("tail") else None
     blocks = _parse_blocks(data["blocks"], schema, universe) if data.get("blocks") else None
@@ -235,10 +254,10 @@ def parse_spec(data: dict) -> SpecDocument:
     if data.get("worlds") is not None:
         worlds = tuple(
             (
-                Instance(_parse_fact(h, schema, universe) for h in w.get("facts", ())),
-                _parse_number(w["p"]),
+                Instance(_parse_facts(w.get("facts", ()), schema, universe, f"worlds[{i}].facts")),
+                _parse_number(_field(w, "p", f"worlds[{i}]")),
             )
-            for w in data["worlds"]
+            for i, w in enumerate(data["worlds"])
         )
     if kind in ("finite", "completion") and worlds is None:
         raise ValidationError(f"{kind} spec needs a worlds table")
@@ -292,7 +311,7 @@ def save_spec(doc: SpecDocument, path: str | Path) -> None:
 def load_instance(path: str | Path, schema: Schema, universe: Universe) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return Instance(_parse_fact(obj, schema, universe) for obj in data.get("facts", ()))
+    return Instance(_parse_facts(data.get("facts", ()), schema, universe, "facts"))
 
 
 def instance_to_json(d: Instance) -> dict:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from infpdb import approx
 from infpdb.approx import (
     TruncationCertificate,
     approx_boolean,
@@ -10,9 +11,9 @@ from infpdb.approx import (
     choose_truncation,
     conditional_query_prob,
 )
-from infpdb.core import Fact, Schema
+from infpdb.core import Fact, Instance, Schema
 from infpdb.errors import WorldCapExceeded
-from infpdb.fo import eval_boolean, parse
+from infpdb.fo import eval_boolean, parse, substitute
 from infpdb.independence import (
     EnumerationSupply,
     FactProbabilityAssignment,
@@ -27,6 +28,7 @@ from helpers import random_sentence, reference_boolean_enclosure
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
+S1 = Schema.of(S=1)
 RS = Schema.of(R=1, S=1)
 
 
@@ -152,19 +154,35 @@ class TestConditionalQueryProb:
         assert conditional_query_prob(t, q, 1, NAT) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_oracle_exactly_without_tail(self):
+        # facts of a relation the sentence does not mention are summed out
         rng = random.Random(71)
-        for _ in range(20):
+        for _ in range(30):
             head = tuple(
-                (fact("R", i), rng.random()) for i in range(1, rng.randint(2, 9))
+                (fact(rng.choice("RS"), i), rng.random()) for i in range(1, rng.randint(2, 10))
             )
             t = ti_construct(FactProbabilityAssignment(head))
-            sentence = random_sentence(rng, R1, max_rank=2)
-            engine = conditional_query_prob(t, sentence, len(head), NAT)
             worlds = enumerate_worlds(list(head))
-            oracle = exact_event_prob(
-                worlds, lambda d: eval_boolean(d, sentence, NAT)
-            )
-            assert abs(engine - oracle) <= 1e-10
+            for schema in (R1, S1, RS):
+                sentence = random_sentence(rng, schema, max_rank=2)
+                engine = conditional_query_prob(t, sentence, len(head), NAT)
+                oracle = exact_event_prob(
+                    worlds, lambda d: eval_boolean(d, sentence, NAT)
+                )
+                assert abs(engine - oracle) <= 1e-10
+
+    def test_enumerates_only_mentioned_facts(self, monkeypatch):
+        head = ((fact("S", 0), 0.3),) + tuple((fact("R", i), 0.5) for i in range(1, 21))
+        t = ti_construct(FactProbabilityAssignment(head))
+        built = []
+
+        def counting_instance(facts):
+            built.append(facts)
+            return Instance(facts)
+
+        monkeypatch.setattr(approx, "Instance", counting_instance)
+        p = conditional_query_prob(t, parse("exists x. S(x)", RS), 21, NAT, cap=21)
+        assert p == pytest.approx(0.3, abs=1e-12)
+        assert len(built) <= 2
 
 
 class TestApproxBoolean:
@@ -253,6 +271,37 @@ class TestApproxNonBoolean:
         with pytest.raises(WorldCapExceeded) as err:
             approx_nonboolean(t, parse("R(x)", R1), 0.1, NAT, cap=20)
         assert err.value.required == 736121
+
+    @pytest.mark.parametrize("text", [
+        "R(x) & !S(x)",
+        "S(x) | exists y. (R(y) & !(x = y))",
+        "forall y. (S(y) -> R(x) & !(x = y))",
+    ])
+    def test_matches_oracle_per_tuple_without_tail(self, text):
+        rng = random.Random(text)
+        facts = rng.sample([fact(r, i) for r in "RS" for i in range(1, 6)], 8)
+        head = tuple((g, rng.random()) for g in facts)
+        t = ti_construct(FactProbabilityAssignment(head))
+        f = parse(text, RS)
+        table = approx_nonboolean(t, f, 0.1, NAT)
+        assert set(table) == {(e,) for e in {g.args[0] for g, _ in head}}
+        worlds = enumerate_worlds(list(head))
+        for (e,), engine in table.items():
+            grounded = substitute(f, {"x": e})
+            oracle = exact_event_prob(worlds, lambda d: eval_boolean(d, grounded, NAT))
+            assert abs(engine - oracle) <= 1e-10
+
+    def test_one_listing_serves_every_tuple(self, monkeypatch):
+        listings = []
+        original = TIPdb.facts_up_to
+        monkeypatch.setattr(
+            TIPdb, "facts_up_to", lambda self, n: listings.append(n) or original(self, n)
+        )
+        head = tuple((fact("R", i), 0.5) for i in range(1, 6))
+        t = ti_construct(FactProbabilityAssignment(head))
+        table = approx_nonboolean(t, parse("R(x)", R1), 0.1, NAT)
+        assert len(table) == 5
+        assert listings == [5]
 
     def test_candidates_cover_formula_constants(self):
         t = ti_construct(FactProbabilityAssignment(((fact("R", 1), 0.8),)))

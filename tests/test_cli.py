@@ -151,6 +151,28 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert f"ValidationError: {field} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", [
+        "head_facts[1].p is missing",
+        "head_facts[0].args must be a list, got 5",
+        "a spec must be a JSON object, got list",
+        "universe must be a JSON object, got str",
+    ])
+    def test_structural_errors_name_their_path(self, message, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        if message.startswith("head_facts[1]"):
+            del spec["head_facts"][1]["p"]
+        elif message.startswith("head_facts[0]"):
+            spec["head_facts"][0]["args"] = 5
+        elif message.startswith("universe"):
+            spec["universe"] = "naturals"
+        else:
+            spec = [spec]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {message}" in err
+        assert "Traceback" not in err
 
 class TestQuery:
     def test_boolean_query(self, example_spec, query_file, capsys):
@@ -202,6 +224,25 @@ class TestQuery:
         qpath.write_text("exists x. R(x)")
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.05"]) == 3
         assert "required n" in capsys.readouterr().err
+
+    def test_shadowed_quantifier(self, tmp_path, capsys):
+        spec = {
+            "kind": "ti",
+            "schema": {"R": 1, "S": 1},
+            "universe": {"kind": "naturals"},
+            "head_facts": [
+                {"relation": "R", "args": [1], "p": "0.5"},
+                {"relation": "S", "args": [2], "p": "0.5"},
+            ],
+        }
+        spath = tmp_path / "rs.json"
+        spath.write_text(json.dumps(spec))
+        qpath = tmp_path / "q.txt"
+        qpath.write_text("exists x. ((exists x. S(x)) & R(x))")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert "probability = 0.250000" in captured.out
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
     def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):

@@ -124,6 +124,15 @@ class TestEvalBoolean:
         f = parse("exists x. !R(x) & !(x = 1)", S1)
         assert eval_boolean(Instance([fact("R", 1)]), f, NAT)
 
+    @pytest.mark.parametrize("text, expected", [
+        ("exists x. ((exists x. S(x)) & R(x))", True),
+        ("forall x. ((exists x. S(x)) -> R(x))", False),
+        ("exists x. ((forall x. !S(x)) | R(x))", True),
+    ])
+    def test_shadowed_quantifier_keeps_outer_binding(self, text, expected):
+        d = Instance([fact("R", 1), fact("S", 2)])
+        assert eval_boolean(d, parse(text, S2), NAT) is expected
+
     @pytest.mark.parametrize("seed", range(100))
     def test_pool_enlargement_invariance(self, seed):
         rng = random.Random(seed)
