@@ -20,6 +20,8 @@ that product is never evaluated, only enclosed.
 Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
 solves one closed form, :meth:`GeometricTail.mass_after`, for its point
 with :meth:`GeometricTail.position`; no caller walks the tail to find it.
+The enclosure's expanded prefix is summed per index group, whose facts
+share one probability, and lists at most one group.
 
 A tuple-independent space is the block-disjoint space whose blocks are
 all singletons: :class:`TIPdb` is that case of :class:`BIDPdb`, and the
@@ -42,12 +44,7 @@ from .errors import (
     DuplicateFact,
     ValidationError,
 )
-from .numerics import (
-    CompensatedAccumulator,
-    LogProbability,
-    ProbabilityInterval,
-    log_product_one_minus,
-)
+from .numerics import ProbabilityInterval, log_product_one_minus
 from .universe import Element, FactEnumeration
 
 ENCLOSURE_MASS_TARGET = 1e-12
@@ -279,17 +276,21 @@ class GeometricTail:
         groups = max(i - self.supply.first_index + 1, 0)
         return self.supply.multiplicity * groups - bisect.bisect_right(self._excluded_indices, i)
 
+    def group_of(self, k: int) -> int:
+        """The index group holding listed fact k + 1."""
+        m, first = self.supply.multiplicity, self.supply.first_index
+        # group i holds fact k + 1 when it is the first to list more than k
+        # facts; at most len(excluded) missing facts push it past first + k // m
+        groups = range(first + k // m, first + (k + len(self._excluded_indices)) // m + 1)
+        return groups[bisect.bisect_left(groups, k + 1, key=self.listed_through)]
+
     def mass_after(self, k: int) -> tuple[float, float]:
         """(mass of the listed tail facts after the first k, probability of
         fact k + 1), in closed form: with fact k + 1 in index group ``i``,
         the rest of group ``i``, plus ``m * c * q**(i+1) / (1 - q)``, minus
         the excluded facts beyond group ``i``.
         """
-        m, first, excluded = self.supply.multiplicity, self.supply.first_index, self._excluded_indices
-        # group i holds fact k + 1 when it is the first to list more than k
-        # facts; at most len(excluded) missing facts push it past first + k // m
-        groups = range(first + k // m, first + (k + len(excluded)) // m + 1)
-        i = groups[bisect.bisect_left(groups, k + 1, key=self.listed_through)]
+        m, excluded, i = self.supply.multiplicity, self._excluded_indices, self.group_of(k)
         p, beyond = self.rule_value(i), excluded[bisect.bisect_right(excluded, i):]
         rest_of_group = (self.listed_through(i) - k) * p
         later = m * self.rule_value(i + 1) / (1.0 - self.q) - math.fsum(map(self.rule_value, beyond))
@@ -564,22 +565,46 @@ def _tail_one_minus_enclosure(
 ) -> ProbabilityInterval:
     """Enclose ``prod (1 - p)`` over all tail facts not in ``skip``.
 
-    The first n facts are expanded explicitly, where n is the smallest
-    count past every skipped fact whose closed-form unseen mass is at
-    most the target and whose next probability is at most 1/2, so the
-    exponential lower bound applies to the unseen remainder.
+    The first n facts are expanded, where n is the smallest count past
+    every skipped fact whose closed-form unseen mass is at most the
+    target and whose next probability is at most 1/2, so the exponential
+    lower bound applies to the unseen remainder.
+
+    The expansion is summed per index group and lists no fact: the facts
+    of group i share the probability ``c * q**i``, so the group adds
+    ``log1p(-c * q**i)`` once for each of its facts among the first n that
+    is not skipped, and one ``fsum`` adds all these terms exactly.  Only a
+    group that the expansion ends inside and that holds a skipped fact is
+    listed, to tell which of its facts come first; past the skip horizon,
+    only the fact cap can end the expansion there.
     """
     if tail is None:
         return ProbabilityInterval.point(1.0)
-    horizon = max((tail.supply.intrinsic_index(f) or 0 for f in skip - tail.exclude), default=0)
-    n = tail.position(ENCLOSURE_MASS_TARGET, start=tail.listed_through(horizon), p_max=0.5)
-    log_factors = CompensatedAccumulator()
-    for _, f, p in itertools.islice(tail.indexed_facts(), min(n, ENCLOSURE_FACT_CAP)):
-        if f not in skip:
-            if p >= 1.0:
-                return ProbabilityInterval.point(0.0)
-            log_factors.add(math.log1p(-p))
-    hi = LogProbability(min(log_factors.value, 0.0)).probability
+    skipped = sorted(i for f in skip - tail.exclude if (i := tail.supply.intrinsic_index(f)))
+    start = tail.listed_through(skipped[-1] if skipped else 0)
+    n = tail.position(ENCLOSURE_MASS_TARGET, start=start, p_max=0.5)
+    k = min(n, ENCLOSURE_FACT_CAP)
+    m, first, last = tail.supply.multiplicity, tail.supply.first_index, tail.group_of(k - 1)
+    skipped_in_last = skipped.count(last)
+    if skipped_in_last and k < tail.listed_through(last):
+        listed = [f for f in tail.supply.facts_at(last) if f not in tail.exclude]
+        skipped_in_last = len(skip.intersection(listed[: k - tail.listed_through(last - 1)]))
+    # the facts to count are all m of each group first..last, less one of
+    # group i for each i dropped: excluded, skipped, or in group last past fact k
+    dropped = [i for i in tail._excluded_indices if i <= last] + [i for i in skipped if i < last]
+    dropped += [last] * (tail.listed_through(last) - k + skipped_in_last)
+    below_one = first  # p >= 1 only in the first groups, which must count no fact
+    while below_one <= last and tail.rule_value(below_one) >= 1.0:
+        if dropped.count(below_one) < m:
+            return ProbabilityInterval.point(0.0)
+        below_one += 1
+    # each group's term m times, as one exact multiple per set bit of m, less
+    # the dropped facts' terms: fsum then adds every fact's term exactly
+    c, q, weights = tail.c, tail.q, [1 << b for b in range(m.bit_length()) if m >> b & 1]
+    hi = math.exp(math.fsum(itertools.chain(
+        (w * math.log1p(-c * q**i) for w in weights for i in range(below_one, last + 1)),
+        (-math.log1p(-c * q**i) for i in dropped if i >= below_one),
+    )))
     if n > ENCLOSURE_FACT_CAP:
         return ProbabilityInterval(0.0, hi)
     lo = hi * math.exp(-1.5 * tail.mass_after(n)[0])

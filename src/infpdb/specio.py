@@ -88,13 +88,19 @@ class SpecDocument:
         return build[self.kind]()
 
 
-def _field(obj, key: str, path: str):
-    """``obj[key]`` of a JSON object, or a ValidationError naming the path."""
+_REQUIRED = object()
+
+
+def _field(obj, key: str, path: str, default=_REQUIRED):
+    """``obj[key]`` of a JSON object, else ``default``; a ValidationError
+    naming the path when ``obj`` is no object or a required key is missing."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{path} must be a JSON object, got {type(obj).__name__}")
-    if key not in obj:
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
         raise ValidationError(f"{path}.{key} is missing")
-    return obj[key]
+    return default
 
 
 def _parse_fact(obj: dict, schema: Schema, universe: Universe, path: str) -> Fact:
@@ -144,8 +150,8 @@ def _parse_int(raw, path: str) -> int:
 
 def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
     enumeration = FactEnumeration(schema, universe)
-    supply_obj = obj.get("supply", {"type": "enumeration"})
-    stype = supply_obj.get("type", "enumeration")
+    supply_obj = _field(obj, "supply", "tail", {"type": "enumeration"})
+    stype = _field(supply_obj, "type", "tail.supply", "enumeration")
     if stype == "enumeration":
         supply = EnumerationSupply(
             enumeration,
@@ -153,14 +159,21 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
             offset=_parse_int(supply_obj.get("offset", 0), "tail.supply.offset"),
         )
     elif stype == "product":
+        fixed_obj = _field(supply_obj, "fixed", "tail.supply")
+        if not isinstance(fixed_obj, dict):
+            raise ValidationError(
+                f"tail.supply.fixed must be a JSON object, got {type(fixed_obj).__name__}"
+            )
         fixed = tuple(sorted(
             ((_parse_int(pos, f"tail.supply.fixed.{pos}"), tuple(values))
-             for pos, values in supply_obj["fixed"].items()), key=lambda pv: pv[0]
+             for pos, values in fixed_obj.items()), key=lambda pv: pv[0]
         ))
         supply = ProductSupply(
             enumeration,
-            relation=supply_obj["relation"],
-            index_position=_parse_int(supply_obj["index_position"], "tail.supply.index_position"),
+            relation=_field(supply_obj, "relation", "tail.supply"),
+            index_position=_parse_int(
+                _field(supply_obj, "index_position", "tail.supply"), "tail.supply.index_position"
+            ),
             fixed=fixed,
         )
     else:
@@ -170,12 +183,12 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
     if rule == "geometric":
         return GeometricTail(
             supply,
-            c=_parse_number(obj["c"]),
-            q=_parse_number(obj["q"]),
+            c=_parse_number(_field(obj, "c", "tail")),
+            q=_parse_number(_field(obj, "q", "tail")),
             exclude=exclude,
         )
     if rule == "constant":
-        return ConstantTail(supply, value=_parse_number(obj["value"]), exclude=exclude)
+        return ConstantTail(supply, value=_parse_number(_field(obj, "value", "tail")), exclude=exclude)
     raise ValidationError(f"unknown tail rule {rule!r}")
 
 
@@ -206,10 +219,13 @@ def _tail_to_json(tail: Tail) -> dict:
 
 
 def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
-    keys = tuple((r, _parse_int(j, f"blocks.keys.{r}")) for r, j in obj.get("keys", {}).items())
+    keys = tuple(
+        (r, _parse_int(j, f"blocks.keys.{r}")) for r, j in _field(obj, "keys", "blocks", {}).items()
+    )
     explicit = tuple(
-        (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"), e["block"])
-        for i, e in enumerate(obj.get("explicit", ()))
+        (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"),
+         _field(e, "block", f"blocks.explicit[{i}]"))
+        for i, e in enumerate(_field(obj, "explicit", "blocks", ()))
     )
     return BlockPartition(key_attributes=keys, explicit=explicit)
 

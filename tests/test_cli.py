@@ -174,6 +174,40 @@ class TestValidate:
         assert f"ValidationError: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("message", [
+        "tail.c is missing",
+        "tail must be a JSON object, got str",
+        "tail.supply.relation is missing",
+        "tail.supply.index_position is missing",
+        "tail.supply.fixed is missing",
+        "tail.supply.fixed must be a JSON object, got list",
+        "blocks.explicit[0].block is missing",
+        "blocks must be a JSON object, got str",
+    ])
+    def test_tail_and_block_errors_name_their_path(self, message, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        tail, supply = spec["tail"], spec["tail"]["supply"]
+        edit = {
+            "tail.c is missing": lambda: tail.pop("c"),
+            "tail must be a JSON object, got str": lambda: spec.update(tail="geometric"),
+            "tail.supply.relation is missing": lambda: supply.pop("relation"),
+            "tail.supply.index_position is missing": lambda: supply.pop("index_position"),
+            "tail.supply.fixed is missing": lambda: supply.pop("fixed"),
+            "tail.supply.fixed must be a JSON object, got list": lambda: supply.update(fixed=[]),
+            "blocks.explicit[0].block is missing": lambda: spec.update(
+                kind="bid", schema={"R": 2, "S": 1},
+                blocks={"explicit": [{"relation": "S", "args": ["1"]}]},
+            ),
+            "blocks must be a JSON object, got str": lambda: spec.update(kind="bid", blocks="keys"),
+        }
+        edit[message]()
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {message}" in err
+        assert "Traceback" not in err
+
 class TestQuery:
     def test_boolean_query(self, example_spec, query_file, capsys):
         assert main(["query", example_spec, "--query", query_file, "--epsilon", "0.01"]) == 0

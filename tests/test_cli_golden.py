@@ -47,6 +47,11 @@ def cli_cases() -> dict[str, list[str]]:
         cases[f"{kind}.expected-size"] = ["expected-size", spec]
         cases[f"{kind}.prob"] = ["prob", spec, "--instance", _g(f"{kind}.instance.json")]
         cases[f"{kind}.sample"] = ["sample", spec, "--n", "20", "--seed", "7"]
+    # a product-supply tail with exclusions, and an instance fact past the
+    # enclosure's natural stop
+    cases["ti_product.prob"] = [
+        "prob", _g("ti_product.json"), "--instance", _g("ti_product.instance.json")
+    ]
     for query in ("query", "open_query"):
         cases[f"ti_head.{query}"] = [
             "query", _g("ti_head.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from infpdb.core import Fact, Instance, Schema
+from infpdb import independence
+from infpdb.completion import complete, completion_instance_prob
+from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema
 from infpdb.errors import (
     BlockMassExceedsOne,
     DivergentAssignment,
@@ -13,6 +15,7 @@ from infpdb.errors import (
 )
 from infpdb.independence import (
     ENCLOSURE_FACT_CAP,
+    ENCLOSURE_MASS_TARGET,
     BlockPartition,
     ConstantTail,
     EnumerationSupply,
@@ -277,6 +280,143 @@ class TestTailPrimitive:
         t = ti_construct(FactProbabilityAssignment((), tail))
         with pytest.raises(ValidationError, match=f"needs {needed} facts"):
             ti_sample(t, random.Random(0), 0.01)
+
+
+def reference_enclosure(tail, skip, cap=ENCLOSURE_FACT_CAP, terms=3000):
+    """(lo, hi) of the absent-tail enclosure, fact by fact over the listing:
+    n is the first count past every skipped fact whose listed mass after it
+    is at most the target and whose next probability is at most 1/2."""
+    listed = list(itertools.islice(tail.indexed_facts(), terms))
+    probs = [p for _, _, p in listed]
+    horizon = max((i for i, f, _ in listed if f in skip), default=0)
+    n = sum(1 for i, _, _ in listed if i <= horizon)
+    while math.fsum(probs[n:]) > ENCLOSURE_MASS_TARGET or probs[n] > 0.5:
+        n += 1
+    kept = [p for _, f, p in listed[: min(n, cap)] if f not in skip]
+    if any(p >= 1.0 for p in kept):
+        return 0.0, 0.0
+    hi = math.exp(math.fsum(math.log1p(-p) for p in kept))
+    return (0.0 if n > cap else hi * math.exp(-1.5 * math.fsum(probs[n:]))), hi
+
+
+def assert_matches_reference(tail, skip, cap=ENCLOSURE_FACT_CAP):
+    ref_lo, ref_hi = reference_enclosure(tail, frozenset(skip), cap)
+    iv = independence._tail_one_minus_enclosure(tail, frozenset(skip))
+    assert math.isclose(iv.hi, ref_hi, rel_tol=1e-14, abs_tol=0.0), (iv, ref_hi)
+    assert math.isclose(iv.lo, ref_lo, rel_tol=1e-14, abs_tol=0.0), (iv, ref_lo)
+    assert iv.lo <= iv.hi
+
+
+# with no skipped fact, the expansion stops at the end of group 55 (m = 1)
+# and of group 41 (m = 2), and inside group 135 (m = 3)
+ENCLOSURE_TAILS = {
+    "enumeration-relation-offset": GeometricTail(
+        EnumerationSupply(FactEnumeration(Schema.of(R=1, S=2), NAT), relation="S", offset=4),
+        c=0.7, q=0.6, exclude=frozenset({fact("S", 3, 1), fact("S", 1, 9)}),
+    ),
+    # exclusions at groups 2, 5 (the whole group), 41 and 60
+    "product-m2": product_tail((1, 2), [fact("R", 1, 2), fact("R", 1, 5), fact("R", 2, 5),
+                                        fact("R", 2, 41), fact("R", 1, 60)]),
+    # exclusions at groups 1, 4 (two), 7 (the whole group), 135 and 200
+    "product-m3": product_tail((1, 2, 3), [fact("R", 3, 1), fact("R", 2, 4), fact("R", 1, 4),
+                                           *(fact("R", j, 7) for j in (1, 2, 3)),
+                                           fact("R", 3, 135), fact("R", 3, 200)], c=0.9, q=0.8),
+}
+
+# per tail: no skipped fact; skipped facts below and at a horizon before the
+# natural stop; a horizon past it, plus facts the tail does not list
+ENCLOSURE_SKIPS = {
+    "enumeration-relation-offset": [
+        [],
+        [fact("S", 2, 2), fact("S", 1, 4)],
+        [fact("S", 2, 2), fact("S", 5, 9), fact("R", 4), fact("S", 3, 1), fact("S", 1, 1)],
+    ],
+    "product-m2": [
+        [],
+        [fact("R", 1, 3), fact("R", 1, 9), fact("R", 2, 9)],
+        [fact("R", 2, 3), fact("R", 1, 41), fact("R", 2, 70), fact("R", 1, 5), fact("R", 7, 2)],
+    ],
+    "product-m3": [
+        [],
+        [fact("R", 3, 2), fact("R", 1, 20), fact("R", 3, 20)],
+        [fact("R", 1, 2), fact("R", 2, 135), fact("R", 1, 150), fact("R", 3, 150),
+         fact("R", 1, 7)],
+    ],
+}
+
+
+class TestTailEnclosure:
+    @pytest.mark.parametrize("name,which", [
+        (name, which) for name in sorted(ENCLOSURE_SKIPS) for which in range(3)
+    ])
+    def test_matches_fact_by_fact_reference(self, name, which):
+        assert_matches_reference(ENCLOSURE_TAILS[name], ENCLOSURE_SKIPS[name][which])
+
+    @pytest.mark.parametrize("name", sorted(ENCLOSURE_SKIPS))
+    def test_cap_branch_matches_reference(self, name, monkeypatch):
+        tail = ENCLOSURE_TAILS[name]
+        # skip every other listed fact of the first groups, so some cap ends
+        # the expansion inside a group before, and some after, a skipped fact
+        skip = [f for _, f, _ in itertools.islice(tail.indexed_facts(), 1, 24, 2)]
+        for cap in range(0, 20):
+            monkeypatch.setattr(independence, "ENCLOSURE_FACT_CAP", cap)
+            assert_matches_reference(tail, skip, cap)
+
+    @pytest.mark.parametrize("exclude,skip", [
+        ((), ()),                                                   # point 0
+        ((), (fact("R", 1, 1),)),                                   # R(2, 1) counts: point 0
+        ((fact("R", 1, 1),), (fact("R", 2, 1),)),                   # group 1 not counted
+        ((fact("R", 1, 1), fact("R", 2, 1)), (fact("R", 1, 3),)),   # group 1 fully excluded
+    ])
+    def test_unit_rule_value_at_the_first_index(self, exclude, skip):
+        tail = product_tail((1, 2), exclude, c=2.0, q=0.5)
+        assert tail.rule_value(1) == 1.0
+        assert_matches_reference(tail, skip)
+
+    def test_slow_tails_list_no_facts(self, monkeypatch):
+        """q = 0.999 spaces: each instance probability still encloses the
+        plain product, lists no tail fact, and lists at most one group."""
+        ti_tail = geometric_tail(c=0.5, q=0.999, offset=2)
+        ti = ti_construct(FactProbabilityAssignment(((fact("R", 1), 0.3),), ti_tail))
+        bid_tail = product_tail((1, 2, 3), c=0.4, q=0.999)
+        heads = ((fact("R", 9, 1), 0.3), (fact("R", 9, 2), 0.4))
+        bid = bid_construct(
+            BlockPartition.explicit_blocks({f: "b" for f, _ in heads}),
+            FactProbabilityAssignment(heads, bid_tail),
+        )
+        base = FiniteDiscretePDB(R1, NAT, {Instance.empty(): 0.5, Instance(rfacts(1)): 0.5})
+        completion = complete(
+            base, FactProbabilityAssignment((), geometric_tail(c=0.5, q=0.999, offset=1))
+        )
+        cases = [
+            (ti_instance_prob, ti, Instance(rfacts(1, 40, 40_000)), 0.3, ti_tail),
+            (bid_instance_prob, bid, Instance([heads[1][0], fact("R", 2, 50), fact("R", 1, 50)]),
+             0.4, bid_tail),
+            (completion_instance_prob, completion, Instance(rfacts(1, 30)), 0.5,
+             completion.tail_pdb.tail),
+        ]
+        plain = []
+        for _, _, d, head_p, tail in cases:
+            logs = [math.log(p) if f in d else math.log1p(-p)
+                    for _, f, p in itertools.islice(tail.indexed_facts(), 130_000)]
+            plain.append(head_p * math.exp(math.fsum(logs)))
+
+        def no_walk(self):
+            raise AssertionError("the tail was listed")
+
+        calls = []
+        for supply in (EnumerationSupply, ProductSupply):
+            def counted(self, i, listing=supply.facts_at):
+                calls.append(i)
+                return listing(self, i)
+            monkeypatch.setattr(supply, "facts_at", counted)
+        monkeypatch.setattr(GeometricTail, "indexed_facts", no_walk)
+        for (prob, space, d, _, _), ref in zip(cases, plain):
+            calls.clear()
+            iv = prob(space, d)
+            assert iv.lo <= ref * (1 + 1e-13) and ref <= iv.hi * (1 + 1e-13), (iv, ref)
+            assert iv.width <= 1e-11 * iv.hi
+            assert len(calls) <= 1
 
 
 class TestTiSample:
