@@ -16,14 +16,19 @@ singleton blocks), so ``expected-size``, ``prob`` and ``sample`` never ask
 which kind they have.  ``query`` and ``oracle-compare`` need a ``ti`` spec.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 capability (enumeration caps).
-The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) raises
+The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) sets
 the world-enumeration cap used by ``query``; any other value is a usage
 error.
+
+``main(argv)`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it, and each call reads the
+environment and the standard streams afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -227,7 +232,9 @@ def cmd_oracle_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pdb`` parser, built once per process and shared by every call."""
     parser = _Parser(prog="pdb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PdbError, OSError, ValueError) as exc:

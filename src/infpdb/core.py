@@ -15,6 +15,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .numerics import ProbabilityInterval
@@ -75,15 +76,24 @@ class Fact:
     args: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        for e in self.args:
-            _element_key(e)
+        # instances sort and hash facts far more often than they build them
+        args = tuple(self.args)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_key", (self.relation, len(args), tuple(map(_element_key, args))))
+        object.__setattr__(self, "_hash", hash((self.relation, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than copy the stored hash, which is per process
+        return Fact, (self.relation, self.args)
 
     def sort_key(self) -> tuple:
-        return (self.relation, len(self.args), tuple(_element_key(e) for e in self.args))
+        return self._key
 
     def __lt__(self, other: "Fact") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
         return f"{self.relation}({', '.join(repr(a) for a in self.args)})"
@@ -98,7 +108,7 @@ class Instance:
     __slots__ = ("_facts", "_set", "_by_relation")
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        ordered = sorted(set(facts), key=Fact.sort_key)
+        ordered = sorted(set(facts), key=attrgetter("_key"))
         self._facts: tuple[Fact, ...] = tuple(ordered)
         self._set = frozenset(self._facts)
         self._by_relation: dict[str, set[tuple]] | None = None

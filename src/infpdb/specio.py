@@ -91,12 +91,28 @@ class SpecDocument:
 _REQUIRED = object()
 
 
+def _object(raw, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _list(raw, path: str) -> list:
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path} must be a list, got {raw!r}")
+    return raw
+
+
+def _relation(raw, schema: Schema, path: str):
+    if raw not in schema:
+        raise ValidationError(f"{path} {raw!r} not in schema")
+    return raw
+
+
 def _field(obj, key: str, path: str, default=_REQUIRED):
     """``obj[key]`` of a JSON object, else ``default``; a ValidationError
     naming the path when ``obj`` is no object or a required key is missing."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path} must be a JSON object, got {type(obj).__name__}")
-    if key in obj:
+    if key in _object(obj, path):
         return obj[key]
     if default is _REQUIRED:
         raise ValidationError(f"{path}.{key} is missing")
@@ -105,12 +121,8 @@ def _field(obj, key: str, path: str, default=_REQUIRED):
 
 def _parse_fact(obj: dict, schema: Schema, universe: Universe, path: str) -> Fact:
     relation = _field(obj, "relation", path)
-    args = _field(obj, "args", path)
-    if not isinstance(args, list):
-        raise ValidationError(f"{path}.args must be a list, got {args!r}")
-    args = tuple(args)
-    if relation not in schema:
-        raise ValidationError(f"fact relation {relation!r} not in schema")
+    args = tuple(_list(_field(obj, "args", path), f"{path}.args"))
+    _relation(relation, schema, f"{path}.relation")
     if len(args) != schema.arity_of(relation):
         raise ValidationError(
             f"fact {relation}{args} has wrong arity for schema"
@@ -122,7 +134,10 @@ def _parse_fact(obj: dict, schema: Schema, universe: Universe, path: str) -> Fac
 
 
 def _parse_facts(items, schema: Schema, universe: Universe, path: str) -> list[Fact]:
-    return [_parse_fact(obj, schema, universe, f"{path}[{i}]") for i, obj in enumerate(items)]
+    return [
+        _parse_fact(obj, schema, universe, f"{path}[{i}]")
+        for i, obj in enumerate(_list(items, path))
+    ]
 
 
 def _fact_to_json(f: Fact) -> dict:
@@ -153,24 +168,24 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
     supply_obj = _field(obj, "supply", "tail", {"type": "enumeration"})
     stype = _field(supply_obj, "type", "tail.supply", "enumeration")
     if stype == "enumeration":
+        relation = _field(supply_obj, "relation", "tail.supply", None)
         supply = EnumerationSupply(
             enumeration,
-            relation=supply_obj.get("relation"),
+            relation=None if relation is None else _relation(relation, schema, "tail.supply.relation"),
             offset=_parse_int(supply_obj.get("offset", 0), "tail.supply.offset"),
         )
     elif stype == "product":
-        fixed_obj = _field(supply_obj, "fixed", "tail.supply")
-        if not isinstance(fixed_obj, dict):
-            raise ValidationError(
-                f"tail.supply.fixed must be a JSON object, got {type(fixed_obj).__name__}"
-            )
+        fixed_obj = _object(_field(supply_obj, "fixed", "tail.supply"), "tail.supply.fixed")
         fixed = tuple(sorted(
-            ((_parse_int(pos, f"tail.supply.fixed.{pos}"), tuple(values))
+            ((_parse_int(pos, f"tail.supply.fixed.{pos}"),
+              tuple(_list(values, f"tail.supply.fixed.{pos}")))
              for pos, values in fixed_obj.items()), key=lambda pv: pv[0]
         ))
         supply = ProductSupply(
             enumeration,
-            relation=_field(supply_obj, "relation", "tail.supply"),
+            relation=_relation(
+                _field(supply_obj, "relation", "tail.supply"), schema, "tail.supply.relation"
+            ),
             index_position=_parse_int(
                 _field(supply_obj, "index_position", "tail.supply"), "tail.supply.index_position"
             ),
@@ -178,7 +193,7 @@ def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
         )
     else:
         raise ValidationError(f"unknown tail supply type {stype!r}")
-    exclude = frozenset(_parse_facts(obj.get("exclude", ()), schema, universe, "tail.exclude"))
+    exclude = frozenset(_parse_facts(obj.get("exclude", []), schema, universe, "tail.exclude"))
     rule = obj.get("rule", "geometric")
     if rule == "geometric":
         return GeometricTail(
@@ -220,12 +235,13 @@ def _tail_to_json(tail: Tail) -> dict:
 
 def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
     keys = tuple(
-        (r, _parse_int(j, f"blocks.keys.{r}")) for r, j in _field(obj, "keys", "blocks", {}).items()
+        (r, _parse_int(j, f"blocks.keys.{r}"))
+        for r, j in _object(_field(obj, "keys", "blocks", {}), "blocks.keys").items()
     )
     explicit = tuple(
         (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"),
          _field(e, "block", f"blocks.explicit[{i}]"))
-        for i, e in enumerate(_field(obj, "explicit", "blocks", ()))
+        for i, e in enumerate(_list(_field(obj, "explicit", "blocks", []), "blocks.explicit"))
     )
     return BlockPartition(key_attributes=keys, explicit=explicit)
 
@@ -262,7 +278,7 @@ def parse_spec(data: dict) -> SpecDocument:
     head = tuple(
         (_parse_fact(h, schema, universe, f"head_facts[{i}]"),
          _parse_number(_field(h, "p", f"head_facts[{i}]")))
-        for i, h in enumerate(data.get("head_facts", ()))
+        for i, h in enumerate(_list(data.get("head_facts", []), "head_facts"))
     )
     tail = _parse_tail(data["tail"], schema, universe) if data.get("tail") else None
     blocks = _parse_blocks(data["blocks"], schema, universe) if data.get("blocks") else None
@@ -270,10 +286,12 @@ def parse_spec(data: dict) -> SpecDocument:
     if data.get("worlds") is not None:
         worlds = tuple(
             (
-                Instance(_parse_facts(w.get("facts", ()), schema, universe, f"worlds[{i}].facts")),
+                Instance(_parse_facts(
+                    _field(w, "facts", f"worlds[{i}]", []), schema, universe, f"worlds[{i}].facts"
+                )),
                 _parse_number(_field(w, "p", f"worlds[{i}]")),
             )
-            for i, w in enumerate(data["worlds"])
+            for i, w in enumerate(_list(data["worlds"], "worlds"))
         )
     if kind in ("finite", "completion") and worlds is None:
         raise ValidationError(f"{kind} spec needs a worlds table")
@@ -327,7 +345,7 @@ def save_spec(doc: SpecDocument, path: str | Path) -> None:
 def load_instance(path: str | Path, schema: Schema, universe: Universe) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return Instance(_parse_facts(data.get("facts", ()), schema, universe, "facts"))
+    return Instance(_parse_facts(_field(data, "facts", "instance", []), schema, universe, "facts"))
 
 
 def instance_to_json(d: Instance) -> dict:

@@ -80,6 +80,7 @@ def all_subsets(facts):
             yield Instance(combo)
 
 
+@pytest.mark.slow
 def test_criterion_1_normalization():
     with criterion(1, "head-only instance probabilities sum to 1 within 1e-10"):
         rng = random.Random(101)
@@ -326,6 +327,7 @@ def _random_tail_space(rng):
     return ti_construct(FactProbabilityAssignment(head, tail))
 
 
+@pytest.mark.slow
 def test_criterion_7_approximation_guarantee():
     with criterion(7, "additive-error guarantee against a wide-truncation reference"):
         cert = choose_truncation(

@@ -1,10 +1,20 @@
+import argparse
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from infpdb.cli import main
+from infpdb.cli import build_parser, main
 from infpdb.specio import load_spec, parse_spec, save_spec, spec_to_json
+
+# PYTHONPATH for a child interpreter that imports this checkout's infpdb
+SRC = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 EXAMPLE_TI = {
     "kind": "ti",
@@ -207,6 +217,123 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"ValidationError: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message", [
+        "tail.supply.fixed.1 must be a list, got 5",
+        "tail.exclude must be a list, got 5",
+        "head_facts must be a list, got 5",
+        "blocks.keys must be a JSON object, got list",
+        "worlds[0] must be a JSON object, got str",
+        "tail.supply.relation 5 not in schema",
+        "tail.supply.relation 'S' not in schema",
+    ])
+    def test_wrong_json_types_name_their_path(self, message, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        tail, supply = spec["tail"], spec["tail"]["supply"]
+        edit = {
+            "tail.supply.fixed.1 must be a list, got 5": lambda: supply.update(fixed={"1": 5}),
+            "tail.exclude must be a list, got 5": lambda: tail.update(exclude=5),
+            "head_facts must be a list, got 5": lambda: spec.update(head_facts=5),
+            "blocks.keys must be a JSON object, got list": lambda: spec.update(
+                kind="bid", blocks={"keys": ["R"]},
+            ),
+            "worlds[0] must be a JSON object, got str": lambda: spec.update(
+                kind="finite", worlds=["x"],
+            ),
+            "tail.supply.relation 5 not in schema": lambda: supply.update(relation=5),
+            "tail.supply.relation 'S' not in schema": lambda: tail.update(
+                supply={"type": "enumeration", "relation": "S"},
+            ),
+        }
+        edit[message]()
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {message}" in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "instance must be a JSON object, got list"),
+        ({"facts": 5}, "facts must be a list, got 5"),
+    ])
+    def test_instance_file_errors_name_their_path(self, raw, message, example_spec, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(raw))
+        assert main(["prob", example_spec, "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {message}" in err
+        assert "Traceback" not in err
+
+class TestInProcess:
+    """``main`` called many times in one process behaves as fresh processes."""
+
+    def _fresh(self, argv):
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": SRC}
+        env.pop("PDB_WORLD_CAP", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "infpdb.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def _here(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_calls_match_fresh_processes(self, tail_spec, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("PDB_WORLD_CAP", raising=False)
+        calls = [
+            ["sample", tail_spec, "--n", "5", "--seed", "7"],
+            ["sample", tail_spec, "--n", "5"],
+            ["sample", tail_spec, "--seed", "7"],
+            ["validate", tail_spec],
+        ]
+        results = [self._here(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in results] == [0, 0, 1, 0]
+        assert results[0][1] != results[1][1]
+        for argv, result in zip(calls, results):
+            assert result == self._fresh(argv), argv
+
+    @pytest.mark.parametrize("command", [
+        [], ["validate"], ["expected-size"], ["prob"], ["query"], ["sample"],
+        ["complete"], ["oracle-compare"],
+    ])
+    def test_help_matches_a_fresh_parser(self, command, example_spec, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args([*command, "--help"])
+        fresh = capsys.readouterr().out
+        assert fresh.startswith("usage: pdb")
+        assert main(["validate", example_spec]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh
+
+    def test_parser_built_once(self, example_spec, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "pdb":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        for _ in range(5):
+            assert main(["validate", example_spec]) == 0
+        assert len(built) == 1
+
 
 class TestQuery:
     def test_boolean_query(self, example_spec, query_file, capsys):

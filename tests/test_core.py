@@ -1,7 +1,16 @@
+import copy
+import dataclasses
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infpdb.core import (
     Fact,
@@ -15,9 +24,16 @@ from infpdb.core import (
     marginal,
     positive_facts,
     power_of_two_size_pdb,
+    _element_key,
     size_tail,
 )
 from infpdb.universe import Universe
+
+
+# PYTHONPATH for a child interpreter that imports this checkout's infpdb
+SRC = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
+)
 
 
 def fact(rel, *args):
@@ -34,6 +50,79 @@ class TestSchema:
         assert s.arity_of("R") == 2
         assert "S" in s and "T" not in s
         assert s.names == ("R", "S")
+
+
+elements = st.one_of(st.integers(), st.text(max_size=4))
+arg_lists = st.one_of(
+    st.lists(st.integers(), max_size=4),
+    st.lists(st.text(max_size=4), max_size=4),
+    st.lists(elements, max_size=4),
+)
+relations = st.sampled_from(["R", "S", "Rel"])
+
+
+class TestFact:
+    @given(relations, arg_lists)
+    def test_hash_and_sort_key_are_the_structural_ones(self, r, args):
+        f = Fact(r, args)
+        assert hash(f) == hash((r, tuple(args)))
+        assert f.sort_key() == (r, len(args), tuple(_element_key(e) for e in args))
+
+    @given(relations, arg_lists, relations, arg_lists)
+    def test_order_follows_sort_key(self, r1, a1, r2, a2):
+        f, g = Fact(r1, a1), Fact(r2, a2)
+        assert (f < g) == (f.sort_key() < g.sort_key())
+        assert (f == g) == (f.sort_key() == g.sort_key())
+
+    @given(relations, arg_lists, relations, arg_lists)
+    def test_copies_keep_equality_hash_and_order(self, r, args, r2, args2):
+        f, other = Fact(r, args), Fact(r2, args2)
+        copies = [
+            dataclasses.replace(f),
+            dataclasses.replace(Fact(r2, args2), relation=r, args=list(args)),
+            copy.copy(f),
+            copy.deepcopy(f),
+            pickle.loads(pickle.dumps(f)),
+        ]
+        for g in copies:
+            assert g == f and hash(g) == hash(f) and g.sort_key() == f.sort_key()
+            assert (g < other) == (f < other) and (other < g) == (other < f)
+        changed = dataclasses.replace(f, args=tuple(args2))
+        assert hash(changed) == hash((r, tuple(args2)))
+        assert changed.sort_key() == Fact(r, args2).sort_key()
+
+    def test_pickle_rehashes_in_another_process(self):
+        # string hashes differ between processes, so a stored hash must not travel
+        script = (
+            "import pickle, sys; from infpdb.core import Fact\n"
+            "if sys.argv[1] == 'dump':\n"
+            "    sys.stdout.write(pickle.dumps(Fact('R', ('a', 1))).hex())\n"
+            "else:\n"
+            "    f = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "    print(hash(f) == hash(('R', ('a', 1))), f in {Fact('R', ('a', 1))})\n"
+        )
+
+        def run(seed, mode, stdin=""):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+            return subprocess.run(
+                [sys.executable, "-c", script, mode], input=stdin, env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout
+
+        assert run("2", "load", run("1", "dump")).split() == ["True", "True"]
+
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0])
+    def test_bool_and_float_args_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Fact("R", (1, bad))
+        with pytest.raises(TypeError):
+            dataclasses.replace(Fact("R", (1, 2)), args=(bad,))
+
+    def test_list_args_become_tuples(self):
+        f = Fact("R", [1, "a"])
+        assert f.args == (1, "a") and isinstance(f.args, tuple)
+        assert f == Fact("R", (1, "a")) and hash(f) == hash(("R", (1, "a")))
+        assert repr(f) == "Fact(relation='R', args=(1, 'a'))"
 
 
 class TestInstance:
