@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .core import Fact, Instance
 from .errors import WorldCapExceeded
 from .fo import Formula, constants, eval_boolean, free_variables, relations_of, substitute
 from .independence import TIPdb
 from .numerics import CompensatedAccumulator
+from .record import Record
 from .universe import Element, Universe
 
 DEFAULT_WORLD_CAP = 25
@@ -50,8 +50,7 @@ def world_cap() -> int:
     raise ValueError(f"{WORLD_CAP_ENV} must be a nonnegative integer, got {raw!r}")
 
 
-@dataclass(frozen=True)
-class TruncationCertificate:
+class TruncationCertificate(Record):
     """Witness that conditioning on the first n facts is eps-safe."""
 
     n: int

@@ -235,7 +235,9 @@ def cmd_oracle_compare(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``pdb`` parser, built once per process and shared by every call."""
-    parser = _Parser(prog="pdb", description=__doc__)
+    parser = _Parser(
+        prog="pdb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a spec and report its mass")

@@ -16,7 +16,6 @@ by ``c`` and spreads the leftover ``1 - c`` over the missing instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -39,6 +38,7 @@ from .independence import (
 )
 from .numerics import ProbabilityInterval
 from .oracle import WORLD_FACT_CAP
+from .record import Record
 from .universe import Universe
 
 CLOSURE_FACT_CAP = 16
@@ -132,8 +132,7 @@ def closure_extend(
     return FiniteDiscretePDB(p0.schema, p0.universe, worlds)
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     """A finite original space extended by independent fresh facts."""
 
     original: FiniteDiscretePDB

@@ -19,14 +19,14 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .numerics import ProbabilityInterval
+from .record import Record
 
 RENORMALIZE_TOLERANCE = 1e-12
 WARN_TOLERANCE = 1e-9
 REJECT_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     """Relation names with arities, in declaration order."""
 
     relations: tuple[tuple[str, int], ...]

@@ -33,27 +33,25 @@ callers can handle it per instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
 from .errors import InfiniteAnswerError, QuerySyntaxError
+from .record import Record
 from .universe import Element, Universe
 
 
 # --- abstract syntax ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: Element
 
     def __str__(self) -> str:
@@ -63,49 +61,41 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     relation: str
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Record):
     var: str
     body: "Formula"
 
@@ -525,8 +515,7 @@ def eval_query(
 # --- views -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class View:
+class View(Record):
     """One defining formula per target relation; arities must match."""
 
     target_schema: Schema

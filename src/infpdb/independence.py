@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterator, Sequence
 
@@ -45,6 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import ProbabilityInterval, log_product_one_minus
+from .record import Record
 from .universe import Element, FactEnumeration
 
 ENCLOSURE_MASS_TARGET = 1e-12
@@ -54,8 +54,7 @@ ENCLOSURE_FACT_CAP = 200_000
 # --- tail supplies -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationSupply:
+class EnumerationSupply(Record):
     """Facts in canonical enumeration order, optionally one relation only.
 
     The intrinsic index of a fact is its position in the (relation-)
@@ -103,8 +102,7 @@ class EnumerationSupply:
         return frozenset(self.enumeration.schema.names)
 
 
-@dataclass(frozen=True)
-class ProductSupply:
+class ProductSupply(Record):
     """Facts ``R(..., e_i, ...)`` with one index attribute running over all
     of the universe's natural positions and finite value lists elsewhere.
 
@@ -205,8 +203,7 @@ TailSupply = EnumerationSupply | ProductSupply
 # --- tail assignments --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(Record):
     """Tail rule ``p = c * q**i`` at intrinsic index ``i``, with exclusions.
 
     Excluded facts are removed from the supply and their rule mass is
@@ -323,8 +320,7 @@ class GeometricTail:
         return n
 
 
-@dataclass(frozen=True)
-class ConstantTail:
+class ConstantTail(Record):
     """Every supplied fact gets the same probability; divergent unless zero."""
 
     supply: TailSupply
@@ -344,8 +340,7 @@ class ConstantTail:
 Tail = GeometricTail | ConstantTail
 
 
-@dataclass(frozen=True)
-class FactProbabilityAssignment:
+class FactProbabilityAssignment(Record):
     """Explicit head of (fact, probability) pairs plus an optional tail."""
 
     head: tuple[tuple[Fact, float], ...]
@@ -375,8 +370,7 @@ class FactProbabilityAssignment:
 # --- block-independent-disjoint spaces ----------------------------------
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """Structural partition of facts into blocks.
 
     Facts matching an explicit listing share the listed block; facts of

@@ -16,8 +16,9 @@ after the linear term and absorbing the remainder into an extra ``p/2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .record import Record
 
 SUBSET_EXPANSION_CAP = 20
 
@@ -52,8 +53,7 @@ def compensated_sum(xs: Iterable[float]) -> float:
     return acc.value
 
 
-@dataclass(frozen=True)
-class LogProbability:
+class LogProbability(Record):
     """A probability stored as its natural log, in [-inf, 0].
 
     ``value == -inf`` encodes probability zero.
@@ -73,8 +73,7 @@ class LogProbability:
         return LogProbability(self.value + other.value)
 
 
-@dataclass(frozen=True)
-class ProbabilityInterval:
+class ProbabilityInterval(Record):
     """A closed interval ``[lo, hi]`` of probabilities."""
 
     lo: float

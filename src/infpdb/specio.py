@@ -28,7 +28,6 @@ to avoid binary-float drift across platforms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .completion import Completion, FactProbabilityAssignment, complete
@@ -46,13 +45,13 @@ from .independence import (
     bid_construct,
     ti_construct,
 )
+from .record import Record
 from .universe import FactEnumeration, Universe
 
 KINDS = ("ti", "bid", "finite", "completion")
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(Record):
     """Parsed contents of a spec file."""
 
     kind: str
@@ -233,14 +232,21 @@ def _tail_to_json(tail: Tail) -> dict:
     return out
 
 
+def _block_label(e, path: str):
+    label = _field(e, "block", path)
+    if isinstance(label, (list, dict)):
+        raise ValidationError(f"{path}.block must be a JSON scalar, got {type(label).__name__}")
+    return label
+
+
 def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
     keys = tuple(
-        (r, _parse_int(j, f"blocks.keys.{r}"))
+        (_relation(r, schema, "blocks.keys"), _parse_int(j, f"blocks.keys.{r}"))
         for r, j in _object(_field(obj, "keys", "blocks", {}), "blocks.keys").items()
     )
     explicit = tuple(
         (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"),
-         _field(e, "block", f"blocks.explicit[{i}]"))
+         _block_label(e, f"blocks.explicit[{i}]"))
         for i, e in enumerate(_list(_field(obj, "explicit", "blocks", []), "blocks.explicit"))
     )
     return BlockPartition(key_attributes=keys, explicit=explicit)
@@ -270,7 +276,10 @@ def parse_spec(data: dict) -> SpecDocument:
     universe_obj = data.get("universe", {"kind": "naturals"})
     universe_kind = _field(universe_obj, "kind", "universe")
     if universe_kind == "strings":
-        universe = Universe.strings(universe_obj.get("alphabet", ""))
+        alphabet = _field(universe_obj, "alphabet", "universe", "")
+        if not isinstance(alphabet, str):
+            raise ValidationError(f"universe.alphabet must be a string, got {alphabet!r}")
+        universe = Universe.strings(alphabet)
     elif universe_kind == "naturals":
         universe = Universe.naturals()
     else:

@@ -18,10 +18,10 @@ listing is a bijection with a computable inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Fact, Schema
+from .record import Record
 
 Element = int | str
 
@@ -68,8 +68,7 @@ def tuple_index(t: tuple[int, ...]) -> int:
     return cantor_pair(t[0], tuple_index(t[1:]))
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """A countably infinite, computably enumerable supply of elements."""
 
     kind: str  # "naturals" | "strings"
@@ -153,8 +152,7 @@ class Universe:
         return out
 
 
-@dataclass(frozen=True)
-class FactEnumeration:
+class FactEnumeration(Record):
     """Deterministic bijection between positive integers and all facts of a schema."""
 
     schema: Schema

@@ -253,6 +253,30 @@ class TestValidate:
         assert f"ValidationError: {message}" in err
         assert "Traceback" not in err
 
+    def _assert_rejected(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ValidationError: {message}" in err
+        assert "Traceback" not in err
+
+    def test_list_block_label_names_its_path(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec.update(kind="bid", blocks={"explicit": [
+            {"relation": "R", "args": ["A", "1"], "block": ["a"]},
+        ]})
+        self._assert_rejected(spec, "blocks.explicit[0].block must be a JSON scalar, got list", tmp_path, capsys)
+
+    def test_non_string_alphabet_names_its_path(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec["universe"] = {"kind": "strings", "alphabet": 5}
+        self._assert_rejected(spec, "universe.alphabet must be a string, got 5", tmp_path, capsys)
+
+    def test_block_key_outside_schema_names_its_path(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec.update(kind="bid", blocks={"keys": {"S": 1}})
+        self._assert_rejected(spec, "blocks.keys 'S' not in schema", tmp_path, capsys)
 
     @pytest.mark.parametrize("raw, message", [
         ([], "instance must be a JSON object, got list"),
@@ -300,6 +324,19 @@ class TestInProcess:
         assert results[0][1] != results[1][1]
         for argv, result in zip(calls, results):
             assert result == self._fresh(argv), argv
+
+    def test_help_lists_one_subcommand_per_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        listed = lines[lines.index("Subcommands::") + 2:]
+        listed = [line.strip() for line in listed[:listed.index("")]]
+        assert [line.split()[1] for line in listed] == [
+            "validate", "expected-size", "prob", "query", "sample", "complete", "oracle-compare",
+        ]
+        assert listed[3] == "pdb query --epsilon E --query FILE SPEC"
+        assert max(map(len, lines)) <= 80
 
     @pytest.mark.parametrize("command", [
         [], ["validate"], ["expected-size"], ["prob"], ["query"], ["sample"],
