@@ -18,7 +18,9 @@ would make it, at a fraction of the class-creation cost:
 The methods live on :class:`Record` and read the layout that
 ``__init_subclass__`` records, so defining a record class compiles no
 code.  Instances keep a ``__dict__``, so ``functools.cached_property``,
-pickle and copy work as they do on a dataclass.
+pickle and copy work as they do on a dataclass.  The price is paid per
+object instead: one generic ``__init__`` builds a record more slowly than
+a generated one would, most of all from keyword arguments.
 """
 
 from __future__ import annotations
