@@ -102,9 +102,11 @@ def closure_extend(
         raise ValueError(f"scaling constant must lie in (0, 1], got {c!r}")
     base_facts = sorted(facts_of(p0), key=Fact.sort_key)
     if len(base_facts) > CLOSURE_FACT_CAP:
-        raise ValueError(
+        raise WorldCapExceeded(
             f"closure extension enumerates 2**{len(base_facts)} instances; "
-            f"cap is 2**{CLOSURE_FACT_CAP}"
+            f"cap is 2**{CLOSURE_FACT_CAP}",
+            required=len(base_facts),
+            cap=CLOSURE_FACT_CAP,
         )
     missing = [d for d in _all_subsets(base_facts) if d not in p0.worlds]
     if not missing:

@@ -38,6 +38,7 @@ class Schema(Record):
         for name, arity in self.relations:
             if arity < 0:
                 raise ValueError(f"relation {name!r} has negative arity {arity}")
+        object.__setattr__(self, "_arities", dict(self.relations))
 
     @classmethod
     def of(cls, **relations: int) -> "Schema":
@@ -48,13 +49,16 @@ class Schema(Record):
         return tuple(name for name, _ in self.relations)
 
     def arity_of(self, relation: str) -> int:
-        for name, arity in self.relations:
-            if name == relation:
-                return arity
-        raise KeyError(f"relation {relation!r} not in schema")
+        try:
+            return self._arities[relation]
+        except (KeyError, TypeError):
+            raise KeyError(f"relation {relation!r} not in schema") from None
 
     def __contains__(self, relation: str) -> bool:
-        return any(name == relation for name, _ in self.relations)
+        try:
+            return relation in self._arities
+        except TypeError:  # an unhashable value names no relation
+            return False
 
 
 def _element_key(e) -> tuple:

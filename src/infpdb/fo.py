@@ -10,6 +10,7 @@ right as far as possible)::
               | term '=' term
     term     := VAR | INT | 'single-quoted string'
     VAR      := [a-z][A-Za-z0-9_]*
+    INT      := [0-9]+
 
 Evaluation is over a *finite* instance drawn from an *infinite* universe,
 so a quantifier must notionally range over infinitely many elements.  It
@@ -33,6 +34,7 @@ callers can handle it per instance.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Mapping
 
 from .core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
@@ -55,7 +57,7 @@ class Const(Record):
     value: Element
 
     def __str__(self) -> str:
-        return repr(self.value) if isinstance(self.value, str) else str(self.value)
+        return f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
 
 
 Term = Var | Const
@@ -123,63 +125,25 @@ INFINITE_ANSWER = _InfiniteAnswer()
 # --- parsing -----------------------------------------------------------
 
 _KEYWORDS = {"exists", "forall"}
+# one match per token; finditer skips the whitespace between matches, and
+# ``bad`` takes any other character, which the tokenizer rejects
+_TOKEN = re.compile(
+    r"(?P<ident>[^\W\d]\w*)|(?P<int>[0-9]+)|'(?P<string>[^']*)'|(?P<op>->|[()!&|=,.])|(?P<bad>\S)"
+)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> tuple[str, str, int]:
-        """(kind, value, position) of the next token without consuming it."""
-        self._skip_ws()
-        start = self.pos
-        if start >= len(self.text):
-            return ("eof", "", start)
-        ch = self.text[start]
-        if ch.isalpha() or ch == "_":
-            end = start
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                end += 1
-            return ("ident", self.text[start:end], start)
-        if ch.isdigit():
-            end = start
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            return ("int", self.text[start:end], start)
-        if ch == "'":
-            end = self.text.find("'", start + 1)
-            if end == -1:
-                raise QuerySyntaxError("unterminated string constant", start)
-            return ("string", self.text[start + 1 : end], start)
-        if self.text.startswith("->", start):
-            return ("op", "->", start)
-        if ch in "()!&|=,.":
-            return ("op", ch, start)
-        raise QuerySyntaxError(f"unexpected character {ch!r}", start)
-
-    def next(self) -> tuple[str, str, int]:
-        kind, value, start = self.peek()
-        if kind == "eof":
-            self.pos = start
-        elif kind == "string":
-            self.pos = start + len(value) + 2
-        elif kind == "op":
-            self.pos = start + len(value)
-        else:
-            self.pos = start + len(value)
-        return kind, value, start
-
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
-        k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
-            raise QuerySyntaxError(f"expected {want!r}, found {v or k!r}", pos)
-        return k, v, pos
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) of every token, then an ``eof`` token."""
+    out = []
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m[m.lastgroup], m.start()
+        if kind == "bad":
+            if value == "'":
+                raise QuerySyntaxError("unterminated string constant", pos)
+            raise QuerySyntaxError(f"unexpected character {value!r}", pos)
+        out.append((kind, value, pos))
+    out.append(("eof", "", len(text)))
+    return out
 
 
 _VAR_FIRST = "abcdefghijklmnopqrstuvwxyz"
@@ -190,98 +154,92 @@ def _is_variable_name(s: str) -> bool:
 
 
 class _Parser:
+    """Recursive descent over the token list; ``self.i`` is the lookahead."""
+
     def __init__(self, text: str, schema: Schema):
-        self.toks = _Tokenizer(text)
-        self.schema = schema
+        self.toks, self.i, self.schema = _tokens(text), 0, schema
 
     def parse(self) -> Formula:
         f = self._formula()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self.toks[self.i]
         if kind != "eof":
             raise QuerySyntaxError(f"unexpected trailing input {value!r}", pos)
         return f
 
+    def _next(self) -> tuple[str, str, int]:
+        # every caller raises on ``eof``, so the index never passes it
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def _accept(self, op: str) -> bool:
+        """Consume the next token if it is the operator ``op``."""
+        kind, value, _ = self.toks[self.i]
+        if kind == "op" and value == op:
+            self.i += 1
+            return True
+        return False
+
+    def _expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
+        k, v, pos = self._next()
+        if k != kind or (value is not None and v != value):
+            want = value if value is not None else kind
+            raise QuerySyntaxError(f"expected {want!r}, found {v or k!r}", pos)
+        return k, v, pos
+
     def _formula(self) -> Formula:
-        kind, value, _ = self.toks.peek()
-        if kind == "ident" and value in _KEYWORDS:
-            self.toks.next()
-            _, var, vpos = self.toks.expect("ident")
+        kind, word, _ = self.toks[self.i]
+        if kind == "ident" and word in _KEYWORDS:
+            self.i += 1
+            _, var, vpos = self._expect("ident")
             if not _is_variable_name(var):
                 raise QuerySyntaxError(f"quantified variable must be lowercase, got {var!r}", vpos)
-            self.toks.expect("op", ".")
+            self._expect("op", ".")
             body = self._formula()
-            return Exists(var, body) if value == "exists" else Forall(var, body)
-        return self._implication()
-
-    def _implication(self) -> Formula:
+            return Exists(var, body) if word == "exists" else Forall(var, body)
         left = self._disjunction()
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value == "->":
-            self.toks.next()
-            # right-associative; also lets a quantifier follow the arrow
-            right = self._formula()
-            return Implies(left, right)
-        return left
+        # right-associative; also lets a quantifier follow the arrow
+        return Implies(left, self._formula()) if self._accept("->") else left
 
     def _disjunction(self) -> Formula:
         left = self._conjunction()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value == "|":
-                self.toks.next()
-                left = Or(left, self._conjunction())
-            else:
-                return left
+        while self._accept("|"):
+            left = Or(left, self._conjunction())
+        return left
 
     def _conjunction(self) -> Formula:
         left = self._negation()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value == "&":
-                self.toks.next()
-                left = And(left, self._negation())
-            else:
-                return left
+        while self._accept("&"):
+            left = And(left, self._negation())
+        return left
 
     def _negation(self) -> Formula:
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value == "!":
-            self.toks.next()
+        if self._accept("!"):
             return Not(self._negation())
+        if self._accept("("):
+            f = self._formula()
+            self._expect("op", ")")
+            return f
+        kind, value, pos = self.toks[self.i]
         if kind == "ident" and value in _KEYWORDS:
             return self._formula()
-        return self._primary()
-
-    def _primary(self) -> Formula:
-        kind, value, pos = self.toks.peek()
-        if kind == "op" and value == "(":
-            self.toks.next()
-            f = self._formula()
-            self.toks.expect("op", ")")
-            return f
-        if kind == "ident":
+        if kind == "ident" and self.toks[self.i + 1][:2] == ("op", "("):
             # relation atom iff followed by '('
-            save = self.toks.pos
-            self.toks.next()
-            k2, v2, _ = self.toks.peek()
-            if k2 == "op" and v2 == "(":
-                return self._atom(value, pos)
-            self.toks.pos = save
-        return self._equality()
+            self.i += 1
+            return self._atom(value, pos)
+        left = self._term()
+        self._expect("op", "=")
+        return Eq(left, self._term())
 
     def _atom(self, relation: str, pos: int) -> Formula:
         if relation not in self.schema:
             raise QuerySyntaxError(f"unknown relation {relation!r}", pos)
-        self.toks.expect("op", "(")
+        self._expect("op", "(")
         terms = [self._term()]
-        while True:
-            kind, value, p = self.toks.next()
-            if kind == "op" and value == ",":
-                terms.append(self._term())
-            elif kind == "op" and value == ")":
-                break
-            else:
+        while not self._accept(")"):
+            if not self._accept(","):
+                kind, value, p = self.toks[self.i]
                 raise QuerySyntaxError(f"expected ',' or ')' in argument list, found {value or kind!r}", p)
+            terms.append(self._term())
         arity = self.schema.arity_of(relation)
         if len(terms) != arity:
             raise QuerySyntaxError(
@@ -289,16 +247,13 @@ class _Parser:
             )
         return Atom(relation, tuple(terms))
 
-    def _equality(self) -> Formula:
-        left = self._term()
-        self.toks.expect("op", "=")
-        right = self._term()
-        return Eq(left, right)
-
     def _term(self) -> Term:
-        kind, value, pos = self.toks.next()
+        kind, value, pos = self._next()
         if kind == "int":
-            return Const(int(value))
+            try:
+                return Const(int(value))
+            except ValueError:  # more digits than int() converts
+                raise QuerySyntaxError("integer constant too long", pos) from None
         if kind == "string":
             return Const(value)
         if kind == "ident":

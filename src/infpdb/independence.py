@@ -42,6 +42,7 @@ from .errors import (
     DivergentAssignment,
     DuplicateFact,
     ValidationError,
+    WorldCapExceeded,
 )
 from .numerics import ProbabilityInterval, log_product_one_minus
 from .record import Record
@@ -131,11 +132,11 @@ class ProductSupply(Record):
         for pos, values in self.fixed:
             if not values:
                 raise ValueError(f"fixed position {pos} has no values")
-            if len(set(values)) != len(values):
-                raise ValueError(f"fixed position {pos} has duplicate values")
             for v in values:
                 if not universe.contains(v):
                     raise ValueError(f"fixed value {v!r} not in the universe")
+            if len(set(values)) != len(values):
+                raise ValueError(f"fixed position {pos} has duplicate values")
         if universe.kind == "strings":
             digits = set("0123456789")
             if not digits <= set(universe.alphabet):
@@ -314,8 +315,10 @@ class GeometricTail(Record):
         """Smallest n with the mass beyond the n-th tail fact at most delta."""
         n = self.position(delta)
         if n > ENCLOSURE_FACT_CAP:
-            raise ValidationError(
-                f"tail truncation needs {n} facts, more than the cap {ENCLOSURE_FACT_CAP}"
+            raise WorldCapExceeded(
+                f"tail truncation needs {n} facts, more than the cap {ENCLOSURE_FACT_CAP}",
+                required=n,
+                cap=ENCLOSURE_FACT_CAP,
             )
         return n
 

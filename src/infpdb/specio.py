@@ -22,12 +22,17 @@ compose a base with a tail without translation::
 ``head_facts``/``tail`` describe the independent facts of a ``ti`` or
 ``bid`` space, and the *fresh* facts of a ``completion`` (whose base
 lives in ``worlds``).  Probabilities are serialized as decimal strings
-to avoid binary-float drift across platforms.
+to avoid binary-float drift across platforms.  Loading reads each value
+once: an unknown key, a missing or mistyped value and a rejected object
+each raise :class:`ValidationError` naming its JSON path, and an optional
+section that is absent or ``null`` is absent.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from operator import itemgetter
 from pathlib import Path
 
 from .completion import Completion, FactProbabilityAssignment, complete
@@ -87,123 +92,147 @@ class SpecDocument(Record):
         return build[self.kind]()
 
 
-_REQUIRED = object()
+class _Json:
+    """A JSON value and its path in the file; each read checks a type and
+    raises a ValidationError naming the path.  ``fields()`` starts reading an
+    object, ``[key]`` and ``get`` take its fields, and ``done`` rejects any
+    field left over.  A path is formatted only for an error."""
+
+    __slots__ = ("value", "parent", "key", "_rest")
+
+    def __init__(self, value, parent: _Json | None = None, key: str | int = "a spec"):
+        self.value, self.parent, self.key = value, parent, key
+
+    @property
+    def path(self) -> str:
+        node, parts = self, []
+        while node.parent is not None:
+            parts.append(f"[{node.key}]" if isinstance(node.key, int) else f".{node.key}")
+            node = node.parent
+        return "".join(reversed(parts)).removeprefix(".") if parts else node.key
+
+    def error(self, message: str) -> ValidationError:
+        return ValidationError(f"{self.path} {message}")
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ValueError it raises names this path."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ValidationError(f"{self.path}: {exc}") from None
+
+    def fields(self) -> _Json:
+        if not isinstance(self.value, dict):
+            raise self.error(f"must be a JSON object, got {type(self.value).__name__}")
+        self._rest = self.value.copy()
+        return self
+
+    def items(self) -> list[tuple[str, _Json]]:
+        """Every field of a JSON object whose keys are data, such as a schema."""
+        return [(k, self[k]) for k in list(self.fields()._rest)]
+
+    def __getitem__(self, key: str) -> _Json:
+        try:
+            return _Json(self._rest.pop(key), self, key)
+        except KeyError:
+            raise _Json(None, self, key).error("is missing") from None
+
+    def get(self, key: str, default=None) -> _Json | None:
+        """An optional field; absent and ``null`` both give ``default``."""
+        value = self._rest.pop(key, None)
+        if value is None:
+            return None if default is None else _Json(default, self, key)
+        return _Json(value, self, key)
+
+    def done(self, result=None):
+        """``result``, once every field of the object has been read."""
+        for key in self._rest:
+            raise _Json(None, self, key).error("is not a known key")
+        return result
+
+    def array(self) -> list:
+        if not isinstance(self.value, list):
+            raise self.error(f"must be a list, got {self.value!r}")
+        return self.value
+
+    def objects(self) -> list[_Json]:
+        """The elements of a list, each an object whose fields are read next."""
+        return [_Json(v, self, i).fields() for i, v in enumerate(self.array())]
+
+    def integer(self) -> int:
+        """An int, an integral float or a decimal integer string."""
+        raw = self.value
+        try:
+            if not isinstance(raw, bool) and (isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()
+                                               or isinstance(raw, str) and raw.removeprefix("-").isdecimal()):
+                return int(raw)
+        except ValueError:  # int() refuses a string of thousands of digits
+            pass
+        raise self.error(f"must be an integer, got {raw!r}")
+
+    def number(self) -> float:
+        """A finite float, from a decimal string or a JSON number."""
+        try:
+            value = math.nan if isinstance(self.value, bool) else float(self.value)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise self.error(f"must be a finite decimal number, got {self.value!r}")
+        return value
+
+    def choice(self, *options: str) -> str:
+        if self.value not in options:
+            raise self.error(f"must be one of {', '.join(map(repr, options))}, got {self.value!r}")
+        return self.value
+
+    def relation(self, schema: Schema) -> str:
+        if self.value not in schema:
+            raise self.error(f"{self.value!r} not in schema")
+        return self.value
 
 
-def _object(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _list(raw, path: str) -> list:
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path} must be a list, got {raw!r}")
-    return raw
-
-
-def _relation(raw, schema: Schema, path: str):
-    if raw not in schema:
-        raise ValidationError(f"{path} {raw!r} not in schema")
-    return raw
-
-
-def _field(obj, key: str, path: str, default=_REQUIRED):
-    """``obj[key]`` of a JSON object, else ``default``; a ValidationError
-    naming the path when ``obj`` is no object or a required key is missing."""
-    if key in _object(obj, path):
-        return obj[key]
-    if default is _REQUIRED:
-        raise ValidationError(f"{path}.{key} is missing")
-    return default
-
-
-def _parse_fact(obj: dict, schema: Schema, universe: Universe, path: str) -> Fact:
-    relation = _field(obj, "relation", path)
-    args = tuple(_list(_field(obj, "args", path), f"{path}.args"))
-    _relation(relation, schema, f"{path}.relation")
-    if len(args) != schema.arity_of(relation):
-        raise ValidationError(
-            f"fact {relation}{args} has wrong arity for schema"
-        )
-    for e in args:
+def _fact(obj: _Json, schema: Schema, universe: Universe) -> Fact:
+    """The fact of an object's ``relation`` and ``args``; the caller reads the rest."""
+    relation = obj["relation"].relation(schema)
+    args = obj["args"]
+    values, arity = tuple(args.array()), schema.arity_of(relation)
+    if len(values) != arity:
+        raise args.error(f"has {len(values)} elements, {relation!r} takes {arity}")
+    for i, e in enumerate(values):
         if not universe.contains(e):
-            raise ValidationError(f"element {e!r} of fact {relation}{args} not in universe")
-    return Fact(relation, args)
+            raise _Json(e, args, i).error(f"{e!r} not in universe")
+    return Fact(relation, values)
 
 
-def _parse_facts(items, schema: Schema, universe: Universe, path: str) -> list[Fact]:
-    return [
-        _parse_fact(obj, schema, universe, f"{path}[{i}]")
-        for i, obj in enumerate(_list(items, path))
-    ]
+def _facts(items: _Json, schema: Schema, universe: Universe) -> list[Fact]:
+    return [obj.done(_fact(obj, schema, universe)) for obj in items.objects()]
 
 
 def _fact_to_json(f: Fact) -> dict:
     return {"relation": f.relation, "args": list(f.args)}
 
 
-def _parse_number(raw) -> float:
-    if isinstance(raw, str):
-        return float(raw)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    raise ValidationError(f"number must be a decimal string, got {raw!r}")
-
-
-def _parse_int(raw, path: str) -> int:
-    """An integer field: an int, an integral float or a decimal integer string."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    if isinstance(raw, float) and raw.is_integer() or (
-        isinstance(raw, str) and raw.removeprefix("-").isdecimal()
-    ):
-        return int(raw)
-    raise ValidationError(f"{path} must be an integer, got {raw!r}")
-
-
-def _parse_tail(obj: dict, schema: Schema, universe: Universe) -> Tail:
-    enumeration = FactEnumeration(schema, universe)
-    supply_obj = _field(obj, "supply", "tail", {"type": "enumeration"})
-    stype = _field(supply_obj, "type", "tail.supply", "enumeration")
-    if stype == "enumeration":
-        relation = _field(supply_obj, "relation", "tail.supply", None)
-        supply = EnumerationSupply(
-            enumeration,
-            relation=None if relation is None else _relation(relation, schema, "tail.supply.relation"),
-            offset=_parse_int(supply_obj.get("offset", 0), "tail.supply.offset"),
-        )
-    elif stype == "product":
-        fixed_obj = _object(_field(supply_obj, "fixed", "tail.supply"), "tail.supply.fixed")
-        fixed = tuple(sorted(
-            ((_parse_int(pos, f"tail.supply.fixed.{pos}"),
-              tuple(_list(values, f"tail.supply.fixed.{pos}")))
-             for pos, values in fixed_obj.items()), key=lambda pv: pv[0]
-        ))
-        supply = ProductSupply(
-            enumeration,
-            relation=_relation(
-                _field(supply_obj, "relation", "tail.supply"), schema, "tail.supply.relation"
-            ),
-            index_position=_parse_int(
-                _field(supply_obj, "index_position", "tail.supply"), "tail.supply.index_position"
-            ),
-            fixed=fixed,
-        )
+def _parse_tail(tail: _Json, schema: Schema, universe: Universe) -> Tail:
+    enumeration = tail.fields().build(FactEnumeration, schema, universe)
+    obj = tail.get("supply", {}).fields()
+    if obj.get("type", "enumeration").choice("enumeration", "product") == "enumeration":
+        relation = obj.get("relation")
+        relation = None if relation is None else relation.relation(schema)
+        supply = obj.build(EnumerationSupply, enumeration, relation, obj.get("offset", 0).integer())
     else:
-        raise ValidationError(f"unknown tail supply type {stype!r}")
-    exclude = frozenset(_parse_facts(obj.get("exclude", []), schema, universe, "tail.exclude"))
-    rule = obj.get("rule", "geometric")
-    if rule == "geometric":
-        return GeometricTail(
-            supply,
-            c=_parse_number(_field(obj, "c", "tail")),
-            q=_parse_number(_field(obj, "q", "tail")),
-            exclude=exclude,
+        relation, index = obj["relation"].relation(schema), obj["index_position"].integer()
+        fixed = obj["fixed"]
+        positions = sorted(
+            ((_Json(pos, fixed, pos).integer(), tuple(values.array())) for pos, values in fixed.items()),
+            key=itemgetter(0),
         )
-    if rule == "constant":
-        return ConstantTail(supply, value=_parse_number(_field(obj, "value", "tail")), exclude=exclude)
-    raise ValidationError(f"unknown tail rule {rule!r}")
+        supply = obj.build(ProductSupply, enumeration, relation, index, tuple(positions))
+    obj.done()
+    exclude = frozenset(_facts(tail.get("exclude", []), schema, universe))
+    if tail.get("rule", "geometric").choice("geometric", "constant") == "geometric":
+        c, q = tail["c"].number(), tail["q"].number()
+        return tail.done(tail.build(GeometricTail, supply, c, q, exclude))
+    return tail.done(tail.build(ConstantTail, supply, tail["value"].number(), exclude))
 
 
 def _tail_to_json(tail: Tail) -> dict:
@@ -214,42 +243,30 @@ def _tail_to_json(tail: Tail) -> dict:
             supply_obj["relation"] = supply.relation
     else:
         supply_obj = {
-            "type": "product",
-            "relation": supply.relation,
-            "index_position": supply.index_position,
+            "type": "product", "relation": supply.relation, "index_position": supply.index_position,
             "fixed": {str(pos): list(values) for pos, values in supply.fixed},
         }
-    out: dict = {"supply": supply_obj}
     if isinstance(tail, GeometricTail):
-        out["rule"] = "geometric"
-        out["c"] = repr(tail.c)
-        out["q"] = repr(tail.q)
+        out = {"supply": supply_obj, "rule": "geometric", "c": repr(tail.c), "q": repr(tail.q)}
     else:
-        out["rule"] = "constant"
-        out["value"] = repr(tail.value)
+        out = {"supply": supply_obj, "rule": "constant", "value": repr(tail.value)}
     if tail.exclude:
         out["exclude"] = [_fact_to_json(f) for f in sorted(tail.exclude, key=Fact.sort_key)]
     return out
 
 
-def _block_label(e, path: str):
-    label = _field(e, "block", path)
-    if isinstance(label, (list, dict)):
-        raise ValidationError(f"{path}.block must be a JSON scalar, got {type(label).__name__}")
-    return label
-
-
-def _parse_blocks(obj: dict, schema: Schema, universe: Universe) -> BlockPartition:
-    keys = tuple(
-        (_relation(r, schema, "blocks.keys"), _parse_int(j, f"blocks.keys.{r}"))
-        for r, j in _object(_field(obj, "keys", "blocks", {}), "blocks.keys").items()
-    )
-    explicit = tuple(
-        (_parse_fact(e, schema, universe, f"blocks.explicit[{i}]"),
-         _block_label(e, f"blocks.explicit[{i}]"))
-        for i, e in enumerate(_list(_field(obj, "explicit", "blocks", []), "blocks.explicit"))
-    )
-    return BlockPartition(key_attributes=keys, explicit=explicit)
+def _parse_blocks(blocks: _Json, schema: Schema, universe: Universe) -> BlockPartition:
+    keys, widths, explicit = blocks.fields().get("keys", {}), [], []
+    for r, width in keys.items():
+        if r not in schema:
+            raise keys.error(f"{r!r} not in schema")
+        widths.append((r, width.integer()))
+    for e in blocks.get("explicit", []).objects():
+        f, label = _fact(e, schema, universe), e["block"]
+        if isinstance(label.value, (list, dict)):
+            raise label.error(f"must be a JSON scalar, got {type(label.value).__name__}")
+        explicit.append(e.done((f, label.value)))
+    return blocks.done(blocks.build(BlockPartition, tuple(widths), tuple(explicit)))
 
 
 def _blocks_to_json(blocks: BlockPartition) -> dict:
@@ -257,92 +274,76 @@ def _blocks_to_json(blocks: BlockPartition) -> dict:
     if blocks.key_attributes:
         out["keys"] = {r: j for r, j in blocks.key_attributes}
     if blocks.explicit:
-        out["explicit"] = [
-            {**_fact_to_json(f), "block": label} for f, label in blocks.explicit
-        ]
+        out["explicit"] = [{**_fact_to_json(f), "block": label} for f, label in blocks.explicit]
     return out
 
 
-def parse_spec(data: dict) -> SpecDocument:
-    if not isinstance(data, dict):
-        raise ValidationError(f"a spec must be a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise ValidationError(f"spec kind must be one of {KINDS}, got {kind!r}")
-    schema_obj = data.get("schema")
-    if not isinstance(schema_obj, dict) or not schema_obj:
-        raise ValidationError("spec needs a nonempty schema mapping")
-    schema = Schema(tuple((r, _parse_int(a, f"schema.{r}")) for r, a in schema_obj.items()))
-    universe_obj = data.get("universe", {"kind": "naturals"})
-    universe_kind = _field(universe_obj, "kind", "universe")
-    if universe_kind == "strings":
-        alphabet = _field(universe_obj, "alphabet", "universe", "")
-        if not isinstance(alphabet, str):
-            raise ValidationError(f"universe.alphabet must be a string, got {alphabet!r}")
-        universe = Universe.strings(alphabet)
-    elif universe_kind == "naturals":
-        universe = Universe.naturals()
+def parse_spec(data) -> SpecDocument:
+    """The document of a decoded spec file, read in one pass."""
+    spec = _Json(data).fields()
+    kind, schema_obj = spec["kind"].choice(*KINDS), spec["schema"]
+    relations = tuple((r, arity.integer()) for r, arity in schema_obj.items())
+    if not relations:
+        raise schema_obj.error("must name at least one relation")
+    schema = schema_obj.build(Schema, relations)
+    obj = spec.get("universe", {"kind": "naturals"}).fields()
+    if obj["kind"].choice("naturals", "strings") == "strings":
+        alphabet = obj["alphabet"]
+        if not isinstance(alphabet.value, str):
+            raise alphabet.error(f"must be a string, got {alphabet.value!r}")
+        universe = obj.done(obj.build(Universe.strings, alphabet.value))
     else:
-        raise ValidationError(f"unknown universe kind {universe_kind!r}")
+        universe = obj.done(Universe.naturals())
     head = tuple(
-        (_parse_fact(h, schema, universe, f"head_facts[{i}]"),
-         _parse_number(_field(h, "p", f"head_facts[{i}]")))
-        for i, h in enumerate(_list(data.get("head_facts", []), "head_facts"))
+        h.done((_fact(h, schema, universe), h["p"].number()))
+        for h in spec.get("head_facts", []).objects()
     )
-    tail = _parse_tail(data["tail"], schema, universe) if data.get("tail") else None
-    blocks = _parse_blocks(data["blocks"], schema, universe) if data.get("blocks") else None
-    worlds = None
-    if data.get("worlds") is not None:
-        worlds = tuple(
-            (
-                Instance(_parse_facts(
-                    _field(w, "facts", f"worlds[{i}]", []), schema, universe, f"worlds[{i}].facts"
-                )),
-                _parse_number(_field(w, "p", f"worlds[{i}]")),
-            )
-            for i, w in enumerate(_list(data["worlds"], "worlds"))
-        )
-    if kind in ("finite", "completion") and worlds is None:
-        raise ValidationError(f"{kind} spec needs a worlds table")
-    return SpecDocument(
-        kind=kind, schema=schema, universe=universe, head=head, tail=tail,
-        blocks=blocks, worlds=worlds,
-    )
+    tail, blocks = spec.get("tail"), spec.get("blocks")
+    worlds = spec["worlds"] if kind in ("finite", "completion") else spec.get("worlds")
+    return spec.done(SpecDocument(
+        kind, schema, universe, head,
+        None if tail is None else _parse_tail(tail, schema, universe),
+        None if blocks is None else _parse_blocks(blocks, schema, universe),
+        None if worlds is None else tuple(
+            (Instance(_facts(w.get("facts", []), schema, universe)), w.done(w["p"].number()))
+            for w in worlds.objects()
+        ),
+    ))
 
 
 def spec_to_json(doc: SpecDocument) -> dict:
     out: dict = {
         "kind": doc.kind,
         "schema": {name: arity for name, arity in doc.schema.relations},
-        "universe": (
-            {"kind": "naturals"}
-            if doc.universe.kind == "naturals"
-            else {"kind": "strings", "alphabet": "".join(doc.universe.alphabet)}
-        ),
+        "universe": {"kind": doc.universe.kind}
+        | ({"alphabet": "".join(doc.universe.alphabet)} if doc.universe.alphabet else {}),
     }
     if doc.head:
-        out["head_facts"] = [
-            {**_fact_to_json(f), "p": repr(p)} for f, p in doc.head
-        ]
+        out["head_facts"] = [{**_fact_to_json(f), "p": repr(p)} for f, p in doc.head]
     if doc.tail is not None:
         out["tail"] = _tail_to_json(doc.tail)
     if doc.blocks is not None:
         out["blocks"] = _blocks_to_json(doc.blocks)
     if doc.worlds is not None:
         out["worlds"] = [
-            {"facts": [_fact_to_json(f) for f in d], "p": repr(p)}
-            for d, p in doc.worlds
+            {"facts": [_fact_to_json(f) for f in d], "p": repr(p)} for d, p in doc.worlds
         ]
     return out
 
 
-def load_spec(path: str | Path) -> SpecDocument:
+def _load_json(path: str | Path):
+    def no_constant(name: str):
+        raise ValidationError(f"{path}: invalid JSON: {name} is not a JSON value")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh, parse_constant=no_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_spec(data)
+
+
+def load_spec(path: str | Path) -> SpecDocument:
+    return parse_spec(_load_json(path))
 
 
 def save_spec(doc: SpecDocument, path: str | Path) -> None:
@@ -352,9 +353,8 @@ def save_spec(doc: SpecDocument, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path, schema: Schema, universe: Universe) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return Instance(_parse_facts(_field(data, "facts", "instance", []), schema, universe, "facts"))
+    instance = _Json(_load_json(path), key="instance").fields()
+    return instance.done(Instance(_facts(instance.get("facts", []), schema, universe)))
 
 
 def instance_to_json(d: Instance) -> dict:

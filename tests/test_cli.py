@@ -1,6 +1,7 @@
 import argparse
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,50 @@ class TestValidate:
         spec.update(kind="bid", blocks={"keys": {"S": 1}})
         self._assert_rejected(spec, "blocks.keys 'S' not in schema", tmp_path, capsys)
 
+    def test_top_level_typo_is_rejected(self, tmp_path, capsys):
+        golden = Path(__file__).resolve().parent / "golden" / "ti_product.json"
+        spec = json.loads(golden.read_text())
+        spec["head_fact"] = spec.pop("head_facts")
+        self._assert_rejected(spec, "head_fact is not a known key", tmp_path, capsys)
+
+    def test_tail_typo_is_rejected(self, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        spec["tail"]["excludes"] = spec["tail"].pop("exclude")
+        self._assert_rejected(spec, "tail.excludes is not a known key", tmp_path, capsys)
+
+    def test_supply_typo_is_rejected(self, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        spec["tail"]["supply"] = {"type": "enumeration", "relation": "R", "ofset": 3}
+        self._assert_rejected(spec, "tail.supply.ofset is not a known key", tmp_path, capsys)
+
+    def test_list_inside_fixed_names_its_path(self, tmp_path, capsys):
+        spec = copy.deepcopy(DYADIC_TAIL)
+        spec["tail"]["supply"]["fixed"]["1"][0] = ["A"]
+        self._assert_rejected(
+            spec, "tail.supply: fixed value ['A'] not in the universe", tmp_path, capsys
+        )
+
+    @pytest.mark.parametrize("raw", ["x", "nan", "1e999", 10**400, True, None],
+                             ids=["letters", "nan", "overflow", "huge-int", "bool", "null"])
+    def test_bad_number_names_its_path(self, raw, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec["head_facts"][1]["p"] = raw
+        message = f"head_facts[1].p must be a finite decimal number, got {raw!r}"
+        self._assert_rejected(spec, message, tmp_path, capsys)
+
+    def test_non_json_constant_is_rejected(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec["blocks"] = {"explicit": [{"relation": "R", "args": ["A", "1"], "block": math.nan}]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(spec))
+        assert main(["validate", str(path)]) == 2
+        assert f"ValidationError: {path}: invalid JSON: NaN is not a JSON value" in capsys.readouterr().err
+
+    def test_empty_tail_is_read(self, tmp_path, capsys):
+        spec = copy.deepcopy(EXAMPLE_TI)
+        spec["tail"] = {}
+        self._assert_rejected(spec, "tail.c is missing", tmp_path, capsys)
+
     @pytest.mark.parametrize("raw, message", [
         ([], "instance must be a JSON object, got list"),
         ({"facts": 5}, "facts must be a list, got 5"),
@@ -469,6 +514,16 @@ class TestSample:
     def test_delta_validation(self, example_spec):
         assert main(["sample", example_spec, "--n", "1", "--delta", "2.0"]) == 1
 
+    def test_tail_cap_exits_3_with_the_needed_count(self, tmp_path, capsys):
+        spec = {"kind": "ti", "schema": {"R": 1}, "universe": {"kind": "naturals"},
+                "tail": {"rule": "geometric", "c": "0.001", "q": "0.99999"}}
+        path = tmp_path / "slow_tail.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sample", str(path), "--n", "1", "--delta", "0.01"]) == 3
+        err = capsys.readouterr().err
+        assert "WorldCapExceeded: tail truncation needs" in err
+        assert "(required n = " in err and "Traceback" not in err
+
     def test_marginal_frequencies(self, example_spec, capsys):
         assert main(["sample", example_spec, "--n", "20000", "--seed", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -580,6 +635,18 @@ class TestSpecRoundTrip:
         }
         doc = parse_spec(raw)
         path = tmp_path / "f.json"
+        save_spec(doc, path)
+        assert load_spec(path) == doc
+
+    @pytest.mark.parametrize("section", [
+        {"blocks": {"keys": {}}}, {"blocks": {}}, {"blocks": None}, {"tail": None},
+    ])
+    def test_optional_sections_count_by_presence(self, section, tmp_path):
+        raw = {**EXAMPLE_TI, "kind": "bid", **section}
+        doc = parse_spec(raw)
+        assert (doc.blocks is None) == (raw.get("blocks") is None)
+        assert doc.tail is None
+        path = tmp_path / "sections.json"
         save_spec(doc, path)
         assert load_spec(path) == doc
 

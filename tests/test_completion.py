@@ -14,7 +14,7 @@ from infpdb.completion import (
     completion_sample,
 )
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema
-from infpdb.errors import NotClosed, OverlappingFacts, UnitTailProbability
+from infpdb.errors import NotClosed, OverlappingFacts, UnitTailProbability, WorldCapExceeded
 from infpdb.independence import (
     EnumerationSupply,
     FactProbabilityAssignment,
@@ -100,6 +100,13 @@ class TestClosureExtend:
         p0 = closed_space({Instance.empty(): 0.5, Instance([fact(1)]): 0.5})
         with pytest.raises(ValueError):
             closure_extend(p0, 0.5)
+
+    def test_fact_cap_names_the_needed_count(self):
+        many = Instance([fact(i) for i in range(1, 18)])
+        p0 = closed_space({Instance.empty(): 0.5, many: 0.5})
+        with pytest.raises(WorldCapExceeded, match=r"2\*\*17 instances") as err:
+            closure_extend(p0, 0.5)
+        assert (err.value.required, err.value.cap) == (17, 16)
 
     def test_c_out_of_range(self):
         p0 = closed_space({Instance.empty(): 1.0})

@@ -76,6 +76,18 @@ class TestParse:
         f = parse("R(7) & R('abc')", Schema.of(R=1))
         assert f == And(Atom("R", (Const(7),)), Atom("R", (Const("abc"),)))
 
+    def test_string_constant_with_a_tab_round_trips(self):
+        f = parse("!(y = '\t')", S1)
+        assert f == Not(Eq(Var("y"), Const("\t")))
+        assert print_formula(f) == "!y = '\t'"
+        assert parse(print_formula(f), S1) == f
+
+    @pytest.mark.parametrize("text, position", [("R(\u00b2)", 2), ("R(1\u00b2)", 3), ("R(\u0663)", 2)])
+    def test_only_ascii_digits_make_an_integer(self, text, position):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse(text, S1)
+        assert err.value.position == position
+
     def test_implication_right_associative(self):
         f = parse("R(x) -> S(x) -> R(y)", S2)
         assert f == Implies(

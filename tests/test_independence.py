@@ -12,6 +12,7 @@ from infpdb.errors import (
     DivergentAssignment,
     DuplicateFact,
     ValidationError,
+    WorldCapExceeded,
 )
 from infpdb.independence import (
     ENCLOSURE_FACT_CAP,
@@ -275,10 +276,10 @@ class TestTailPrimitive:
             raise AssertionError("the tail was listed")
 
         monkeypatch.setattr(GeometricTail, "indexed_facts", no_walk)
-        with pytest.raises(ValidationError, match=f"needs {needed} facts"):
+        with pytest.raises(WorldCapExceeded, match=f"needs {needed} facts"):
             tail.truncation_count(0.01)
         t = ti_construct(FactProbabilityAssignment((), tail))
-        with pytest.raises(ValidationError, match=f"needs {needed} facts"):
+        with pytest.raises(WorldCapExceeded, match=f"needs {needed} facts"):
             ti_sample(t, random.Random(0), 0.01)
 
 
