@@ -35,7 +35,6 @@ from .independence import (
     FactProbabilityAssignment,
     GeometricTail,
     ProductSupply,
-    TIPdb,
     bid_construct,
     bid_instance_prob,
     bid_sample,

@@ -1,17 +1,18 @@
-"""Additive-error evaluation of first-order queries on tuple-independent spaces.
+"""Additive-error evaluation of first-order queries on BID and TI spaces.
 
 The query probability is approximated by conditioning on the event that
-only the first n facts of the canonical listing occur.  The truncation
-index n is chosen so that (a) every fact beyond it has probability at
-most 1/2 and (b) ``exp(alpha) <= 1 + eps`` and ``exp(-alpha) >= 1 - eps``
-for ``alpha = (3/2) * (mass beyond n)``; the tail's closed-form mass
-yields that n without listing the tail.  The exponential tail bound then
-sandwiches the conditioned value within an additive ``eps`` of the true
-probability.  Conditioned on the truncation event, the space is an
-ordinary finite tuple-independent space, so the conditional probability
-is computed by brute-force enumeration of the worlds over the truncated
-facts whose relations the query mentions (exponential in their number;
-the cap, with an environment override, still applies to n).
+only the first n facts of the canonical listing occur: the whole head,
+then the first tail facts.  The truncation index n is chosen so that (a)
+every fact beyond it has probability at most 1/2 and (b) ``exp(alpha) <=
+1 + eps`` and ``exp(-alpha) >= 1 - eps`` for ``alpha = (3/2) * (mass
+beyond n)``; the tail's closed-form mass yields that n without listing
+the tail.  The exponential tail bound then sandwiches the conditioned
+value within an additive ``eps`` of the true probability.  Conditioned
+on the truncation event, the space is a finite BID space: the head
+blocks kept whole, and each listed tail fact as a singleton block.  Its
+worlds are enumerated block by block, exponentially in the number of
+blocks holding a fact whose relation the query mentions; the cap, with
+an environment override, still applies to n.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -27,7 +28,7 @@ import os
 from .core import Fact, Instance
 from .errors import WorldCapExceeded
 from .fo import Formula, constants, eval_boolean, free_variables, relations_of, substitute
-from .independence import TIPdb
+from .independence import BIDPdb
 from .numerics import CompensatedAccumulator
 from .record import Record
 from .universe import Element, Universe
@@ -67,7 +68,7 @@ class TruncationCertificate(Record):
             raise ValueError("certificate violates exp(-alpha) >= 1 - eps")
 
 
-def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
+def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
     """Smallest truncation point satisfying both exponential conditions.
 
     Head facts are always included; the tail's closed-form unseen mass
@@ -77,7 +78,7 @@ def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     if math.isnan(epsilon) or not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     allowed = min(math.log1p(epsilon), -math.log1p(-epsilon))
-    h = t.head_count()
+    h = len(t.head)
     if t.tail is None:
         return TruncationCertificate(n=h, alpha_n=0.0, tail_sum=0.0, epsilon=epsilon)
     # every unseen mass at or below this bound passes 1.5 * unseen <= allowed
@@ -89,7 +90,9 @@ def choose_truncation(t: TIPdb, epsilon: float) -> TruncationCertificate:
     return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
 
 
-def _truncated_facts(t: TIPdb, n: int, cap: int | None) -> list[tuple[Fact, float]]:
+def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[tuple[tuple[Fact, float], ...]]:
+    """Every head block whole, then each of the first ``n - len(t.head)``
+    tail facts as its own block."""
     limit = world_cap() if cap is None else cap
     if n > limit:
         raise WorldCapExceeded(
@@ -98,19 +101,21 @@ def _truncated_facts(t: TIPdb, n: int, cap: int | None) -> list[tuple[Fact, floa
             required=n,
             cap=limit,
         )
-    return t.facts_up_to(n)
+    if n < len(t.head):
+        raise ValueError(f"truncation keeps the head whole: n = {n} is below its {len(t.head)} facts")
+    return [*t.blocks.values(), *((fact,) for fact in t.facts_up_to(n)[len(t.head):])]
 
 
-def _world_walk(
-    facts: list[tuple[Fact, float]], sentences: list[Formula], universe: Universe
-) -> list[float]:
-    """Exact probability of each sentence on the finite TI space of ``facts``.
+def _world_walk(blocks: list[tuple], sentences: list[Formula], universe: Universe) -> list[float]:
+    """Exact probability of each sentence on the finite BID space of ``blocks``.
 
-    Facts of relations no sentence mentions are summed out: their branches
-    weigh ``(1 - p) + p = 1`` and their elements act as generics.
+    Each block branches over "no fact", weighted 1 minus the mass it keeps,
+    then over each kept fact.  Facts of relations no sentence mentions are
+    not kept: their mass joins "no fact", and their elements act as generics.
     """
     relations = frozenset().union(*map(relations_of, sentences))
-    kept = [(fact, p) for fact, p in facts if fact.relation in relations]
+    kept = [(facts, 1.0 - math.fsum(p for _, p in facts)) for block in blocks
+            if (facts := [(fact, p) for fact, p in block if fact.relation in relations and p > 0.0])]
     accs = [CompensatedAccumulator() for _ in sentences]
 
     def descend(i: int, chosen: list, weight: float) -> None:
@@ -120,10 +125,10 @@ def _world_walk(
                 if eval_boolean(d, f, universe):
                     acc.add(weight)
             return
-        fact, p = kept[i]
-        if p < 1.0:
-            descend(i + 1, chosen, weight * (1.0 - p))
-        if p > 0.0:
+        facts, none = kept[i]
+        if none > 0.0:
+            descend(i + 1, chosen, weight * none)
+        for fact, p in facts:
             chosen.append(fact)
             descend(i + 1, chosen, weight * p)
             chosen.pop()
@@ -133,22 +138,23 @@ def _world_walk(
 
 
 def conditional_query_prob(
-    t: TIPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
 ) -> float:
     """Exact query probability conditioned on seeing only the first n facts.
 
-    Conditioned on the truncation event, the first n facts of the
-    canonical listing form a finite tuple-independent space with the
-    original fact probabilities; its worlds are enumerated exactly.
+    Conditioned on the truncation event, the head blocks and the first
+    ``n - len(t.head)`` tail facts form a finite block-independent space
+    with the original fact probabilities; its worlds are enumerated
+    exactly.  ``n`` must cover the head.
     """
     free = free_variables(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    return _world_walk(_truncated_facts(t, n, cap), [f], universe)[0]
+    return _world_walk(_truncated_blocks(t, n, cap), [f], universe)[0]
 
 
 def approx_boolean(
-    t: TIPdb, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
 ) -> tuple[float, TruncationCertificate]:
     """Additively eps-accurate probability of a Boolean query.
 
@@ -161,7 +167,7 @@ def approx_boolean(
 
 
 def approx_nonboolean(
-    t: TIPdb,
+    t: BIDPdb,
     f: Formula,
     epsilon: float,
     universe: Universe,
@@ -178,11 +184,11 @@ def approx_nonboolean(
     if not free:
         raise ValueError("open formula expected; use approx_boolean for sentences")
     cert = choose_truncation(t, epsilon)
-    facts = _truncated_facts(t, cert.n, cap)
+    blocks = _truncated_blocks(t, cert.n, cap)
     elements: set[Element] = set(constants(f))
-    for fact, _ in facts:
+    for fact, _ in itertools.chain.from_iterable(blocks):
         elements.update(fact.args)
     candidates = sorted(elements, key=lambda e: (isinstance(e, str), e))
     combos = list(itertools.product(candidates, repeat=len(free)))
     grounded = [substitute(f, dict(zip(free, combo))) for combo in combos]
-    return dict(zip(combos, _world_walk(facts, grounded, universe)))
+    return dict(zip(combos, _world_walk(blocks, grounded, universe)))

@@ -13,7 +13,10 @@ Subcommands::
 Every spec kind loads into a space offering ``expected_size``,
 ``instance_prob`` and ``sample`` (a ``ti`` space is the ``bid`` space with
 singleton blocks), so ``expected-size``, ``prob`` and ``sample`` never ask
-which kind they have.  ``query`` and ``oracle-compare`` need a ``ti`` spec.
+which kind they have.  ``query`` takes a ``ti`` or ``bid`` spec: it keeps
+the head blocks whole, treats each tail fact up to the certified
+truncation as a singleton block, and walks the worlds block by block.
+``oracle-compare`` needs a ``ti`` spec.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 capability (enumeration caps).
 The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) sets
@@ -121,9 +124,9 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     doc = load_spec(args.spec)
-    if doc.kind != "ti":
-        raise ValidationError(f"query evaluation needs a TI spec, got kind {doc.kind!r}")
-    t = doc.ti()
+    if doc.kind not in ("ti", "bid"):
+        raise ValidationError(f"query evaluation needs a ti or bid spec, got kind {doc.kind!r}")
+    t = doc.space()
     with open(args.query, "r", encoding="utf-8") as fh:
         text = fh.read()
     formula = fo.parse(text, doc.schema)

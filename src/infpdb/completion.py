@@ -16,6 +16,7 @@ by ``c`` and spreads the leftover ``1 - c`` over the missing instances.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -28,10 +29,10 @@ from .errors import (
     WorldCapExceeded,
 )
 from .independence import (
+    BIDPdb,
     ConstantTail,
     FactProbabilityAssignment,
     GeometricTail,
-    TIPdb,
     ti_construct,
     ti_instance_prob,
     ti_sample,
@@ -50,7 +51,7 @@ def _all_subsets(facts: list[Fact]) -> Iterable[Instance]:
             yield Instance(combo)
 
 
-def head_worlds(t: TIPdb, schema: Schema, universe: Universe) -> FiniteDiscretePDB:
+def head_worlds(t: BIDPdb, schema: Schema, universe: Universe) -> FiniteDiscretePDB:
     """The explicit world table of a head-only TI space: every subset of
     the head with its exact probability, so closed under subsets and unions."""
     if t.tail is not None:
@@ -138,10 +139,14 @@ class Completion(Record):
     """A finite original space extended by independent fresh facts."""
 
     original: FiniteDiscretePDB
-    tail_pdb: TIPdb
-    p_empty: ProbabilityInterval
+    tail_pdb: BIDPdb
 
-    @property
+    @cached_property
+    def p_empty(self) -> ProbabilityInterval:
+        """Probability of no fresh fact: the factor every original instance gets."""
+        return ti_instance_prob(self.tail_pdb, Instance.empty())
+
+    @cached_property
     def original_facts(self) -> frozenset[Fact]:
         return frozenset(facts_of(self.original))
 
@@ -183,9 +188,7 @@ def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> Completio
                 raise UnitTailProbability(
                     f"tail rule value {first_value} at the first index is not below 1"
                 )
-    tail_pdb = ti_construct(tail)
-    p_empty = ti_instance_prob(tail_pdb, Instance.empty())
-    return Completion(p, tail_pdb, p_empty)
+    return Completion(p, ti_construct(tail))
 
 
 def completion_instance_prob(c: Completion, d: Instance) -> ProbabilityInterval:

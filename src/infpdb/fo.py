@@ -8,9 +8,10 @@ right as far as possible)::
               | implication
     atom     := REL '(' term (',' term)* ')'
               | term '=' term
-    term     := VAR | INT | 'single-quoted string'
+    term     := VAR | INT | STRING
     VAR      := [a-z][A-Za-z0-9_]*
     INT      := [0-9]+
+    STRING   := "'" ([^'] | "''")* "'"        ('' inside stands for one ')
 
 Evaluation is over a *finite* instance drawn from an *infinite* universe,
 so a quantifier must notionally range over infinitely many elements.  It
@@ -57,7 +58,7 @@ class Const(Record):
     value: Element
 
     def __str__(self) -> str:
-        return f"'{self.value}'" if isinstance(self.value, str) else str(self.value)
+        return "'" + self.value.replace("'", "''") + "'" if isinstance(self.value, str) else str(self.value)
 
 
 Term = Var | Const
@@ -128,7 +129,7 @@ _KEYWORDS = {"exists", "forall"}
 # one match per token; finditer skips the whitespace between matches, and
 # ``bad`` takes any other character, which the tokenizer rejects
 _TOKEN = re.compile(
-    r"(?P<ident>[^\W\d]\w*)|(?P<int>[0-9]+)|'(?P<string>[^']*)'|(?P<op>->|[()!&|=,.])|(?P<bad>\S)"
+    r"(?P<ident>[^\W\d]\w*)|(?P<int>[0-9]+)|'(?P<string>(?:[^']|'')*)'|(?P<op>->|[()!&|=,.])|(?P<bad>\S)"
 )
 
 
@@ -255,7 +256,7 @@ class _Parser:
             except ValueError:  # more digits than int() converts
                 raise QuerySyntaxError("integer constant too long", pos) from None
         if kind == "string":
-            return Const(value)
+            return Const(value.replace("''", "'"))
         if kind == "ident":
             if value in _KEYWORDS:
                 raise QuerySyntaxError(f"{value!r} is a reserved word", pos)

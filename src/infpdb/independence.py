@@ -24,8 +24,8 @@ The enclosure's expanded prefix is summed per index group, whose facts
 share one probability, and lists at most one group.
 
 A tuple-independent space is the block-disjoint space whose blocks are
-all singletons: :class:`TIPdb` is that case of :class:`BIDPdb`, and the
-two share their construction, instance probabilities and sampler.
+all singletons: :func:`ti_construct` builds that case of :class:`BIDPdb`,
+so the two share one type, construction, instance probabilities and sampler.
 """
 
 from __future__ import annotations
@@ -432,9 +432,10 @@ def is_good(partition: BlockPartition, d: Instance) -> bool:
 class BIDPdb:
     """A block-independent-disjoint measure over finite instances.
 
-    Construct via :func:`bid_construct`.  Like every space the CLI
-    handles, it offers ``expected_size``, ``instance_prob(d)`` and
-    ``sample(rng, delta)``.
+    Construct via :func:`bid_construct`, or :func:`ti_construct` for
+    singleton blocks.  Like every space the CLI handles, it offers
+    ``expected_size``, ``instance_prob(d)`` and ``sample(rng, delta)``;
+    query truncation reads its facts through ``head`` and ``facts_up_to``.
     """
 
     def __init__(self, partition: BlockPartition, assignment: FactProbabilityAssignment):
@@ -473,8 +474,18 @@ class BIDPdb:
             if mass > 1.0 + 1e-12:
                 raise BlockMassExceedsOne(f"block {key!r} has mass {mass}, exceeding 1")
         self.total_mass = assignment.head_mass + (tail.total_mass() if tail is not None else 0.0)
-        self._head_probs = {f: p for facts in blocks.values() for f, p in facts}
+        # the positive-probability head facts, block by block
+        self.head = tuple(fp for facts in self.blocks.values() for fp in facts)
+        self._head_probs = dict(self.head)
         self._tail_plans: dict[float, tuple[tuple[Fact, float], ...]] = {}
+
+    def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
+        """The first n facts in canonical order (head first, then tail)."""
+        tail = () if self.tail is None else ((f, p) for _, f, p in self.tail.indexed_facts())
+        out = list(itertools.islice(itertools.chain(self.head, tail), n))
+        if len(out) < n:
+            raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
+        return out
 
     @property
     def remainders(self) -> dict[Hashable, float]:
@@ -511,32 +522,6 @@ class BIDPdb:
         return bid_sample(self, rng, delta)
 
 
-class TIPdb(BIDPdb):
-    """A tuple-independent measure: the BID space whose blocks are all
-    singletons.
-
-    Construct via :func:`ti_construct`.  Query evaluation truncates the
-    canonical fact listing, so this type adds that listing; it also keeps
-    ``approx`` from being called on a space with real blocks.
-    """
-
-    @cached_property
-    def head(self) -> tuple[tuple[Fact, float], ...]:
-        """Positive-probability head facts in listing order."""
-        return tuple(self._head_probs.items())
-
-    def head_count(self) -> int:
-        return len(self.head)
-
-    def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
-        """The first n facts in canonical order (head first, then tail)."""
-        tail = () if self.tail is None else ((f, p) for _, f, p in self.tail.indexed_facts())
-        out = list(itertools.islice(itertools.chain(self.head, tail), n))
-        if len(out) < n:
-            raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
-        return out
-
-
 def bid_construct(
     partition: BlockPartition, assignment: FactProbabilityAssignment
 ) -> BIDPdb:
@@ -549,9 +534,10 @@ def bid_construct(
     return BIDPdb(partition, assignment)
 
 
-def ti_construct(assignment: FactProbabilityAssignment) -> TIPdb:
-    """Build a tuple-independent space, certifying that the mass is finite."""
-    return TIPdb(BlockPartition.singletons(), assignment)
+def ti_construct(assignment: FactProbabilityAssignment) -> BIDPdb:
+    """Build a tuple-independent space, the singleton-block BID space,
+    certifying that the mass is finite."""
+    return BIDPdb(BlockPartition.singletons(), assignment)
 
 
 # --- instance probabilities ----------------------------------------------
@@ -610,9 +596,8 @@ def _tail_one_minus_enclosure(
 
 def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Product of the present facts' probabilities, of ``1 - mass`` over the
-    untouched blocks, and of the enclosed absent-tail factors.
-
-    The caller guarantees that ``d`` has at most one fact per block.
+    untouched blocks, and of the enclosed absent-tail factors; zero when
+    two facts of ``d`` share a block.
     """
     log_present = 0.0
     touched: set[Hashable] = set()
@@ -623,7 +608,10 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
             return ProbabilityInterval.point(0.0)
         log_present += math.log(p) if p < 1.0 else 0.0
         if f in b._head_probs:
-            touched.add(b.partition.key(f))
+            key = b.partition.key(f)
+            if key in touched:
+                return ProbabilityInterval.point(0.0)
+            touched.add(key)
         else:
             tail_skip.append(f)
     log_absent = log_product_one_minus(
@@ -635,7 +623,7 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point)
 
 
-def ti_instance_prob(t: TIPdb, d: Instance) -> ProbabilityInterval:
+def ti_instance_prob(t: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Probability of drawing exactly the instance ``d``.
 
     Exact (a point interval) when the tail is absent; with a tail the
@@ -648,12 +636,10 @@ def bid_instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Probability of the instance: zero if two facts share a block, else
     the product of the touched facts' probabilities and the untouched
     blocks' remainder masses."""
-    if not is_good(b.partition, d):
-        return ProbabilityInterval.point(0.0)
     return _instance_prob(b, d)
 
 
-def ti_event_probs(t: TIPdb, fs: Sequence[Fact]) -> tuple[float, float]:
+def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
     """(probability all facts occur, probability at least one occurs)."""
     facts = list(fs)
     if len(set(facts)) != len(facts):
@@ -692,7 +678,7 @@ def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     return Instance(chosen)
 
 
-def ti_sample(t: TIPdb, rng, delta: float) -> Instance:
+def ti_sample(t: BIDPdb, rng, delta: float) -> Instance:
     """Draw an instance; within total-variation ``delta`` of the true law.
 
     Head facts are exact independent coin flips; the tail is truncated at

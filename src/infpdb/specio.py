@@ -46,7 +46,6 @@ from .independence import (
     GeometricTail,
     ProductSupply,
     Tail,
-    TIPdb,
     bid_construct,
     ti_construct,
 )
@@ -70,7 +69,7 @@ class SpecDocument(Record):
     def assignment(self) -> FactProbabilityAssignment:
         return FactProbabilityAssignment(self.head, self.tail)
 
-    def ti(self) -> TIPdb:
+    def ti(self) -> BIDPdb:
         return ti_construct(self.assignment())
 
     def bid(self) -> BIDPdb:
@@ -278,6 +277,17 @@ def _blocks_to_json(blocks: BlockPartition) -> dict:
     return out
 
 
+def _worlds(items: _Json, schema: Schema, universe: Universe) -> tuple[tuple[Instance, float], ...]:
+    """The world table; an instance listed twice is an error naming both entries."""
+    table, first = [], {}
+    for w in items.objects():
+        d = Instance(_facts(w.get("facts", []), schema, universe))
+        if first.setdefault(d, w) is not w:
+            raise w.error(f"lists the same instance as {first[d].path}")
+        table.append((d, w.done(w["p"].number())))
+    return tuple(table)
+
+
 def parse_spec(data) -> SpecDocument:
     """The document of a decoded spec file, read in one pass."""
     spec = _Json(data).fields()
@@ -304,10 +314,7 @@ def parse_spec(data) -> SpecDocument:
         kind, schema, universe, head,
         None if tail is None else _parse_tail(tail, schema, universe),
         None if blocks is None else _parse_blocks(blocks, schema, universe),
-        None if worlds is None else tuple(
-            (Instance(_facts(w.get("facts", []), schema, universe)), w.done(w["p"].number()))
-            for w in worlds.objects()
-        ),
+        None if worlds is None else _worlds(worlds, schema, universe),
     ))
 
 

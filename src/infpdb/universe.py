@@ -18,7 +18,6 @@ listing is a bijection with a computable inverse.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from .core import Fact, Schema
 from .record import Record
@@ -201,9 +200,3 @@ class FactEnumeration(Record):
         if len(f.args) != arity:
             raise ValueError(f"fact {f} has arity {len(f.args)}, schema says {arity}")
         return tuple_index(tuple(self.universe.element_index(e) for e in f.args))
-
-    def facts(self, start: int = 1) -> Iterator[Fact]:
-        k = start
-        while True:
-            yield self.fact_at(k)
-            k += 1

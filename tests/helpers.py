@@ -33,7 +33,7 @@ from infpdb.fo import (
     eval_boolean,
     free_variables,
 )
-from infpdb.independence import TIPdb
+from infpdb.independence import BIDPdb
 from infpdb.universe import Universe
 
 
@@ -153,7 +153,7 @@ def _type_profile_distribution(
 
 
 def reference_boolean_enclosure(
-    t: TIPdb,
+    t: BIDPdb,
     formula: Formula,
     universe: Universe,
     n_ref: int = 40,
@@ -171,7 +171,7 @@ def reference_boolean_enclosure(
     """
     assert not free_variables(formula)
     if t.tail is None:
-        n_ref = min(n_ref, t.head_count())
+        n_ref = min(n_ref, len(t.head))
     listed = t.facts_up_to(n_ref)
     relations = {f.relation for f, _ in listed} | {"R", "S"}
     assert all(len(f.args) == 1 for f, _ in listed), "reference handles unary schemas"
@@ -246,7 +246,7 @@ def reference_boolean_enclosure(
     else:
         beyond = []
         count = 0
-        skip = n_ref - t.head_count()
+        skip = n_ref - len(t.head)
         last_index = 0
         for i, _, p in t.tail.indexed_facts():
             if skip > 0:

@@ -1,5 +1,8 @@
+import ast
+import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,15 +16,19 @@ from infpdb.approx import (
 )
 from infpdb.core import Fact, Instance, Schema
 from infpdb.errors import WorldCapExceeded
-from infpdb.fo import eval_boolean, parse, substitute
+from infpdb.fo import And, Atom, Const, Not, Or, Var, constants, eval_boolean, parse, substitute
 from infpdb.independence import (
+    BIDPdb,
+    BlockPartition,
     EnumerationSupply,
     FactProbabilityAssignment,
     GeometricTail,
-    TIPdb,
+    bid_construct,
     ti_construct,
 )
 from infpdb.oracle import enumerate_worlds, exact_event_prob
+from infpdb.record import Record
+from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
 from helpers import random_sentence, reference_boolean_enclosure
@@ -30,6 +37,7 @@ NAT = Universe.naturals()
 R1 = Schema.of(R=1)
 S1 = Schema.of(S=1)
 RS = Schema.of(R=1, S=1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fact(rel, *args):
@@ -267,7 +275,7 @@ class TestApproxNonBoolean:
         def no_listing(self, n):
             raise AssertionError("facts were listed before the cap check")
 
-        monkeypatch.setattr(TIPdb, "facts_up_to", no_listing)
+        monkeypatch.setattr(BIDPdb, "facts_up_to", no_listing)
         with pytest.raises(WorldCapExceeded) as err:
             approx_nonboolean(t, parse("R(x)", R1), 0.1, NAT, cap=20)
         assert err.value.required == 736121
@@ -293,9 +301,9 @@ class TestApproxNonBoolean:
 
     def test_one_listing_serves_every_tuple(self, monkeypatch):
         listings = []
-        original = TIPdb.facts_up_to
+        original = BIDPdb.facts_up_to
         monkeypatch.setattr(
-            TIPdb, "facts_up_to", lambda self, n: listings.append(n) or original(self, n)
+            BIDPdb, "facts_up_to", lambda self, n: listings.append(n) or original(self, n)
         )
         head = tuple((fact("R", i), 0.5) for i in range(1, 6))
         t = ti_construct(FactProbabilityAssignment(head))
@@ -333,3 +341,85 @@ class TestSandwichProperty:
                 1.5 * dropped_mass
             ) <= 1 + eps and math.exp(-1.5 * dropped_mass) >= 1 - eps:
                 assert abs(conditioned - exact) <= eps
+
+
+def _block_outcome_probs(blocks, sentences):
+    """Probability of each sentence by listing every combination of block
+    outcomes: "no fact", weighted 1 minus the block's mass, or one fact.
+    Weights are plain products and the sums plain additions."""
+    outcomes = [[(None, 1.0 - sum(p for _, p in block))] + list(block) for block in blocks]
+    totals = [0.0] * len(sentences)
+    for world in itertools.product(*outcomes):
+        weight = 1.0
+        for _, p in world:
+            weight *= p
+        d = Instance([g for g, _ in world if g is not None])
+        for i, s in enumerate(sentences):
+            if eval_boolean(d, s, NAT):
+                totals[i] += weight
+    return totals
+
+
+def _lift(node, c):
+    """``node`` with every constant ``c`` replaced by the free variable x."""
+    if node == Const(c):
+        return Var("x")
+    if isinstance(node, tuple):
+        return tuple(_lift(part, c) for part in node)
+    if isinstance(node, Record):
+        return type(node)(*(_lift(getattr(node, name), c) for name in node._fields))
+    return node
+
+
+def random_bid_space(rng):
+    """A head-only BID space over R/1 and S/1 with explicit blocks, at
+    least one of which holds two or more facts."""
+    facts = rng.sample([fact(r, i) for r in "RS" for i in (1, 2, 3)], rng.randint(2, 6))
+    labels = {g: f"b{rng.randint(0, len(facts) // 2)}" for g in facts}
+    labels[facts[1]] = labels[facts[0]]
+    head = []
+    for label in sorted(set(labels.values())):
+        members = [g for g in facts if labels[g] == label]
+        weights = [rng.random() + 0.01 for _ in members]
+        mass = rng.choice([1.0, rng.random()])
+        head += [(g, mass * w / sum(weights)) for g, w in zip(members, weights)]
+    b = bid_construct(BlockPartition.explicit_blocks(labels), FactProbabilityAssignment(tuple(head)))
+    return b, list(b.blocks.values())
+
+
+class TestBlockWalk:
+    def test_matches_block_outcome_enumeration(self):
+        rng = random.Random(9)
+        for _ in range(120):
+            b, blocks = random_bid_space(rng)
+            assert max(map(len, blocks)) >= 2
+            sentence = random_sentence(rng, RS, max_rank=2)
+            [want] = _block_outcome_probs(blocks, [sentence])
+            assert abs(conditional_query_prob(b, sentence, len(b.head), NAT) - want) <= 1e-12
+            c = rng.choice((1, 2, 3))
+            # an open query: the sentence with constant c made the free x
+            shape = rng.choice([And(Atom(rng.choice("RS"), (Const(c),)), sentence), Not(sentence)])
+            open_query = Or(_lift(shape, c), Atom(rng.choice("RS"), (Var("x"),)))
+            table = approx_nonboolean(b, open_query, 0.1, NAT)
+            elements = {g.args[0] for block in blocks for g, _ in block} | constants(open_query)
+            assert set(table) == {(e,) for e in elements}
+            combos = sorted(table)
+            wants = _block_outcome_probs(blocks, [substitute(open_query, {"x": e}) for e, in combos])
+            for combo, want in zip(combos, wants):
+                assert abs(table[combo] - want) <= 1e-12
+
+    def test_golden_bid_queries_match_block_outcome_enumeration(self):
+        doc = load_spec(GOLDEN / "bid.json")
+        b = doc.space()
+        sentence = parse((GOLDEN / "query.txt").read_text(), doc.schema)
+        open_query = parse((GOLDEN / "open_query.txt").read_text(), doc.schema)
+        # the head blocks whole, then the tail facts up to the certified n
+        n = choose_truncation(b, 0.1).n
+        blocks = [*b.blocks.values(), *((g,) for g in b.facts_up_to(n)[len(b.head):])]
+        printed = (GOLDEN / "bid.query.out").read_text().splitlines()[0]
+        [want] = _block_outcome_probs(blocks, [sentence])
+        assert printed == f"probability = {want:.6f} (additive error <= 0.1)"
+        rows = [line.split("\t") for line in (GOLDEN / "bid.open_query.out").read_text().splitlines()[:-1]]
+        elements = [ast.literal_eval(key) for key, _ in rows]  # "(1)" is 1, "('1')" is '1'
+        wants = _block_outcome_probs(blocks, [substitute(open_query, {"x": e}) for e in elements])
+        assert [value for _, value in rows] == [f"{w:.6f}" for w in wants]

@@ -323,6 +323,13 @@ class TestValidate:
         spec["tail"] = {}
         self._assert_rejected(spec, "tail.c is missing", tmp_path, capsys)
 
+    @pytest.mark.parametrize("kind", ["finite", "completion"])
+    def test_repeated_world_names_both_paths(self, kind, tmp_path, capsys):
+        r1 = {"facts": [{"relation": "R", "args": [1]}], "p": "0.25"}
+        spec = {"kind": kind, "schema": {"R": 1}, "universe": {"kind": "naturals"},
+                "worlds": [{"facts": [], "p": "0.5"}, r1, dict(r1)]}
+        self._assert_rejected(spec, "worlds[2] lists the same instance as worlds[1]", tmp_path, capsys)
+
     @pytest.mark.parametrize("raw, message", [
         ([], "instance must be a JSON object, got list"),
         ({"facts": 5}, "facts must be a list, got 5"),
@@ -487,6 +494,33 @@ class TestQuery:
         assert "probability = 0.250000" in captured.out
         assert "Traceback" not in captured.err
 
+    def test_bid_query_keeps_blocks_exclusive(self, tmp_path, capsys):
+        spec = {
+            "kind": "bid",
+            "schema": {"R": 2},
+            "universe": {"kind": "naturals"},
+            "blocks": {"keys": {"R": 1}},
+            "head_facts": [
+                {"relation": "R", "args": [1, 1], "p": "0.5"},
+                {"relation": "R", "args": [1, 2], "p": "0.25"},
+            ],
+        }
+        spath, qpath = tmp_path / "bid.json", tmp_path / "q.txt"
+        spath.write_text(json.dumps(spec))
+        # both facts share the block of key 1, so they never occur together
+        qpath.write_text("R(1, 1) & R(1, 2)")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert "probability = 0.000000" in capsys.readouterr().out
+        qpath.write_text("R(1, 1) | R(1, 2)")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert "probability = 0.750000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["finite", "completion"])
+    def test_query_needs_ti_or_bid(self, kind, query_file, capsys):
+        spec = str(Path(__file__).resolve().parent / "golden" / f"{kind}.json")
+        assert main(["query", spec, "--query", query_file, "--epsilon", "0.1"]) == 2
+        assert f"query evaluation needs a ti or bid spec, got kind {kind!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
     def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):
         monkeypatch.setenv("PDB_WORLD_CAP", raw)
@@ -605,6 +639,11 @@ class TestOracleCompare:
             == 2
         )
         assert "MISMATCH" in capsys.readouterr().err
+
+    def test_bid_spec_is_refused(self, query_file, capsys):
+        spec = str(Path(__file__).resolve().parent / "golden" / "bid.json")
+        assert main(["oracle-compare", spec, "--query", query_file]) == 2
+        assert "oracle comparison needs a TI spec, got kind 'bid'" in capsys.readouterr().err
 
     def test_empty_spec_trivial_agreement(self, tmp_path, query_file, capsys):
         spec = {"kind": "ti", "schema": {"R": 2},

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import math
 import os
 import re
@@ -52,9 +53,9 @@ def cli_cases() -> dict[str, list[str]]:
     cases["ti_product.prob"] = [
         "prob", _g("ti_product.json"), "--instance", _g("ti_product.instance.json")
     ]
-    for query in ("query", "open_query"):
-        cases[f"ti_head.{query}"] = [
-            "query", _g("ti_head.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"
+    for space, query in itertools.product(("ti_head", "bid"), ("query", "open_query")):
+        cases[f"{space}.{query}"] = [
+            "query", _g(f"{space}.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"
         ]
     return cases
 

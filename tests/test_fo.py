@@ -77,10 +77,17 @@ class TestParse:
         assert f == And(Atom("R", (Const(7),)), Atom("R", (Const("abc"),)))
 
     def test_string_constant_with_a_tab_round_trips(self):
-        f = parse("!(y = '\t')", S1)
-        assert f == Not(Eq(Var("y"), Const("\t")))
-        assert print_formula(f) == "!y = '\t'"
-        assert parse(print_formula(f), S1) == f
+        # inside a string constant, a doubled quote stands for one quote
+        for text, value, printed in [
+            ("!(y = '\t')", "\t", "!y = '\t'"),
+            ("!(y = 'a''b')", "a'b", "!y = 'a''b'"),
+            ("!(y = '''')", "'", "!y = ''''"),
+        ]:
+            f = parse(text, S1)
+            assert f == Not(Eq(Var("y"), Const(value)))
+            assert print_formula(f) == printed
+            assert parse(print_formula(f), S1) == f
+        assert print_formula(Eq(Var("x"), Const("a'b"))) == "x = 'a''b'"
 
     @pytest.mark.parametrize("text, position", [("R(\u00b2)", 2), ("R(1\u00b2)", 3), ("R(\u0663)", 2)])
     def test_only_ascii_digits_make_an_integer(self, text, position):

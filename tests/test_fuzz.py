@@ -50,7 +50,7 @@ VALUES = st.one_of(
     ]),
 )
 QUERY_PIECES = st.sampled_from(
-    [*"()!&|=,.'xyzRS019 \t_A", "->", "exists ", "forall ", "²", "R(x, y)", "'1'"]
+    [*"()!&|=,.'xyzRS019 \t_A", "->", "exists ", "forall ", "²", "R(x, y)", "'1'", "''", "'a''b'"]
 )
 
 

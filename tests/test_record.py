@@ -129,11 +129,7 @@ def _certificate(n, tail_sum):
 
 ARGUMENTS = {
     TruncationCertificate: st.builds(_certificate, st.integers(0, 30), st.floats(0.0, 0.01)),
-    Completion: st.builds(
-        lambda lo, width: (FINITE, TAIL_PDB, ProbabilityInterval(lo, min(1.0, lo + width))),
-        probabilities,
-        st.floats(0.0, 0.1),
-    ),
+    Completion: st.just((FINITE, TAIL_PDB)),
     Schema: schemas.map(lambda s: (s.relations,)),
     Var: st.tuples(names),
     Const: st.tuples(st.integers(-3, 3) | st.text("ab", max_size=2)),
