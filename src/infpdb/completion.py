@@ -68,8 +68,15 @@ def head_worlds(t: BIDPdb, schema: Schema, universe: Universe) -> FiniteDiscrete
 
 
 def check_closed(p0: FiniteDiscretePDB) -> None:
-    """Raise :class:`NotClosed` naming a missing subset or union."""
+    """Raise :class:`NotClosed` naming a missing subset or union.
+
+    A family closed under subsets and unions is the power set of its
+    facts, so a count decides the common case; only an open family is
+    searched, for a missing instance to name.
+    """
     worlds = set(p0.worlds)
+    if len(worlds) == 2 ** len(facts_of(p0)):
+        return
     for d in worlds:
         for r in range(len(d)):
             for combo in combinations(d.facts, r):

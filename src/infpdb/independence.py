@@ -31,6 +31,7 @@ so the two share one type, construction, instance probabilities and sampler.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from functools import cached_property
@@ -477,7 +478,8 @@ class BIDPdb:
         # the positive-probability head facts, block by block
         self.head = tuple(fp for facts in self.blocks.values() for fp in facts)
         self._head_probs = dict(self.head)
-        self._tail_plans: dict[float, tuple[tuple[Fact, float], ...]] = {}
+        self._tail_plans: dict[float, TailSkipPlan] = {}
+        self._tail_groups: dict[int, tuple[Fact, ...]] = {}
 
     def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
         """The first n facts in canonical order (head first, then tail)."""
@@ -492,16 +494,46 @@ class BIDPdb:
         """Per block, the probability that none of its facts occurs."""
         return {k: max(0.0, 1.0 - m) for k, m in self.masses.items()}
 
-    def tail_sampling_plan(self, delta: float) -> tuple[tuple[Fact, float], ...]:
-        """Truncated tail fact list for sampling, cached per tolerance."""
+    def tail_sampling_plan(self, delta: float) -> TailSkipPlan | None:
+        """The first ``truncation_count(delta)`` tail facts as the sampler
+        reads them, cached per tolerance; ``None`` without a tail.
+
+        The plan holds floats per index group.  The only facts it lists
+        are those with p >= 1, which every draw holds; the others are
+        built when first drawn (:meth:`tail_group`).
+        """
         if self.tail is None:
-            return ()
+            return None
         plan = self._tail_plans.get(delta)
         if plan is None:
-            n = self.tail.truncation_count(delta)
-            plan = tuple((f, p) for _, f, p in itertools.islice(self.tail.indexed_facts(), n))
-            self._tail_plans[delta] = plan
+            plan = self._tail_plans[delta] = self._skip_plan(self.tail.truncation_count(delta))
         return plan
+
+    def _skip_plan(self, n: int) -> TailSkipPlan:
+        tail, sure, runs = self.tail, [], []
+        m, c, q, first = tail.supply.multiplicity, tail.c, tail.q, tail.supply.first_index
+        last = tail.group_of(n - 1) if n else first - 1
+        # group i lists m facts less its excluded ones; the last, only up to fact n
+        dropped = collections.Counter(i for i in tail._excluded_indices if i <= last)
+        dropped[last] += tail.listed_through(last) - n
+        for i in range(first, last + 1):
+            count, p = m - dropped[i], c * q**i
+            if p >= 1.0:
+                sure.extend(self.tail_group(i)[:count])
+            elif count:
+                runs.append((i, count, -math.log1p(-p)))
+        ends = tuple(itertools.accumulate(k * w for _, k, w in runs))
+        return TailSkipPlan(tuple(sure), tuple(runs), ends)
+
+    def tail_group(self, i: int) -> tuple[Fact, ...]:
+        """The listed tail facts of index group ``i``, in listing order,
+        built on first use and kept for the life of the space."""
+        facts = self._tail_groups.get(i)
+        if facts is None:
+            exclude = self.tail.exclude
+            facts = tuple(f for f in self.tail.supply.facts_at(i) if f not in exclude)
+            self._tail_groups[i] = facts
+        return facts
 
     @property
     def expected_size(self) -> float:
@@ -661,6 +693,51 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
 
 
+class TailSkipPlan(Record):
+    """The first n listed tail facts, as the skip sampler reads them.
+
+    ``sure`` holds the facts with p >= 1, which every draw holds.  The
+    others form runs, one per index group with a listed fact among the
+    first n: run j is ``(i, count, w)`` for the first ``count`` listed
+    facts of group i, each of weight ``w = -log1p(-p)``, and ``ends[j]``
+    is the sum of the weights of every fact through run j.
+    """
+
+    sure: tuple[Fact, ...]
+    runs: tuple[tuple[int, int, float], ...]
+    ends: tuple[float, ...]
+
+
+def _draw_tail(b: BIDPdb, plan: TailSkipPlan, rng, chosen: list[Fact]) -> None:
+    """Add the tail facts of one draw to ``chosen``.
+
+    No fact in a stretch of total weight w occurs with probability
+    ``exp(-w)``, so the next fact to occur is the one in whose weight the
+    running sum plus an Exp(1) variate falls.  Each step adds one variate
+    and bisects over the runs, and stops past the last run.
+    """
+    chosen.extend(plan.sure)
+    runs, ends = plan.runs, plan.ends
+    total, j, r = 0.0, 0, 0  # the weight before fact r of run j
+    while True:
+        total -= math.log(1.0 - rng.random())
+        hit = bisect.bisect_right(ends, total, j)
+        if hit == len(ends):
+            return
+        if hit > j:
+            j, r = hit, 0
+        group, count, w = runs[j]
+        begin = ends[j - 1] if j else 0.0
+        # rounding may place the sum on a fact already passed or past the run
+        r = min(max(r, int((total - begin) / w)), count - 1)
+        chosen.append(b.tail_group(group)[r])
+        r += 1
+        if r == count:
+            total, j, r = ends[j], j + 1, 0
+        else:
+            total = begin + r * w
+
+
 def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     _check_delta(delta)
     chosen: list[Fact] = []
@@ -672,25 +749,29 @@ def _draw(b: BIDPdb, rng, delta: float) -> Instance:
             if x < acc:
                 chosen.append(f)
                 break
-    for f, p in b.tail_sampling_plan(delta):
-        if rng.random() < p:
-            chosen.append(f)
+    if b.tail is not None:
+        _draw_tail(b, b.tail_sampling_plan(delta), rng, chosen)
     return Instance(chosen)
 
 
 def ti_sample(t: BIDPdb, rng, delta: float) -> Instance:
     """Draw an instance; within total-variation ``delta`` of the true law.
 
-    Head facts are exact independent coin flips; the tail is truncated at
-    the first point where the unseen mass is at most ``delta`` (a fact
-    beyond the truncation occurs with probability at most that mass).
+    Head facts are exact independent coin flips.  The tail is truncated
+    at the first point where the unseen mass is at most ``delta`` (a fact
+    beyond the truncation occurs with probability at most that mass), and
+    its first n facts occur independently, each with its probability.
+    Facts with p >= 1 always occur; among the others the draw jumps from
+    one occurring fact to the next (:func:`_draw_tail`), so it costs
+    O(head blocks + (1 + tail facts drawn) * log n) and builds a fact only
+    when it is drawn.
     """
     return _draw(t, rng, delta)
 
 
 def bid_sample(b: BIDPdb, rng, delta: float) -> Instance:
     """Draw an instance: one categorical outcome per block, tail truncated
-    as in :func:`ti_sample`.
+    and drawn as in :func:`ti_sample`.
 
     Every sampled instance is good by construction.
     """

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infpdb.completion import (
     bounded_tail_validate,
@@ -80,6 +82,33 @@ class TestClosureCheck:
         }
         with pytest.raises(NotClosed):
             check_closed(closed_space(worlds))
+
+
+def brute_force_gap(family):
+    """Whether some subset of a member, or some union of two members, is
+    missing from the family."""
+    for d in family:
+        for r in range(len(d)):
+            if any(Instance(combo) not in family for combo in itertools.combinations(d.facts, r)):
+                return True
+    return any(a.union(b) not in family for a in family for b in family)
+
+
+families = st.sets(
+    st.frozensets(st.integers(min_value=1, max_value=4)), min_size=1, max_size=16
+).map(lambda sets: {Instance(map(fact, s)) for s in sets})
+
+
+class TestClosureCountProperty:
+    @given(families)
+    def test_raises_exactly_on_a_gap(self, family):
+        p = closed_space({d: 1 / len(family) for d in family})
+        if brute_force_gap(family):
+            with pytest.raises(NotClosed) as err:
+                check_closed(p)
+            assert err.value.missing not in family
+        else:
+            check_closed(p)
 
 
 class TestClosureExtend:

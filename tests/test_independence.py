@@ -606,3 +606,126 @@ class TestBidSample:
         n = 100_000
         hits = sum(fact("R", 1) in bid_sample(b, rng, 0.5) for _ in range(n))
         assert 0.2957 <= hits / n <= 0.3044
+
+
+def truncated_units(space, delta):
+    """The exact truncated law as independent units: each head block, then
+    each of the first ``truncation_count(delta)`` tail facts on its own.
+    At most one fact of a unit occurs; fact f with probability p."""
+    n = space.tail.truncation_count(delta)
+    tail = [((f, p),) for _, f, p in itertools.islice(space.tail.indexed_facts(), n)]
+    return list(space.blocks.values()) + tail
+
+
+def size_law(units):
+    """Probability of each instance size: a unit adds one fact with
+    probability its mass (at most 1)."""
+    law = [1.0]
+    for unit in units:
+        q = min(math.fsum(p for _, p in unit), 1.0)
+        law = [a * (1 - q) + b * q for a, b in zip(law + [0.0], [0.0] + law)]
+    return law
+
+
+def assert_frequency(hits, draws, p, what):
+    """hits / draws within 5 sigma of p; never a hit at p = 0."""
+    p = min(p, 1.0)
+    slack = 5 * math.sqrt(p * (1 - p) / draws)
+    assert abs(hits / draws - p) <= slack, (what, hits / draws, p)
+
+
+def sampler_spaces():
+    """(space, delta, pairs): an enumeration tail, a product supply whose
+    exclusions leave groups of 1, 2 and 3 facts, and a BID space with head
+    blocks; each pair names two facts whose joint frequency is checked.
+    The last two truncations end inside an index group."""
+    enum = ti_construct(FactProbabilityAssignment((), geometric_tail(c=1.0, q=0.7)))
+    product = ti_construct(FactProbabilityAssignment(((fact("S", 1), 0.4),), product_tail(
+        (1, 2, 3), exclude=[fact("R", 1, 1), fact("R", 2, 2), fact("R", 3, 2)], c=1.2, q=0.6
+    )))
+    e = FactEnumeration(Schema.of(R=2, S=2), NAT)
+    heads = ((fact("S", 1, 1), 0.3), (fact("S", 1, 2), 0.5), (fact("S", 2, 1), 0.6),
+             (fact("S", 3, 1), 0.25))
+    bid_tail = GeometricTail(ProductSupply(e, "R", 2, ((1, (1, 2)),)), c=0.8, q=0.5)
+    bid = bid_construct(BlockPartition.by_keys(S=1), FactProbabilityAssignment(heads, bid_tail))
+    return {
+        "enumeration": (enum, 1e-3, [(fact("R", 2), fact("R", 3)), (fact("R", 1), fact("R", 5))]),
+        "product": (product, 1e-2, [(fact("R", 1, 3), fact("R", 3, 3)),     # one group
+                                    (fact("R", 2, 1), fact("R", 1, 2)),     # two groups
+                                    (fact("S", 1), fact("R", 3, 1))]),
+        "bid": (bid, 1e-2, [(fact("R", 1, 2), fact("R", 2, 2)),
+                            (fact("R", 1, 1), fact("R", 2, 3)),
+                            (fact("S", 1, 1), fact("S", 1, 2)),             # one head block
+                            (fact("S", 1, 2), fact("R", 2, 1))]),
+    }
+
+
+class TestSkipSampler:
+    @pytest.mark.parametrize("name", sorted(sampler_spaces()))
+    def test_matches_the_truncated_law(self, name):
+        """Marginals, joint frequencies and instance sizes of 20,000 draws
+        against the exact law of the truncated space."""
+        space, delta, pairs = sampler_spaces()[name]
+        units = truncated_units(space, delta)
+        probs = {f: p for unit in units for f, p in unit}
+        unit_of = {f: k for k, unit in enumerate(units) for f, _ in unit}
+        draws = 20_000
+        rng = random.Random(sorted(sampler_spaces()).index(name))
+        counts, joint, sizes = dict.fromkeys(probs, 0), dict.fromkeys(pairs, 0), [0] * (len(units) + 1)
+        for _ in range(draws):
+            d = space.sample(rng, delta)
+            assert set(d.facts) <= probs.keys(), "a fact past the truncation was drawn"
+            for f in d:
+                counts[f] += 1
+            for a, b in pairs:
+                joint[a, b] += a in d and b in d
+            sizes[len(d)] += 1
+        for f, p in probs.items():
+            assert_frequency(counts[f], draws, p, f)
+        for a, b in pairs:
+            p = 0.0 if unit_of[a] == unit_of[b] else probs[a] * probs[b]
+            assert_frequency(joint[a, b], draws, p, (a, b))
+        for size, p in enumerate(size_law(units)):
+            assert_frequency(sizes[size], draws, p, f"size {size}")
+
+    @pytest.mark.parametrize("supply, c", [("enumeration", 2.0), ("product", 2.0),
+                                           ("enumeration", 2.0 * (1 + 1e-13))])
+    def test_facts_with_probability_one_always_occur(self, supply, c):
+        """c * q**first may reach 1 (the rule check allows 1 + 1e-12); such
+        facts are drawn every time and the rest keep their law."""
+        tail = geometric_tail(c=c, q=0.5) if supply == "enumeration" else product_tail((1, 2), c=c)
+        space = ti_construct(FactProbabilityAssignment((), tail))
+        sure = space.tail_group(1)
+        assert tail.rule_value(1) >= 1.0
+        draws, rng, total = 5_000, random.Random(3), 0
+        for _ in range(draws):
+            d = space.sample(rng, 1e-9)
+            assert set(sure) <= set(d.facts)
+            total += len(d)
+        variance = math.fsum(p * (1 - p) for _, _, p in itertools.islice(tail.indexed_facts(), 200))
+        assert abs(total / draws - space.expected_size) <= 5 * math.sqrt(variance / draws)
+
+    def test_slow_tail_builds_only_drawn_facts(self, monkeypatch):
+        """At q = 0.999 and delta = 1e-9 the truncation keeps over 20,000
+        facts, yet a draw lists none of them: facts are built only for the
+        index groups drawn, once each, and the listing is never walked."""
+        tail = geometric_tail(c=0.01, q=0.999)
+        space = ti_construct(FactProbabilityAssignment((), tail))
+        assert tail.truncation_count(1e-9) > 20_000
+        built = []
+
+        def counted(self, i, listing=EnumerationSupply.facts_at):
+            built.append(i)
+            return listing(self, i)
+
+        def no_walk(self):
+            raise AssertionError("the tail was listed")
+
+        monkeypatch.setattr(EnumerationSupply, "facts_at", counted)
+        monkeypatch.setattr(GeometricTail, "indexed_facts", no_walk)
+        rng, drawn = random.Random(11), set()
+        for _ in range(50):
+            drawn.update(space.sample(rng, 1e-9))
+        groups = {tail.supply.intrinsic_index(f) for f in drawn}
+        assert sorted(built) == sorted(groups)
+        assert 0 < len(built) < 1_000
