@@ -56,6 +56,7 @@ from .completion import (
 )
 from .fo import (
     INFINITE_ANSWER,
+    Fresh,
     View,
     analyze,
     eval_boolean,
@@ -71,7 +72,7 @@ from .approx import (
     choose_truncation,
     conditional_query_prob,
 )
-from .oracle import enumerate_worlds, exact_event_prob, monte_carlo
+from .oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob, monte_carlo
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

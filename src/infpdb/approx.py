@@ -1,18 +1,20 @@
-"""Additive-error evaluation of first-order queries on BID and TI spaces.
+"""Additive-error evaluation of first-order queries on every kind of space.
 
-The query probability is approximated by conditioning on the event that
-only the first n facts of the canonical listing occur: the whole head,
-then the first tail facts.  The truncation index n is chosen so that (a)
-every fact beyond it has probability at most 1/2 and (b) ``exp(alpha) <=
-1 + eps`` and ``exp(-alpha) >= 1 - eps`` for ``alpha = (3/2) * (mass
-beyond n)``; the tail's closed-form mass yields that n without listing
-the tail.  The exponential tail bound then sandwiches the conditioned
-value within an additive ``eps`` of the true probability.  Conditioned
-on the truncation event, the space is a finite BID space: the head
-blocks kept whole, and each listed tail fact as a singleton block.  Its
-worlds are enumerated block by block, exponentially in the number of
-blocks holding a fact whose relation the query mentions; the cap, with
-an environment override, still applies to n.
+:func:`head_blocks` reads each space as independent blocks of disjoint
+(facts, probability) outcomes, then a tail of facts.  The query
+probability is approximated by conditioning on the event that only the
+first n facts occur: every head fact, then the first tail facts.  The
+truncation index n is chosen so that (a) every fact beyond it has
+probability at most 1/2 and (b) ``exp(alpha) <= 1 + eps`` and
+``exp(-alpha) >= 1 - eps`` for ``alpha = (3/2) * (mass beyond n)``; the
+tail's closed-form mass yields that n without listing the tail.  The
+exponential tail bound then sandwiches the conditioned value within an
+additive ``eps`` of the true probability.  Conditioned on the truncation
+event, the space is finite: the head blocks kept whole, and each listed
+tail fact as a singleton block.  Its worlds are enumerated block by
+block, exponentially in the number of blocks with an outcome whose
+relations the query mentions; the cap, with an environment override,
+still applies to n.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -25,16 +27,20 @@ import itertools
 import math
 import os
 
-from .core import Fact, Instance
+from .completion import Completion
+from .core import Fact, FiniteDiscretePDB, Instance, facts_of
 from .errors import WorldCapExceeded
-from .fo import Formula, constants, eval_boolean, free_variables, relations_of, substitute
-from .independence import BIDPdb
+from .fo import Formula, Fresh, constants, eval_boolean, free_variables, relations_of, substitute
+from .independence import BIDPdb, GeometricTail
 from .numerics import CompensatedAccumulator
 from .record import Record
 from .universe import Element, Universe
 
 DEFAULT_WORLD_CAP = 25
 WORLD_CAP_ENV = "PDB_WORLD_CAP"
+
+Space = BIDPdb | FiniteDiscretePDB | Completion
+Block = tuple[tuple[tuple[Fact, ...], float], ...]  # disjoint (facts, probability) outcomes
 
 
 def world_cap() -> int:
@@ -68,7 +74,21 @@ class TruncationCertificate(Record):
             raise ValueError("certificate violates exp(-alpha) >= 1 - eps")
 
 
-def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
+def head_blocks(space: Space) -> tuple[list[Block], int, GeometricTail | None]:
+    """(head blocks, head fact count, tail) of a space of any kind.  A BID
+    block's outcomes are its single facts; a finite table is one block whose
+    outcomes are its non-empty worlds; a completion is its table's block,
+    then the head blocks and tail of its fresh-fact space."""
+    if isinstance(space, Completion):
+        table, h, _ = head_blocks(space.original)
+        blocks, k, tail = head_blocks(space.tail_pdb)
+        return table + blocks, h + k, tail
+    if isinstance(space, FiniteDiscretePDB):
+        return [tuple((d.facts, p) for d, p in space.worlds.items() if d)], len(facts_of(space)), None
+    return [tuple(((f,), p) for f, p in block) for block in space.blocks.values()], len(space.head), space.tail
+
+
+def choose_truncation(t: Space, epsilon: float) -> TruncationCertificate:
     """Smallest truncation point satisfying both exponential conditions.
 
     Head facts are always included; the tail's closed-form unseen mass
@@ -78,21 +98,20 @@ def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
     if math.isnan(epsilon) or not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     allowed = min(math.log1p(epsilon), -math.log1p(-epsilon))
-    h = len(t.head)
-    if t.tail is None:
+    _, h, tail = head_blocks(t)
+    if tail is None:
         return TruncationCertificate(n=h, alpha_n=0.0, tail_sum=0.0, epsilon=epsilon)
     # every unseen mass at or below this bound passes 1.5 * unseen <= allowed
     bound = allowed / 1.5
     while 1.5 * bound > allowed:
         bound = math.nextafter(bound, 0.0)
-    k = t.tail.position(bound, p_max=0.5)
-    unseen, _ = t.tail.mass_after(k)
+    k = tail.position(bound, p_max=0.5)
+    unseen, _ = tail.mass_after(k)
     return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
 
 
-def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[tuple[tuple[Fact, float], ...]]:
-    """Every head block whole, then each of the first ``n - len(t.head)``
-    tail facts as its own block."""
+def _truncated_blocks(t: Space, n: int, cap: int | None) -> list[Block]:
+    """Every head block whole, then each tail fact up to n as its own block."""
     limit = world_cap() if cap is None else cap
     if n > limit:
         raise WorldCapExceeded(
@@ -101,60 +120,67 @@ def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[tuple[tuple[Fa
             required=n,
             cap=limit,
         )
-    if n < len(t.head):
-        raise ValueError(f"truncation keeps the head whole: n = {n} is below its {len(t.head)} facts")
-    return [*t.blocks.values(), *((fact,) for fact in t.facts_up_to(n)[len(t.head):])]
+    blocks, h, tail = head_blocks(t)
+    if n < h or tail is None and n > h:
+        raise ValueError(f"truncation keeps the {h} head facts whole and then lists tail facts: n = {n}")
+    listed = () if tail is None else itertools.islice(tail.indexed_facts(), n - h)
+    return blocks + [(((fact,), p),) for _, fact, p in listed]
 
 
-def _world_walk(blocks: list[tuple], sentences: list[Formula], universe: Universe) -> list[float]:
-    """Exact probability of each sentence on the finite BID space of ``blocks``.
+def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
+    """Exact probability of each sentence on the finite space of ``blocks``.
 
-    Each block branches over "no fact", weighted 1 minus the mass it keeps,
-    then over each kept fact.  Facts of relations no sentence mentions are
-    not kept: their mass joins "no fact", and their elements act as generics.
+    Outcomes are cut down to the facts of relations some sentence mentions,
+    and equal cuts merged; the elements of the facts cut away act as
+    generics.  Each block branches over "no outcome", weighted 1 minus the
+    mass it keeps, then over each kept outcome.
     """
     relations = frozenset().union(*map(relations_of, sentences))
-    kept = [(facts, 1.0 - math.fsum(p for _, p in facts)) for block in blocks
-            if (facts := [(fact, p) for fact, p in block if fact.relation in relations and p > 0.0])]
+    kept = []
+    for block in blocks:
+        merged = {}
+        for facts, p in block:
+            if p > 0.0 and (cut := tuple(g for g in facts if g.relation in relations)):
+                merged[cut] = merged.get(cut, 0.0) + p
+        if merged:
+            kept.append((list(merged.items()), 1.0 - math.fsum(merged.values())))
     accs = [CompensatedAccumulator() for _ in sentences]
 
-    def descend(i: int, chosen: list, weight: float) -> None:
+    def descend(i: int, chosen: tuple[Fact, ...], weight: float) -> None:
         if i == len(kept):
             d = Instance(chosen)
             for f, acc in zip(sentences, accs):
                 if eval_boolean(d, f, universe):
                     acc.add(weight)
             return
-        facts, none = kept[i]
+        outcomes, none = kept[i]
         if none > 0.0:
             descend(i + 1, chosen, weight * none)
-        for fact, p in facts:
-            chosen.append(fact)
-            descend(i + 1, chosen, weight * p)
-            chosen.pop()
+        for facts, p in outcomes:
+            descend(i + 1, chosen + facts, weight * p)
 
-    descend(0, [], 1.0)
+    descend(0, (), 1.0)
     return [min(max(acc.value, 0.0), 1.0) for acc in accs]
 
 
 def conditional_query_prob(
-    t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
+    t: Space, f: Formula, n: int, universe: Universe, cap: int | None = None
 ) -> float:
     """Exact query probability conditioned on seeing only the first n facts.
 
     Conditioned on the truncation event, the head blocks and the first
-    ``n - len(t.head)`` tail facts form a finite block-independent space
-    with the original fact probabilities; its worlds are enumerated
-    exactly.  ``n`` must cover the head.
+    ``n - h`` tail facts form a finite block-independent space with the
+    original outcome probabilities; its worlds are enumerated exactly.
+    ``n`` must cover the ``h`` head facts.
     """
     free = free_variables(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    return _world_walk(_truncated_blocks(t, n, cap), [f], universe)[0]
+    return world_walk(_truncated_blocks(t, n, cap), [f], universe)[0]
 
 
 def approx_boolean(
-    t: BIDPdb, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
+    t: Space, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
 ) -> tuple[float, TruncationCertificate]:
     """Additively eps-accurate probability of a Boolean query.
 
@@ -167,18 +193,23 @@ def approx_boolean(
 
 
 def approx_nonboolean(
-    t: BIDPdb,
+    t: Space,
     f: Formula,
     epsilon: float,
     universe: Universe,
     cap: int | None = None,
-) -> dict[tuple[Element, ...], float]:
+) -> dict[tuple, float]:
     """Per-tuple marginals of an open query, each additively eps-accurate.
 
-    The formula is grounded over every tuple of elements from the
-    truncated facts and the formula's own constants.  Any tuple outside
-    that candidate set can only be an answer in a world beyond the
-    truncation, so its marginal is at most eps and it is not reported.
+    The formula is grounded over every tuple of candidates: the elements of
+    the truncated facts and the formula's constants.  On the truncation
+    event any other element is generic, so two tuples that agree on their
+    candidates and whose other elements repeat at the same positions have
+    one value.  Each such pattern is grounded once, on fresh elements in
+    first-use order, and returned when non-zero, keyed by ``Fresh(j)`` for
+    its j-th fresh element; a tuple of no returned key has a marginal of at
+    most eps.  Keys come in lexicographic order, with candidates sorted and
+    fresh elements last.
     """
     free = free_variables(f)
     if not free:
@@ -186,9 +217,20 @@ def approx_nonboolean(
     cert = choose_truncation(t, epsilon)
     blocks = _truncated_blocks(t, cert.n, cap)
     elements: set[Element] = set(constants(f))
-    for fact, _ in itertools.chain.from_iterable(blocks):
-        elements.update(fact.args)
+    for facts, _ in itertools.chain.from_iterable(blocks):
+        for fact in facts:
+            elements.update(fact.args)
     candidates = sorted(elements, key=lambda e: (isinstance(e, str), e))
-    combos = list(itertools.product(candidates, repeat=len(free)))
+    fresh = universe.fresh_elements(elements, len(free))
+    combos = []
+    for combo in itertools.product(candidates + fresh, repeat=len(free)):
+        used = [e for e in dict.fromkeys(combo) if e in fresh]
+        if used == fresh[: len(used)]:
+            combos.append(combo)
     grounded = [substitute(f, dict(zip(free, combo))) for combo in combos]
-    return dict(zip(combos, _world_walk(blocks, grounded, universe)))
+    names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}
+    table = {}
+    for combo, p in zip(combos, world_walk(blocks, grounded, universe)):
+        if p > 0.0 or names.keys().isdisjoint(combo):
+            table[tuple(names.get(e, e) for e in combo)] = p
+    return table

@@ -13,10 +13,12 @@ Subcommands::
 Every spec kind loads into a space offering ``expected_size``,
 ``instance_prob`` and ``sample`` (a ``ti`` space is the ``bid`` space with
 singleton blocks), so ``expected-size``, ``prob`` and ``sample`` never ask
-which kind they have.  ``query`` takes a ``ti`` or ``bid`` spec: it keeps
-the head blocks whole, treats each tail fact up to the certified
-truncation as a singleton block, and walks the worlds block by block.
-``oracle-compare`` needs a ``ti`` spec.
+which kind they have.  Nor do ``query`` and ``oracle-compare``: they read
+every space as independent blocks of disjoint fact-set outcomes, then a
+tail (``approx.head_blocks``).  ``query`` keeps the head blocks whole,
+treats each tail fact up to the certified truncation as a singleton
+block, and walks the worlds block by block.  ``oracle-compare`` needs a
+space without a tail.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 capability (enumeration caps).
 The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) sets
@@ -39,7 +41,6 @@ import sys
 from . import approx, completion as completion_mod, fo, oracle
 from .core import FiniteDiscretePDB
 from .errors import PdbError, ValidationError, WorldCapExceeded
-from .independence import ti_event_probs
 from .numerics import ProbabilityInterval
 from .specio import (
     SpecDocument,
@@ -124,8 +125,6 @@ def cmd_query(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     doc = load_spec(args.spec)
-    if doc.kind not in ("ti", "bid"):
-        raise ValidationError(f"query evaluation needs a ti or bid spec, got kind {doc.kind!r}")
     t = doc.space()
     with open(args.query, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -140,12 +139,13 @@ def cmd_query(args) -> int:
         )
     else:
         table = approx.approx_nonboolean(t, formula, args.epsilon, doc.universe, cap=cap)
-        for combo in sorted(table, key=lambda c: tuple((isinstance(e, str), e) for e in c)):
-            key = "(" + ", ".join(repr(e) for e in combo) + ")"
-            print(f"{key}\t{table[combo]:.6f}")
+        for combo, p in table.items():
+            print(f"({', '.join(map(repr, combo))})\t{p:.6f}")
+        fresh = any(isinstance(e, fo.Fresh) for combo in table for e in combo)
         print(
-            f"note: each value carries additive error <= {args.epsilon}; any tuple "
-            f"not listed has probability <= {args.epsilon}"
+            f"note: each value carries additive error <= {args.epsilon}; "
+            + ("*1, *2, ... stand for distinct elements that occur in no row without a *; " if fresh else "")
+            + f"any tuple not listed has probability <= {args.epsilon}"
         )
     return EXIT_OK
 
@@ -199,37 +199,31 @@ def cmd_complete(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     doc = load_spec(args.spec)
-    if doc.kind != "ti":
-        raise ValidationError(f"oracle comparison needs a TI spec, got kind {doc.kind!r}")
-    t = doc.ti()
-    if t.tail is not None:
+    blocks, _, tail = approx.head_blocks(doc.space())
+    if tail is not None:
         raise ValidationError("oracle comparison needs a head-only spec (no tail)")
-    facts = list(t.head)
-    worlds = oracle.enumerate_worlds(facts)
-    inject = args.inject_error or 0.0
-    diffs = []
-    for i, (f, p) in enumerate(facts):
-        engine_marginal, _ = ti_event_probs(t, [f])
-        if i == 0:
-            engine_marginal += inject
-        oracle_marginal = oracle.exact_event_prob(worlds, lambda d: f in d)
-        diffs.append(abs(engine_marginal - oracle_marginal))
-        print(f"marginal {f}: engine={engine_marginal!r} oracle={oracle_marginal!r}")
     with open(args.query, "r", encoding="utf-8") as fh:
         formula = fo.parse(fh.read(), doc.schema)
     if fo.free_variables(formula):
         raise ValidationError("oracle comparison takes a Boolean query")
-    engine_q = approx.conditional_query_prob(
-        t, formula, len(facts), doc.universe, cap=oracle.WORLD_FACT_CAP
-    )
+    worlds = oracle.enumerate_block_worlds(blocks)
+    facts = list(dict.fromkeys(g for block in blocks for outcome, _ in block for g in outcome))
+    atoms = [fo.Atom(g.relation, tuple(map(fo.Const, g.args))) for g in facts]
+    *engine, engine_q = approx.world_walk(blocks, [*atoms, formula], doc.universe)
+    if engine:
+        engine[0] += args.inject_error or 0.0
+    diffs = []
+    for f, engine_marginal in zip(facts, engine):
+        oracle_marginal = oracle.exact_event_prob(worlds, lambda d: f in d)
+        diffs.append(abs(engine_marginal - oracle_marginal))
+        print(f"marginal {f}: engine={engine_marginal!r} oracle={oracle_marginal!r}")
     oracle_q = oracle.exact_event_prob(
         worlds, lambda d: fo.eval_boolean(d, formula, doc.universe)
     )
     diffs.append(abs(engine_q - oracle_q))
     print(f"query: engine={engine_q!r} oracle={oracle_q!r}")
-    worst = max(diffs) if diffs else 0.0
-    print(f"max abs difference = {worst!r}")
-    if worst > 1e-9:
+    print(f"max abs difference = {max(diffs)!r}")
+    if max(diffs) > 1e-9:
         print("MISMATCH: engine and oracle disagree beyond 1e-9", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

@@ -29,7 +29,8 @@ combined active domain: any answer outside that set would have to hold
 for a generic element, in which case it holds for infinitely many and
 the answer relation is infinite.  This is reported with the
 :data:`INFINITE_ANSWER` sentinel rather than an exception so that batch
-callers can handle it per instance.
+callers can handle it per instance.  Over a probability space, answer
+keys name elements outside the candidates by the :class:`Fresh` sentinel.
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ class _InfiniteAnswer:
 
 
 INFINITE_ANSWER = _InfiniteAnswer()
+
+
+class Fresh(Record):
+    """In the key of an open query's answer, the j-th distinct element
+    outside the listed candidates, standing for every such element."""
+
+    index: int
+
+    def __repr__(self) -> str:
+        return f"*{self.index}"
 
 
 # --- parsing -----------------------------------------------------------

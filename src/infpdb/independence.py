@@ -436,7 +436,7 @@ class BIDPdb:
     Construct via :func:`bid_construct`, or :func:`ti_construct` for
     singleton blocks.  Like every space the CLI handles, it offers
     ``expected_size``, ``instance_prob(d)`` and ``sample(rng, delta)``;
-    query truncation reads its facts through ``head`` and ``facts_up_to``.
+    query truncation reads its ``blocks`` and ``tail``.
     """
 
     def __init__(self, partition: BlockPartition, assignment: FactProbabilityAssignment):
@@ -480,14 +480,6 @@ class BIDPdb:
         self._head_probs = dict(self.head)
         self._tail_plans: dict[float, TailSkipPlan] = {}
         self._tail_groups: dict[int, tuple[Fact, ...]] = {}
-
-    def facts_up_to(self, n: int) -> list[tuple[Fact, float]]:
-        """The first n facts in canonical order (head first, then tail)."""
-        tail = () if self.tail is None else ((f, p) for _, f, p in self.tail.indexed_facts())
-        out = list(itertools.islice(itertools.chain(self.head, tail), n))
-        if len(out) < n:
-            raise ValueError(f"only {len(self.head)} facts exist, asked for {n}")
-        return out
 
     @property
     def remainders(self) -> dict[Hashable, float]:

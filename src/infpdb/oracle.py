@@ -2,14 +2,15 @@
 
 This module is the independent evidence path for every probability the
 engine computes.  It deliberately shares no arithmetic with the engine:
-worlds are enumerated explicitly, each world's probability is a plain
-linear-domain product taken in subset-construction order, and event
+worlds are enumerated explicitly, one outcome per block, each world's
+probability is a plain linear-domain product taken in block order, and event
 probabilities are plain sums over the world table.  Keep it that way;
 the tests rely on the two paths being independent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Callable, Sequence
@@ -24,31 +25,38 @@ def enumerate_worlds(
     facts: Sequence[tuple[Fact, float]],
 ) -> dict[Instance, float]:
     """All 2**n subsets of the facts with their independent-draw probabilities."""
-    if len(facts) > WORLD_FACT_CAP:
+    return enumerate_block_worlds([[((f,), p)] for f, p in facts])
+
+
+def enumerate_block_worlds(
+    blocks: Sequence[Sequence[tuple[Sequence[Fact], float]]],
+) -> dict[Instance, float]:
+    """Every world of independent blocks of disjoint (facts, probability)
+    outcomes: one outcome, or none at 1 minus the block's mass, per block.
+    The first block varies fastest, like the lowest bit of a counter."""
+    fact_sets = [{f for facts, _ in block for f in facts} for block in blocks]
+    size = sum(map(len, fact_sets))
+    if size > WORLD_FACT_CAP:
         raise WorldCapExceeded(
-            f"oracle enumerates at most {WORLD_FACT_CAP} facts, got {len(facts)}",
-            required=len(facts),
+            f"oracle enumerates at most {WORLD_FACT_CAP} facts, got {size}",
+            required=size,
             cap=WORLD_FACT_CAP,
         )
-    seen = set()
-    for f, p in facts:
-        if f in seen:
+    seen: set[Fact] = set()
+    for block, mine in zip(blocks, fact_sets):
+        for f in mine & seen:
             raise ValueError(f"duplicate fact {f}")
-        seen.add(f)
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"probability out of range for {f}: {p}")
+        seen |= mine
+        for facts, p in block:
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"probability out of range for {', '.join(map(str, facts))}: {p}")
+    choices = [[((), 1.0 - sum(p for _, p in block)), *block] for block in reversed(blocks)]
     worlds: dict[Instance, float] = {}
-    n = len(facts)
-    for mask in range(2**n):
-        prob = 1.0
-        chosen = []
-        for i in range(n):
-            f, p = facts[i]
-            if mask >> i & 1:
-                prob = prob * p
-                chosen.append(f)
-            else:
-                prob = prob * (1.0 - p)
+    for world in itertools.product(*choices):
+        prob, chosen = 1.0, []
+        for facts, p in reversed(world):
+            prob = prob * p
+            chosen.extend(facts)
         key = Instance(chosen)
         worlds[key] = worlds.get(key, 0.0) + prob
     return worlds

@@ -21,11 +21,12 @@ compose a base with a tail without translation::
 
 ``head_facts``/``tail`` describe the independent facts of a ``ti`` or
 ``bid`` space, and the *fresh* facts of a ``completion`` (whose base
-lives in ``worlds``).  Probabilities are serialized as decimal strings
-to avoid binary-float drift across platforms.  Loading reads each value
-once: an unknown key, a missing or mistyped value and a rejected object
-each raise :class:`ValidationError` naming its JSON path, and an optional
-section that is absent or ``null`` is absent.
+lives in ``worlds``); ``blocks`` belongs to ``bid`` only, and a section
+that a kind does not read is an error.  Probabilities are serialized as
+decimal strings to avoid binary-float drift across platforms.  Loading
+reads each value once: an unknown key, a missing or mistyped value and a
+rejected object each raise :class:`ValidationError` naming its JSON path,
+and an optional section that is absent or ``null`` is absent.
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ from .independence import (
 from .record import Record
 from .universe import FactEnumeration, Universe
 
-KINDS = ("ti", "bid", "finite", "completion")
+# the sections each kind reads; a kind refuses the others
+SECTIONS = {
+    "ti": ("head_facts", "tail"),
+    "bid": ("head_facts", "tail", "blocks"),
+    "finite": ("worlds",),
+    "completion": ("head_facts", "tail", "worlds"),
+}
 
 
 class SpecDocument(Record):
@@ -291,7 +298,7 @@ def _worlds(items: _Json, schema: Schema, universe: Universe) -> tuple[tuple[Ins
 def parse_spec(data) -> SpecDocument:
     """The document of a decoded spec file, read in one pass."""
     spec = _Json(data).fields()
-    kind, schema_obj = spec["kind"].choice(*KINDS), spec["schema"]
+    kind, schema_obj = spec["kind"].choice(*SECTIONS), spec["schema"]
     relations = tuple((r, arity.integer()) for r, arity in schema_obj.items())
     if not relations:
         raise schema_obj.error("must name at least one relation")
@@ -304,12 +311,15 @@ def parse_spec(data) -> SpecDocument:
         universe = obj.done(obj.build(Universe.strings, alphabet.value))
     else:
         universe = obj.done(Universe.naturals())
+    for key in ("head_facts", "tail", "blocks", "worlds"):
+        if key not in SECTIONS[kind] and (section := spec.get(key)) is not None:
+            raise section.error(f"is not a section of a {kind!r} spec")
     head = tuple(
         h.done((_fact(h, schema, universe), h["p"].number()))
         for h in spec.get("head_facts", []).objects()
     )
     tail, blocks = spec.get("tail"), spec.get("blocks")
-    worlds = spec["worlds"] if kind in ("finite", "completion") else spec.get("worlds")
+    worlds = spec["worlds"] if "worlds" in SECTIONS[kind] else None
     return spec.done(SpecDocument(
         kind, schema, universe, head,
         None if tail is None else _parse_tail(tail, schema, universe),

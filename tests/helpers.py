@@ -172,7 +172,8 @@ def reference_boolean_enclosure(
     assert not free_variables(formula)
     if t.tail is None:
         n_ref = min(n_ref, len(t.head))
-    listed = t.facts_up_to(n_ref)
+    tail = () if t.tail is None else itertools.islice(t.tail.indexed_facts(), n_ref - len(t.head))
+    listed = [*t.head, *((f, p) for _, f, p in tail)]
     relations = {f.relation for f, _ in listed} | {"R", "S"}
     assert all(len(f.args) == 1 for f, _ in listed), "reference handles unary schemas"
     assert relations <= {"R", "S"}, "reference handles schemas within {R/1, S/1}"

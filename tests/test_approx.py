@@ -14,9 +14,12 @@ from infpdb.approx import (
     choose_truncation,
     conditional_query_prob,
 )
-from infpdb.core import Fact, Instance, Schema
+from infpdb.completion import complete
+from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, facts_of
 from infpdb.errors import WorldCapExceeded
-from infpdb.fo import And, Atom, Const, Not, Or, Var, constants, eval_boolean, parse, substitute
+from infpdb.fo import (
+    And, Atom, Const, Fresh, Not, Or, Var, constants, eval_boolean, free_variables, parse, substitute,
+)
 from infpdb.independence import (
     BIDPdb,
     BlockPartition,
@@ -26,7 +29,7 @@ from infpdb.independence import (
     bid_construct,
     ti_construct,
 )
-from infpdb.oracle import enumerate_worlds, exact_event_prob
+from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob
 from infpdb.record import Record
 from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
@@ -272,10 +275,10 @@ class TestApproxNonBoolean:
     def test_world_cap_checked_before_listing(self, monkeypatch):
         t = pure_tail_space(c=0.001, q=0.99999)
 
-        def no_listing(self, n):
+        def no_listing(self):
             raise AssertionError("facts were listed before the cap check")
 
-        monkeypatch.setattr(BIDPdb, "facts_up_to", no_listing)
+        monkeypatch.setattr(GeometricTail, "indexed_facts", no_listing)
         with pytest.raises(WorldCapExceeded) as err:
             approx_nonboolean(t, parse("R(x)", R1), 0.1, NAT, cap=20)
         assert err.value.required == 736121
@@ -292,18 +295,18 @@ class TestApproxNonBoolean:
         t = ti_construct(FactProbabilityAssignment(head))
         f = parse(text, RS)
         table = approx_nonboolean(t, f, 0.1, NAT)
-        assert set(table) == {(e,) for e in {g.args[0] for g, _ in head}}
+        assert {k for k in table if Fresh(1) not in k} == {(e,) for e in {g.args[0] for g, _ in head}}
         worlds = enumerate_worlds(list(head))
         for (e,), engine in table.items():
-            grounded = substitute(f, {"x": e})
+            grounded = substitute(f, {"x": 99 if e == Fresh(1) else e})
             oracle = exact_event_prob(worlds, lambda d: eval_boolean(d, grounded, NAT))
             assert abs(engine - oracle) <= 1e-10
 
     def test_one_listing_serves_every_tuple(self, monkeypatch):
         listings = []
-        original = BIDPdb.facts_up_to
+        original = approx._truncated_blocks
         monkeypatch.setattr(
-            BIDPdb, "facts_up_to", lambda self, n: listings.append(n) or original(self, n)
+            approx, "_truncated_blocks", lambda t, n, cap: listings.append(n) or original(t, n, cap)
         )
         head = tuple((fact("R", i), 0.5) for i in range(1, 6))
         t = ti_construct(FactProbabilityAssignment(head))
@@ -360,14 +363,14 @@ def _block_outcome_probs(blocks, sentences):
     return totals
 
 
-def _lift(node, c):
-    """``node`` with every constant ``c`` replaced by the free variable x."""
+def _lift(node, c, var="x"):
+    """``node`` with every constant ``c`` replaced by the free variable ``var``."""
     if node == Const(c):
-        return Var("x")
+        return Var(var)
     if isinstance(node, tuple):
-        return tuple(_lift(part, c) for part in node)
+        return tuple(_lift(part, c, var) for part in node)
     if isinstance(node, Record):
-        return type(node)(*(_lift(getattr(node, name), c) for name in node._fields))
+        return type(node)(*(_lift(getattr(node, name), c, var) for name in node._fields))
     return node
 
 
@@ -402,10 +405,12 @@ class TestBlockWalk:
             open_query = Or(_lift(shape, c), Atom(rng.choice("RS"), (Var("x"),)))
             table = approx_nonboolean(b, open_query, 0.1, NAT)
             elements = {g.args[0] for block in blocks for g, _ in block} | constants(open_query)
-            assert set(table) == {(e,) for e in elements}
-            combos = sorted(table)
-            wants = _block_outcome_probs(blocks, [substitute(open_query, {"x": e}) for e, in combos])
-            for combo, want in zip(combos, wants):
+            assert {k for k in table if Fresh(1) not in k} == {(e,) for e in elements}
+            # the pattern row (*1), if listed, stands for any element outside them
+            wants = _block_outcome_probs(
+                blocks, [substitute(open_query, {"x": 99 if e == Fresh(1) else e}) for e, in table]
+            )
+            for combo, want in zip(table, wants):
                 assert abs(table[combo] - want) <= 1e-12
 
     def test_golden_bid_queries_match_block_outcome_enumeration(self):
@@ -415,7 +420,8 @@ class TestBlockWalk:
         open_query = parse((GOLDEN / "open_query.txt").read_text(), doc.schema)
         # the head blocks whole, then the tail facts up to the certified n
         n = choose_truncation(b, 0.1).n
-        blocks = [*b.blocks.values(), *((g,) for g in b.facts_up_to(n)[len(b.head):])]
+        tail = itertools.islice(b.tail.indexed_facts(), n - len(b.head))
+        blocks = [*b.blocks.values(), *(((g, p),) for _, g, p in tail)]
         printed = (GOLDEN / "bid.query.out").read_text().splitlines()[0]
         [want] = _block_outcome_probs(blocks, [sentence])
         assert printed == f"probability = {want:.6f} (additive error <= 0.1)"
@@ -423,3 +429,144 @@ class TestBlockWalk:
         elements = [ast.literal_eval(key) for key, _ in rows]  # "(1)" is 1, "('1')" is '1'
         wants = _block_outcome_probs(blocks, [substitute(open_query, {"x": e}) for e in elements])
         assert [value for _, value in rows] == [f"{w:.6f}" for w in wants]
+
+
+# R(5), R(6), R(7), ... at 12.8 * 0.5**i: eps 0.2 keeps R(5) to R(7)
+TAIL_C, TAIL_Q, TAIL_OFFSET = 12.8, 0.5, 4
+
+
+def _tail():
+    supply = EnumerationSupply(FactEnumeration(RS, NAT), relation="R", offset=TAIL_OFFSET)
+    return GeometricTail(supply, c=TAIL_C, q=TAIL_Q)
+
+
+def _reference_tail(k):
+    """The first k tail facts as singleton blocks, from the rule's data."""
+    return [[((fact("R", i),), TAIL_C * TAIL_Q**i)] for i in range(TAIL_OFFSET + 1, TAIL_OFFSET + 1 + k)]
+
+
+def _random_head(rng, bid):
+    """Head facts over R/1 and S/1 on elements 1-4, their block labels, and
+    the reference blocks of (facts, p) outcomes built from the same draws."""
+    facts = rng.sample([fact(r, i) for r in "RS" for i in (1, 2, 3, 4)], rng.randint(1, 4))
+    labels = {g: f"b{rng.randint(0, len(facts) // 2)}" if bid else str(g) for g in facts}
+    head, blocks = [], []
+    for label in sorted(set(labels.values())):
+        members = [g for g in facts if labels[g] == label]
+        weights = [rng.random() + 0.01 for _ in members]
+        mass = rng.choice([1.0, rng.uniform(0.05, 1.0)])
+        outcomes = [(g, mass * w / sum(weights)) for g, w in zip(members, weights)]
+        head += outcomes
+        blocks.append([((g,), p) for g, p in outcomes])
+    return tuple(head), labels, blocks
+
+
+def _random_space(rng, bid, with_tail):
+    head, labels, blocks = _random_head(rng, bid)
+    assignment = FactProbabilityAssignment(head, _tail() if with_tail else None)
+    space = bid_construct(BlockPartition.explicit_blocks(labels), assignment) if bid else ti_construct(assignment)
+    return space, blocks
+
+
+def _random_open_query(rng, k):
+    """An open query in x (and y) with at least one negation."""
+    f = _lift(random_sentence(rng, RS, max_rank=2, constant_pool=(1, 2, 7)), 1, "x")
+    f = _lift(f, 2, "y") if k == 2 else f
+    for i, v in enumerate(["x", "y"][:k]):
+        atom = Atom(rng.choice("RS"), (Var(v),))
+        f = rng.choice([And, Or])(f, Not(atom) if i == 0 or rng.random() < 0.5 else atom)
+    return Not(f) if rng.random() < 0.3 else f
+
+
+def _pattern_of(combo, candidates):
+    """The key of a tuple: elements outside the candidates become Fresh(j) in first-use order."""
+    names = {}
+    return tuple(e if e in candidates else names.setdefault(e, Fresh(len(names) + 1)) for e in combo)
+
+
+class TestOpenQueryPatterns:
+    EPS = 0.2
+
+    def test_every_tuple_matches_its_grounded_sentence(self):
+        rng = random.Random(11)
+        for case in range(40):
+            bid, with_tail, k = case % 2 == 1, case % 4 >= 2, 1 + (case % 8 >= 4)
+            space, blocks = _random_space(rng, bid, with_tail)
+            f = _random_open_query(rng, k)
+            free = free_variables(f)
+            table = approx_nonboolean(space, f, self.EPS, NAT)
+            n = choose_truncation(space, self.EPS).n
+            candidates = {e for key in table for e in key if not isinstance(e, Fresh)}
+            assert {key for key in table if not any(isinstance(e, Fresh) for e in key)} == set(
+                itertools.product(sorted(candidates), repeat=k)
+            )
+            outside = [500, 501]
+            assert not candidates & set(outside)
+            # every listed row, its fresh positions put on elements the engine did not pick
+            tuples = [tuple(outside[e.index - 1] if isinstance(e, Fresh) else e for e in key) for key in table]
+            assert [_pattern_of(combo, candidates) for combo in tuples] == list(table)
+            # and sampled tuples with elements outside the candidates: all of them, and mixed
+            tuples += [tuple(rng.choice(outside) for _ in free) for _ in range(2)]
+            tuples += [tuple(rng.choice([*candidates, *outside]) for _ in free) for _ in range(3)]
+            sentences = [substitute(f, dict(zip(free, combo))) for combo in tuples]
+            for combo, sentence in zip(tuples, sentences):
+                want, cert = approx_boolean(space, sentence, self.EPS, NAT)
+                assert cert.n == n
+                assert abs(table.get(_pattern_of(combo, candidates), 0.0) - want) <= 1e-12, (f, combo)
+            if not with_tail:
+                wants = _block_outcome_probs([[(g, p) for (g,), p in block] for block in blocks], sentences)
+                for combo, want in zip(tuples, wants):
+                    assert abs(table.get(_pattern_of(combo, candidates), 0.0) - want) <= 1e-12, (f, combo)
+
+    def test_zero_patterns_keep_the_candidate_rows(self):
+        space, _ = _random_space(random.Random(3), bid=False, with_tail=True)
+        table = approx_nonboolean(space, parse("R(x) & exists y. S(y)", RS), self.EPS, NAT)
+        assert all(not isinstance(e, Fresh) for key in table for e in key)
+
+
+def _random_table(rng, closed):
+    """A world table over R/1 and S/1: every subset of up to 3 facts when
+    closed, else a few distinct instances; its one reference block of
+    non-empty worlds comes from the same draws."""
+    facts = rng.sample([fact(r, i) for r in "RS" for i in (1, 2, 3)], rng.randint(1, 3))
+    subsets = [Instance(c) for r in range(len(facts) + 1) for c in itertools.combinations(facts, r)]
+    worlds = subsets if closed else rng.sample(subsets, rng.randint(1, len(subsets)))
+    weights = [rng.random() + 0.01 for _ in worlds]
+    table = {d: w / sum(weights) for d, w in zip(worlds, weights)}
+    return FiniteDiscretePDB(RS, NAT, table), [(d.facts, p) for d, p in table.items() if d]
+
+
+class TestEveryKindWalk:
+    """The walk on finite, completion and head-only BID spaces against the
+    oracle's block enumeration of blocks built from the drawn data."""
+
+    def _check(self, space, blocks, rng, eps):
+        n = choose_truncation(space, eps).n
+        worlds = enumerate_block_worlds(blocks)
+        for _ in range(4):
+            sentence = random_sentence(rng, RS, max_rank=2, constant_pool=(1, 2, 5))
+            want = exact_event_prob(worlds, lambda d: eval_boolean(d, sentence, NAT))
+            assert abs(conditional_query_prob(space, sentence, n, NAT) - want) <= 1e-12, sentence
+
+    def test_finite(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            space, block = _random_table(rng, closed=False)
+            self._check(space, [block], rng, 0.1)
+
+    def test_completion_with_tail(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            table, block = _random_table(rng, closed=True)
+            head = tuple((fact("S", i), rng.random() * 0.9) for i in rng.sample((4, 5, 6), rng.randint(0, 2)))
+            space = complete(table, FactProbabilityAssignment(head, _tail()))
+            h = len(facts_of(table)) + len(head)
+            k = choose_truncation(space, 0.2).n - h
+            blocks = [block, *([((g,), p)] for g, p in head), *_reference_tail(k)]
+            self._check(space, blocks, rng, 0.2)
+
+    def test_head_only_bid(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            space, blocks = _random_space(rng, bid=True, with_tail=False)
+            self._check(space, blocks, rng, 0.1)

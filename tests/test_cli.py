@@ -12,6 +12,8 @@ import pytest
 from infpdb.cli import build_parser, main
 from infpdb.specio import load_spec, parse_spec, save_spec, spec_to_json
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 # PYTHONPATH for a child interpreter that imports this checkout's infpdb
 SRC = os.pathsep.join(
     p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p
@@ -239,7 +241,7 @@ class TestValidate:
                 kind="bid", blocks={"keys": ["R"]},
             ),
             "worlds[0] must be a JSON object, got str": lambda: spec.update(
-                kind="finite", worlds=["x"],
+                kind="completion", worlds=["x"],
             ),
             "tail.supply.relation 5 not in schema": lambda: supply.update(relation=5),
             "tail.supply.relation 'S' not in schema": lambda: tail.update(
@@ -516,10 +518,20 @@ class TestQuery:
         assert "probability = 0.750000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("kind", ["finite", "completion"])
-    def test_query_needs_ti_or_bid(self, kind, query_file, capsys):
-        spec = str(Path(__file__).resolve().parent / "golden" / f"{kind}.json")
-        assert main(["query", spec, "--query", query_file, "--epsilon", "0.1"]) == 2
-        assert f"query evaluation needs a ti or bid spec, got kind {kind!r}" in capsys.readouterr().err
+    def test_query_takes_every_kind(self, kind, capsys):
+        spec, query = str(GOLDEN / f"{kind}.json"), str(GOLDEN / "unary_query.txt")
+        assert main(["query", spec, "--query", query, "--epsilon", "0.4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("probability = ") and captured.err == ""
+
+    def test_negated_open_query_lists_its_pattern(self, tmp_path, capsys):
+        # every element past the listed ones is an answer with probability near 1
+        qpath = tmp_path / "q.txt"
+        qpath.write_text("!S(x)")
+        assert main(["query", str(GOLDEN / "bid.json"), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        *rows, note = capsys.readouterr().out.splitlines()
+        assert rows[-1] == "(*1)\t1.000000"
+        assert "*1, *2, ... stand for distinct elements that occur in no row without a *" in note
 
     @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
     def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):
@@ -640,10 +652,26 @@ class TestOracleCompare:
         )
         assert "MISMATCH" in capsys.readouterr().err
 
-    def test_bid_spec_is_refused(self, query_file, capsys):
-        spec = str(Path(__file__).resolve().parent / "golden" / "bid.json")
-        assert main(["oracle-compare", spec, "--query", query_file]) == 2
-        assert "oracle comparison needs a TI spec, got kind 'bid'" in capsys.readouterr().err
+    def test_spec_with_tail_is_refused(self, capsys):
+        spec, query = str(GOLDEN / "completion.json"), str(GOLDEN / "unary_query.txt")
+        assert main(["oracle-compare", spec, "--query", query]) == 2
+        assert "oracle comparison needs a head-only spec (no tail)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        json.loads((GOLDEN / "finite.json").read_text()),
+        {k: v for k, v in json.loads((GOLDEN / "completion.json").read_text()).items() if k != "tail"},
+        {"kind": "bid", "schema": {"R": 1}, "blocks": {"keys": {"R": 0}}, "head_facts": [
+            {"relation": "R", "args": [1], "p": "0.25"}, {"relation": "R", "args": [2], "p": "0.5"},
+            {"relation": "R", "args": [3], "p": "0.125"},
+        ]},
+    ], ids=["finite", "completion", "bid"])
+    def test_agreement_on_every_kind(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["oracle-compare", str(path), "--query", str(GOLDEN / "unary_query.txt")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("marginal R(") == (2 if spec["kind"] == "finite" else 3)
+        assert float(out.rsplit("max abs difference = ", 1)[1]) <= 1e-9
 
     def test_empty_spec_trivial_agreement(self, tmp_path, query_file, capsys):
         spec = {"kind": "ti", "schema": {"R": 2},
@@ -651,6 +679,29 @@ class TestOracleCompare:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(spec))
         assert main(["oracle-compare", str(path), "--query", query_file]) == 0
+
+
+class TestSectionsPerKind:
+    SECTIONS = {
+        "head_facts": [], "tail": {"c": "1", "q": "0.5"}, "blocks": {}, "worlds": [{"p": "1"}],
+    }
+
+    @pytest.mark.parametrize("name, refused", [
+        ("ti_head", ["blocks", "worlds"]),
+        ("bid", ["worlds"]),
+        ("finite", ["head_facts", "tail", "blocks"]),
+        ("completion", ["blocks"]),
+    ])
+    def test_section_a_kind_never_reads_is_refused(self, name, refused, tmp_path, capsys):
+        spec = json.loads((GOLDEN / f"{name}.json").read_text())
+        path = tmp_path / "spec.json"
+        for section in refused:
+            path.write_text(json.dumps({**spec, section: self.SECTIONS[section]}))
+            assert main(["validate", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"ValidationError: {section} is not a section of a {spec['kind']!r} spec" in err
+            path.write_text(json.dumps({**spec, section: None}))
+            assert main(["validate", str(path)]) == 0
 
 
 class TestSpecRoundTrip:

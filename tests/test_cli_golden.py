@@ -57,6 +57,14 @@ def cli_cases() -> dict[str, list[str]]:
         cases[f"{space}.{query}"] = [
             "query", _g(f"{space}.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"
         ]
+    # the table and completion specs are over R/1; a coarse epsilon keeps the
+    # completion's tail short
+    for space, query, eps in (
+        ("finite", "query", "0.1"), ("completion", "query", "0.4"), ("completion", "open_query", "0.4")
+    ):
+        cases[f"{space}.{query}"] = [
+            "query", _g(f"{space}.json"), "--query", _g(f"unary_{query}.txt"), "--epsilon", eps
+        ]
     return cases
 
 
