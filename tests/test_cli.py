@@ -76,6 +76,155 @@ def query_file(tmp_path):
     return str(path)
 
 
+# One malformed spec or instance file for each way a fact-holding object is
+# refused, with its whole message.  The memo-* files repeat a valid fact with
+# an element written as 1.0, true or "1": a reader that looked a fact up
+# before checking its elements would accept them.
+def _fact(relation="R", args=(1, 2), **more):
+    return {"relation": relation, "args": list(args), **more}
+
+
+def _head(relation="R", args=(1, 2), p="0.5", **more):
+    return _fact(relation, args, p=p, **more)
+
+
+def _ti(*head, universe=None, **sections):
+    return {"kind": "ti", "schema": {"R": 2, "S": 1}, "universe": universe or {"kind": "naturals"},
+            "head_facts": list(head), **sections}
+
+
+def _bid(explicit, *head):
+    return {**_ti(*head), "kind": "bid", "blocks": {"explicit": explicit}}
+
+
+def _world(*facts, p="0.25", **more):
+    return {"facts": list(facts), "p": p, **more}
+
+
+def _finite(*worlds, kind="finite"):
+    return {"kind": kind, "schema": {"R": 2, "S": 1}, "universe": {"kind": "naturals"}, "worlds": list(worlds)}
+
+
+_STRINGS = {"kind": "strings", "alphabet": "0123456789ABCD"}
+_TAIL = {"rule": "geometric", "c": "0.5", "q": "0.5", "supply": {"type": "enumeration", "relation": "R"}}
+
+FACT_REJECTIONS = [
+    pytest.param("spec", _ti(_head(), "R(1, 2)"),
+                 "head_facts[1] must be a JSON object, got str", id="head-not-object"),
+    pytest.param("spec", _ti({"args": [1, 2], "p": "0.5"}),
+                 "head_facts[0].relation is missing", id="relation-missing"),
+    pytest.param("spec", _ti({"relation": "R", "p": "0.5"}),
+                 "head_facts[0].args is missing", id="args-missing"),
+    pytest.param("spec", _ti(_head(), _fact()),
+                 "head_facts[1].p is missing", id="p-missing"),
+    pytest.param("spec", _ti(_head(prob="0.5")),
+                 "head_facts[0].prob is not a known key", id="unknown-key"),
+    pytest.param("spec", _ti({"zz": 1, "relation": "R", "aa": 2, "args": [1, 2], "p": "0.5"}),
+                 "head_facts[0].zz is not a known key", id="first-unknown-key-named"),
+    pytest.param("spec", _ti(_head("T")),
+                 "head_facts[0].relation 'T' not in schema", id="relation-not-in-schema"),
+    pytest.param("spec", _ti(_head(["R"])),
+                 "head_facts[0].relation ['R'] not in schema", id="relation-not-hashable"),
+    pytest.param("spec", _ti(_head(None)),
+                 "head_facts[0].relation None not in schema", id="relation-null"),
+    pytest.param("spec", _ti({"relation": "R", "args": "12", "p": "0.5"}),
+                 "head_facts[0].args must be a list, got '12'", id="args-not-list"),
+    pytest.param("spec", _ti({"relation": "R", "args": None, "p": "0.5"}),
+                 "head_facts[0].args must be a list, got None", id="args-null"),
+    pytest.param("spec", _ti(_head(args=(1, 2, 3))),
+                 "head_facts[0].args has 3 elements, 'R' takes 2", id="wrong-arity"),
+    pytest.param("spec", _ti(_head(args=("A", "Z")), universe=_STRINGS),
+                 "head_facts[0].args[1] 'Z' not in universe", id="outside-strings"),
+    pytest.param("spec", _ti(_head(args=("A", 1)), universe=_STRINGS),
+                 "head_facts[0].args[1] 1 not in universe", id="int-on-strings"),
+    pytest.param("spec", _ti(_head(args=(0, 2))),
+                 "head_facts[0].args[0] 0 not in universe", id="zero-on-naturals"),
+    pytest.param("spec", _ti(_head(args=(1, True))),
+                 "head_facts[0].args[1] True not in universe", id="true-on-naturals"),
+    pytest.param("spec", _ti(_head(args=(1.0, 2))),
+                 "head_facts[0].args[0] 1.0 not in universe", id="float-on-naturals"),
+    pytest.param("spec", _ti(_head(args=("1", 2))),
+                 "head_facts[0].args[0] '1' not in universe", id="string-on-naturals"),
+    pytest.param("spec", _ti(_head(p="nan")),
+                 "head_facts[0].p must be a finite decimal number, got 'nan'", id="p-nan"),
+    pytest.param("spec", _ti(_head(p="1e999")),
+                 "head_facts[0].p must be a finite decimal number, got '1e999'", id="p-infinite"),
+    pytest.param("spec", _ti(_head(p=True)),
+                 "head_facts[0].p must be a finite decimal number, got True", id="p-bool"),
+    pytest.param("spec", _ti({"relation": "T", "args": 5, "p": "x"}),
+                 "head_facts[0].relation 'T' not in schema", id="relation-before-args"),
+    pytest.param("spec", _ti({"relation": "R", "args": [0, 1], "p": "x"}),
+                 "head_facts[0].args[0] 0 not in universe", id="args-before-p"),
+    pytest.param("spec", _ti({"relation": "R", "args": [1, 2], "extra": 1}),
+                 "head_facts[0].p is missing", id="p-before-unknown-key"),
+    pytest.param("spec", _ti(_head("T"), 7),
+                 "head_facts[1] must be a JSON object, got int", id="objects-before-fields"),
+    pytest.param("spec", _ti(_head(args=(0,))),
+                 "head_facts[0].args has 1 elements, 'R' takes 2", id="arity-before-elements"),
+    pytest.param("spec", _ti(_head(), tail={**_TAIL, "exclude": [_fact(), 3]}),
+                 "tail.exclude[1] must be a JSON object, got int", id="exclude-not-object"),
+    pytest.param("spec", _ti(_head(), tail={**_TAIL, "exclude": [_fact(p="0.5")]}),
+                 "tail.exclude[0].p is not a known key", id="exclude-takes-no-p"),
+    pytest.param("spec", _ti(_head(), tail={**_TAIL, "exclude": [_fact(args=(1, "x"))]}),
+                 "tail.exclude[0].args[1] 'x' not in universe", id="exclude-outside-universe"),
+    pytest.param("spec", _bid([_fact(args=(1, 1.5), block="B")], _head()),
+                 "blocks.explicit[0].args[1] 1.5 not in universe", id="explicit-outside-universe"),
+    pytest.param("spec", _bid([_fact()], _head()),
+                 "blocks.explicit[0].block is missing", id="explicit-block-missing"),
+    pytest.param("spec", _bid([_fact(block={"b": 1})], _head()),
+                 "blocks.explicit[0].block must be a JSON scalar, got dict", id="explicit-block-object"),
+    pytest.param("spec", _bid([_fact(block="B", p="1")], _head()),
+                 "blocks.explicit[0].p is not a known key", id="explicit-unknown-key"),
+    pytest.param("spec", _bid({"R": 1}, _head()),
+                 "blocks.explicit must be a list, got {'R': 1}", id="explicit-not-list"),
+    pytest.param("spec", _finite(_world(p="1"), []),
+                 "worlds[1] must be a JSON object, got list", id="world-not-object"),
+    pytest.param("spec", _finite({"facts": []}),
+                 "worlds[0].p is missing", id="world-p-missing"),
+    pytest.param("spec", _finite(_world(p="inf")),
+                 "worlds[0].p must be a finite decimal number, got 'inf'", id="world-p-not-finite"),
+    pytest.param("spec", _finite(_world(p="1", weight=1)),
+                 "worlds[0].weight is not a known key", id="world-unknown-key"),
+    pytest.param("spec", _finite(_world(p="1") | {"facts": 5}),
+                 "worlds[0].facts must be a list, got 5", id="world-facts-not-list"),
+    pytest.param("spec", _finite(_world(_fact(args=(1,)), p="1")),
+                 "worlds[0].facts[0].args has 1 elements, 'R' takes 2", id="world-fact-arity"),
+    pytest.param("spec", _finite(_world(_fact(p="1"), p="1")),
+                 "worlds[0].facts[0].p is not a known key", id="world-fact-unknown-key"),
+    pytest.param("spec", _finite(_world(_fact(), _fact("S", (3,)), p="0.5"), _world(p="0.25"),
+                                 _world(_fact("S", (3,)), _fact(), p="0.25")),
+                 "worlds[2] lists the same instance as worlds[0]", id="world-listed-twice"),
+    pytest.param("spec", _finite(_world(p="0.5"), {"facts": [], "x": 1}),
+                 "worlds[1] lists the same instance as worlds[0]", id="world-twice-before-its-p"),
+    pytest.param("spec", _finite(_world(p="0.5"), _world(p="0.5"), kind="completion"),
+                 "worlds[1] lists the same instance as worlds[0]", id="completion-world-twice"),
+    pytest.param("spec", _ti(_head(args=(1, 2)), _head(args=(1.0, 2))),
+                 "head_facts[1].args[0] 1.0 not in universe", id="memo-float-after-int"),
+    pytest.param("spec", _finite(_world(_fact("S", (1,)), p="0.5"), _world(_fact("S", (True,)), p="0.5")),
+                 "worlds[1].facts[0].args[0] True not in universe", id="memo-true-after-int"),
+    pytest.param("spec", _ti(_head("S", (1,)), tail={**_TAIL, "exclude": [_fact("S", ("1",))]}),
+                 "tail.exclude[0].args[0] '1' not in universe", id="memo-string-after-int"),
+    pytest.param("spec", _bid([_fact("S", (True,), block="B")], _head("S", (1,))),
+                 "blocks.explicit[0].args[0] True not in universe", id="memo-true-after-int-in-explicit"),
+    pytest.param("instance", [],
+                 "instance must be a JSON object, got list", id="instance-not-object"),
+    pytest.param("instance", {"facts": 5},
+                 "facts must be a list, got 5", id="instance-facts-not-list"),
+    pytest.param("instance", {"facts": [], "fact": []},
+                 "fact is not a known key", id="instance-unknown-key"),
+    pytest.param("instance", {"facts": [_fact(), "R(1, 2)"]},
+                 "facts[1] must be a JSON object, got str", id="instance-fact-not-object"),
+    pytest.param("instance", {"facts": [_fact(args=(1, -2))]},
+                 "facts[0].args[1] -2 not in universe", id="instance-fact-outside-universe"),
+    pytest.param("instance", {"facts": [_fact(p="1")]},
+                 "facts[0].p is not a known key", id="instance-fact-takes-no-p"),
+    pytest.param("instance", {"facts": [_fact(args=(1, 2)), _fact(args=(1, 2.0))]},
+                 "facts[1].args[1] 2.0 not in universe", id="instance-memo-float-after-int"),
+    pytest.param("instance", {"fact": 1, "facts": [_fact(args=(1, 0))]},
+                 "facts[0].args[1] 0 not in universe", id="instance-fact-before-unknown-key"),
+]
+
+
 class TestValidate:
     def test_example_table(self, example_spec, capsys):
         assert main(["validate", example_spec]) == 0
@@ -263,6 +412,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"ValidationError: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("file, doc, message", FACT_REJECTIONS)
+    def test_fact_object_rejections(self, file, doc, message, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_ti(_head())))
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path)] if file == "spec" else ["prob", str(spec), "--instance", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ValidationError: {message}\n"
 
     def test_list_block_label_names_its_path(self, tmp_path, capsys):
         spec = copy.deepcopy(EXAMPLE_TI)
