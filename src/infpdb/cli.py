@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 
@@ -42,13 +41,7 @@ from . import approx, completion as completion_mod, fo, oracle
 from .core import FiniteDiscretePDB
 from .errors import PdbError, ValidationError, WorldCapExceeded
 from .numerics import ProbabilityInterval
-from .specio import (
-    SpecDocument,
-    instance_to_json,
-    load_instance,
-    load_spec,
-    save_spec,
-)
+from .specio import SpecDocument, instance_lines, load_instance, load_spec, save_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,8 +150,8 @@ def cmd_sample(args) -> int:
         return _usage_error(f"--delta must lie in (0, 1), got {args.delta}")
     space = load_spec(args.spec).space()
     rng = random.Random(args.seed)
-    for _ in range(args.n):
-        print(json.dumps(instance_to_json(space.sample(rng, args.delta)), sort_keys=True))
+    for line in instance_lines(space.sample(rng, args.delta) for _ in range(args.n)):
+        print(line)
     return EXIT_OK
 
 

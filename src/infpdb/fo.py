@@ -422,7 +422,8 @@ def eval_boolean(
     rank, consts, free, _ = _analysis(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size)
+    # a quantifier-free sentence never reads the domain
+    domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
     return _eval(f, d, {}, domain)
 
 

@@ -26,15 +26,20 @@ that a kind does not read is an error.  Probabilities are serialized as
 decimal strings to avoid binary-float drift across platforms.  Loading
 reads each value once: an unknown key, a missing or mistyped value and a
 rejected object each raise :class:`ValidationError` naming its JSON path,
-and an optional section that is absent or ``null`` is absent.
+and an optional section that is absent or ``null`` is absent.  Objects
+that hold facts are read as plain dicts and lists, and each distinct fact
+is built once per file.  :func:`instance_lines` writes the JSON lines of
+``pdb sample``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .completion import Completion, FactProbabilityAssignment, complete
 from .core import Fact, FiniteDiscretePDB, Instance, Schema
@@ -102,7 +107,8 @@ class _Json:
     """A JSON value and its path in the file; each read checks a type and
     raises a ValidationError naming the path.  ``fields()`` starts reading an
     object, ``[key]`` and ``get`` take its fields, and ``done`` rejects any
-    field left over.  A path is formatted only for an error."""
+    field left over; the other reads apply the rules below the class.  A
+    path is formatted only for an error."""
 
     __slots__ = ("value", "parent", "key", "_rest")
 
@@ -117,8 +123,24 @@ class _Json:
             node = node.parent
         return "".join(reversed(parts)).removeprefix(".") if parts else node.key
 
-    def error(self, message: str) -> ValidationError:
-        return ValidationError(f"{self.path} {message}")
+    def error(self, message: str, *keys: str | int) -> ValidationError:
+        """The error for the value at ``keys`` below this node."""
+        node = self
+        for key in keys:
+            node = _Json(None, node, key)
+        return ValidationError(f"{node.path} {message}")
+
+    def refused(self, refusal: _Refused, *keys: str | int) -> ValidationError:
+        message, *below = refusal.args
+        return self.error(message, *keys, *below)
+
+    def check(self, rule, *args, keys: tuple = ()):
+        """``rule(*args)`` on the value at ``keys`` below this node; a refusal
+        names its path."""
+        try:
+            return rule(*args)
+        except _Refused as refusal:
+            raise self.refused(refusal, *keys) from None
 
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)``; a ValueError it raises names this path."""
@@ -128,9 +150,7 @@ class _Json:
             raise ValidationError(f"{self.path}: {exc}") from None
 
     def fields(self) -> _Json:
-        if not isinstance(self.value, dict):
-            raise self.error(f"must be a JSON object, got {type(self.value).__name__}")
-        self._rest = self.value.copy()
+        self._rest = self.check(_object, self.value).copy()
         return self
 
     def items(self) -> list[tuple[str, _Json]]:
@@ -138,10 +158,9 @@ class _Json:
         return [(k, self[k]) for k in list(self.fields()._rest)]
 
     def __getitem__(self, key: str) -> _Json:
-        try:
-            return _Json(self._rest.pop(key), self, key)
-        except KeyError:
-            raise _Json(None, self, key).error("is missing") from None
+        value = self.check(_field, self._rest, key, keys=(key,))
+        del self._rest[key]
+        return _Json(value, self, key)
 
     def get(self, key: str, default=None) -> _Json | None:
         """An optional field; absent and ``null`` both give ``default``."""
@@ -152,18 +171,12 @@ class _Json:
 
     def done(self, result=None):
         """``result``, once every field of the object has been read."""
-        for key in self._rest:
-            raise _Json(None, self, key).error("is not a known key")
+        if self._rest:
+            raise self.refused(_unknown(self._rest, ()))
         return result
 
     def array(self) -> list:
-        if not isinstance(self.value, list):
-            raise self.error(f"must be a list, got {self.value!r}")
-        return self.value
-
-    def objects(self) -> list[_Json]:
-        """The elements of a list, each an object whose fields are read next."""
-        return [_Json(v, self, i).fields() for i, v in enumerate(self.array())]
+        return self.check(_array, self.value)
 
     def integer(self) -> int:
         """An int, an integral float or a decimal integer string."""
@@ -177,14 +190,7 @@ class _Json:
         raise self.error(f"must be an integer, got {raw!r}")
 
     def number(self) -> float:
-        """A finite float, from a decimal string or a JSON number."""
-        try:
-            value = math.nan if isinstance(self.value, bool) else float(self.value)
-        except (TypeError, ValueError, OverflowError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise self.error(f"must be a finite decimal number, got {self.value!r}")
-        return value
+        return self.check(_number, self.value)
 
     def choice(self, *options: str) -> str:
         if self.value not in options:
@@ -192,33 +198,114 @@ class _Json:
         return self.value
 
     def relation(self, schema: Schema) -> str:
-        if self.value not in schema:
-            raise self.error(f"{self.value!r} not in schema")
-        return self.value
+        return self.check(_relation, self.value, schema)
 
 
-def _fact(obj: _Json, schema: Schema, universe: Universe) -> Fact:
-    """The fact of an object's ``relation`` and ``args``; the caller reads the rest."""
-    relation = obj["relation"].relation(schema)
-    args = obj["args"]
-    values, arity = tuple(args.array()), schema.arity_of(relation)
-    if len(values) != arity:
-        raise args.error(f"has {len(values)} elements, {relation!r} takes {arity}")
-    for i, e in enumerate(values):
-        if not universe.contains(e):
-            raise _Json(e, args, i).error(f"{e!r} not in universe")
-    return Fact(relation, values)
+class _Refused(Exception):
+    """A rule's refusal of a plain value: the message, then the keys from
+    that value down to the one refused.  Each rule lives in one place, and
+    the reader that catches a refusal builds the nodes of its path."""
 
 
-def _facts(items: _Json, schema: Schema, universe: Universe) -> list[Fact]:
-    return [obj.done(_fact(obj, schema, universe)) for obj in items.objects()]
+def _object(value, *keys) -> dict:
+    if not isinstance(value, dict):
+        raise _Refused(f"must be a JSON object, got {type(value).__name__}", *keys)
+    return value
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise _Refused(f"must be a list, got {value!r}")
+    return value
+
+
+def _objects(value) -> list[dict]:
+    """A list of objects, each checked before any is read."""
+    for i, obj in enumerate(_array(value)):
+        _object(obj, i)
+    return value
+
+
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise _Refused("is missing")
+    return obj[key]
+
+
+def _unknown(obj: dict, known) -> _Refused:
+    """The refusal of the first key of ``obj``, in key order, not in ``known``."""
+    return _Refused("is not a known key", next(key for key in obj if key not in known))
+
+
+def _number(value) -> float:
+    """A finite float, from a decimal string or a JSON number."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise _Refused(f"must be a finite decimal number, got {value!r}")
+    return number
+
+
+def _scalar(value):
+    if isinstance(value, (list, dict)):
+        raise _Refused(f"must be a JSON scalar, got {type(value).__name__}")
+    return value
+
+
+def _relation(value, schema: Schema) -> str:
+    if value not in schema:
+        raise _Refused(f"{value!r} not in schema")
+    return value
+
+
+def _elements(values: list, universe: Universe) -> tuple:
+    if not all(map(universe.contains, values)):
+        i = next(i for i, e in enumerate(values) if not universe.contains(e))
+        raise _Refused(f"{values[i]!r} not in universe", i)
+    return tuple(values)
+
+
+class _FactReader:
+    """Reads the fact objects of one file from plain dicts and lists and
+    builds each distinct fact once.  It checks the elements before looking
+    a fact up, so ``1``, ``1.0``, ``true`` and ``"1"`` never share one."""
+
+    def __init__(self, schema: Schema, universe: Universe):
+        self.schema, self.universe, self.facts = schema, universe, {}
+
+    def read(self, items, at: _Json, *keys: str | int, extra=None) -> list:
+        """The facts of the list at ``keys`` below ``at``; with ``extra = (name,
+        rule)``, pairs of each fact and its field ``name`` read by ``rule``."""
+        schema, universe, facts, out = self.schema, self.universe, self.facts, []
+        known = ("relation", "args") if extra is None else ("relation", "args", extra[0])
+        for i, obj in enumerate(at.check(_objects, items, keys=keys)):
+            field = "relation"
+            try:
+                relation = _relation(_field(obj, field), schema)
+                field, arity = "args", schema.arity_of(relation)
+                if len(args := _array(_field(obj, field))) != arity:
+                    raise _Refused(f"has {len(args)} elements, {relation!r} takes {arity}")
+                key = (relation, _elements(args, universe))
+                if extra is not None:
+                    field, rule = extra
+                    value = rule(_field(obj, field))
+            except _Refused as refusal:
+                raise at.refused(refusal, *keys, i, field) from None
+            if len(obj) != len(known):
+                raise at.refused(_unknown(obj, known), *keys, i)
+            fact = facts.get(key) or facts.setdefault(key, Fact(*key))
+            out.append(fact if extra is None else (fact, value))
+        return out
 
 
 def _fact_to_json(f: Fact) -> dict:
     return {"relation": f.relation, "args": list(f.args)}
 
 
-def _parse_tail(tail: _Json, schema: Schema, universe: Universe) -> Tail:
+def _parse_tail(tail: _Json, reader: _FactReader) -> Tail:
+    schema, universe = reader.schema, reader.universe
     enumeration = tail.fields().build(FactEnumeration, schema, universe)
     obj = tail.get("supply", {}).fields()
     if obj.get("type", "enumeration").choice("enumeration", "product") == "enumeration":
@@ -229,12 +316,14 @@ def _parse_tail(tail: _Json, schema: Schema, universe: Universe) -> Tail:
         relation, index = obj["relation"].relation(schema), obj["index_position"].integer()
         fixed = obj["fixed"]
         positions = sorted(
-            ((_Json(pos, fixed, pos).integer(), tuple(values.array())) for pos, values in fixed.items()),
+            ((_Json(pos, fixed, pos).integer(), values.check(_elements, values.array(), universe))
+             for pos, values in fixed.items()),
             key=itemgetter(0),
         )
         supply = obj.build(ProductSupply, enumeration, relation, index, tuple(positions))
     obj.done()
-    exclude = frozenset(_facts(tail.get("exclude", []), schema, universe))
+    exclude = tail.get("exclude", [])
+    exclude = frozenset(reader.read(exclude.value, exclude))
     if tail.get("rule", "geometric").choice("geometric", "constant") == "geometric":
         c, q = tail["c"].number(), tail["q"].number()
         return tail.done(tail.build(GeometricTail, supply, c, q, exclude))
@@ -261,17 +350,12 @@ def _tail_to_json(tail: Tail) -> dict:
     return out
 
 
-def _parse_blocks(blocks: _Json, schema: Schema, universe: Universe) -> BlockPartition:
-    keys, widths, explicit = blocks.fields().get("keys", {}), [], []
+def _parse_blocks(blocks: _Json, reader: _FactReader) -> BlockPartition:
+    keys, widths = blocks.fields().get("keys", {}), []
     for r, width in keys.items():
-        if r not in schema:
-            raise keys.error(f"{r!r} not in schema")
-        widths.append((r, width.integer()))
-    for e in blocks.get("explicit", []).objects():
-        f, label = _fact(e, schema, universe), e["block"]
-        if isinstance(label.value, (list, dict)):
-            raise label.error(f"must be a JSON scalar, got {type(label.value).__name__}")
-        explicit.append(e.done((f, label.value)))
+        widths.append((keys.check(_relation, r, reader.schema), width.integer()))
+    explicit = blocks.get("explicit", [])
+    explicit = reader.read(explicit.value, explicit, extra=("block", _scalar))
     return blocks.done(blocks.build(BlockPartition, tuple(widths), tuple(explicit)))
 
 
@@ -284,14 +368,18 @@ def _blocks_to_json(blocks: BlockPartition) -> dict:
     return out
 
 
-def _worlds(items: _Json, schema: Schema, universe: Universe) -> tuple[tuple[Instance, float], ...]:
+def _worlds(worlds: _Json, reader: _FactReader) -> tuple[tuple[Instance, float], ...]:
     """The world table; an instance listed twice is an error naming both entries."""
     table, first = [], {}
-    for w in items.objects():
-        d = Instance(_facts(w.get("facts", []), schema, universe))
-        if first.setdefault(d, w) is not w:
-            raise w.error(f"lists the same instance as {first[d].path}")
-        table.append((d, w.done(w["p"].number())))
+    for i, w in enumerate(worlds.check(_objects, worlds.value)):
+        facts = w.get("facts")
+        d = Instance(() if facts is None else reader.read(facts, worlds, i, "facts"))
+        if first.setdefault(d, i) != i:
+            raise worlds.error(f"lists the same instance as {_Json(None, worlds, first[d]).path}", i)
+        p = worlds.check(_field, w, "p", keys=(i, "p"))
+        table.append((d, worlds.check(_number, p, keys=(i, "p"))))
+        if len(w) != 1 + ("facts" in w):
+            raise worlds.refused(_unknown(w, ("facts", "p")), i)
     return tuple(table)
 
 
@@ -314,17 +402,15 @@ def parse_spec(data) -> SpecDocument:
     for key in ("head_facts", "tail", "blocks", "worlds"):
         if key not in SECTIONS[kind] and (section := spec.get(key)) is not None:
             raise section.error(f"is not a section of a {kind!r} spec")
-    head = tuple(
-        h.done((_fact(h, schema, universe), h["p"].number()))
-        for h in spec.get("head_facts", []).objects()
-    )
+    reader, head = _FactReader(schema, universe), spec.get("head_facts", [])
+    head = tuple(reader.read(head.value, head, extra=("p", _number)))
     tail, blocks = spec.get("tail"), spec.get("blocks")
     worlds = spec["worlds"] if "worlds" in SECTIONS[kind] else None
     return spec.done(SpecDocument(
         kind, schema, universe, head,
-        None if tail is None else _parse_tail(tail, schema, universe),
-        None if blocks is None else _parse_blocks(blocks, schema, universe),
-        None if worlds is None else _worlds(worlds, schema, universe),
+        None if tail is None else _parse_tail(tail, reader),
+        None if blocks is None else _parse_blocks(blocks, reader),
+        None if worlds is None else _worlds(worlds, reader),
     ))
 
 
@@ -370,9 +456,27 @@ def save_spec(doc: SpecDocument, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path, schema: Schema, universe: Universe) -> Instance:
-    instance = _Json(_load_json(path), key="instance").fields()
-    return instance.done(Instance(_facts(instance.get("facts", []), schema, universe)))
+    data, at = _load_json(path), _Json(None, key="instance")
+    facts = at.check(_object, data).get("facts")
+    d = Instance(() if facts is None else _FactReader(schema, universe).read(facts, at, "facts"))
+    if len(data) != ("facts" in data):
+        raise at.refused(_unknown(data, ("facts",)))
+    return d
 
 
-def instance_to_json(d: Instance) -> dict:
-    return {"facts": [_fact_to_json(f) for f in d]}
+def instance_lines(instances: Iterable[Instance]) -> Iterator[str]:
+    """One JSON line per instance, ``{"facts": [{"args": [...], "relation": "R"}, ...]}``
+    with sorted keys and the facts in canonical order: byte for byte the
+    ``json.dumps`` of that object with ``sort_keys=True``.  Each distinct
+    fact is encoded once per call."""
+    encoded: dict[Fact, str] = {}
+    for d in instances:
+        facts = [encoded.get(f) or encoded.setdefault(f, _fact_line(f)) for f in d]
+        yield '{"facts": [' + ", ".join(facts) + "]}"
+
+
+def _fact_line(f: Fact) -> str:
+    """``json.dumps(_fact_to_json(f), sort_keys=True)``, written with the json
+    encoder's own string escape: every element is an int or a string."""
+    args = ", ".join([encode_basestring_ascii(e) if isinstance(e, str) else repr(e) for e in f.args])
+    return f'{{"args": [{args}], "relation": {encode_basestring_ascii(f.relation)}}}'

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infpdb.cli import build_parser, main
-from infpdb.specio import load_spec, parse_spec, save_spec, spec_to_json
+from infpdb.core import Fact, Instance
+from infpdb.specio import instance_lines, load_spec, parse_spec, save_spec, spec_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -460,7 +463,7 @@ class TestValidate:
         spec = copy.deepcopy(DYADIC_TAIL)
         spec["tail"]["supply"]["fixed"]["1"][0] = ["A"]
         self._assert_rejected(
-            spec, "tail.supply: fixed value ['A'] not in the universe", tmp_path, capsys
+            spec, "tail.supply.fixed.1[0] ['A'] not in universe", tmp_path, capsys
         )
 
     @pytest.mark.parametrize("raw", ["x", "nan", "1e999", 10**400, True, None],
@@ -738,6 +741,29 @@ class TestSample:
         )
         freq = hits / len(lines)
         assert abs(freq - 0.8) <= 3 * (0.8 * 0.2 / len(lines)) ** 0.5
+
+
+# instances over naturals, and over strings whose alphabet holds a quote, a
+# backslash, a non-ASCII letter and a control character
+_ODD_ALPHABET = '"\\\u00e9\x07A'
+_RELATIONS = st.sampled_from(["R", "S", '"\\\u00e9\x07'])
+_NATURAL_FACTS = st.builds(Fact, _RELATIONS, st.lists(st.integers(1, 10**30), min_size=1, max_size=3))
+_STRING_FACTS = st.builds(
+    Fact, _RELATIONS, st.lists(st.text(alphabet=_ODD_ALPHABET, max_size=4), min_size=1, max_size=3)
+)
+
+
+class TestInstanceLines:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.lists(_NATURAL_FACTS, max_size=6), st.lists(_STRING_FACTS, max_size=6)),
+                    max_size=5))
+    def test_lines_equal_json_dumps(self, draws):
+        instances = [Instance(facts) for facts in draws]
+        expected = [
+            json.dumps({"facts": [{"relation": f.relation, "args": list(f.args)} for f in d]}, sort_keys=True)
+            for d in instances
+        ]
+        assert list(instance_lines(instances)) == expected
 
 
 class TestComplete:

@@ -138,6 +138,15 @@ class TestEvalBoolean:
         with pytest.raises(ValueError):
             eval_boolean(Instance.empty(), parse("R(x)", S1), NAT)
 
+    def test_ground_sentence_builds_no_domain(self, monkeypatch):
+        def no_domain(*args):
+            raise AssertionError("a quantifier-free sentence built a quantifier domain")
+
+        monkeypatch.setattr("infpdb.fo._quantifier_domain", no_domain)
+        d = Instance([fact("R", 1), fact("S", 2)])
+        assert eval_boolean(d, parse("R(1) & !S(1) & !(1 = 2)", S2), NAT)
+        assert not eval_boolean(d, parse("S(1) | R(2)", S2), NAT)
+
     def test_generic_equal_only_to_itself(self):
         # exactly one generic is available at rank 1, and it is not in R
         f = parse("exists x. !R(x) & !(x = 1)", S1)
