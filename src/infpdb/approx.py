@@ -12,9 +12,11 @@ exponential tail bound then sandwiches the conditioned value within an
 additive ``eps`` of the true probability.  Conditioned on the truncation
 event, the space is finite: the head blocks kept whole, and each listed
 tail fact as a singleton block.  Its worlds are enumerated block by
-block, exponentially in the number of blocks with an outcome whose
-relations the query mentions; the cap, with an environment override,
-still applies to n.
+block, exponentially in the number of blocks with an outcome that holds
+a fact one of the query's atoms can match: an atom with a constant, as in
+each grounded tuple of an open query, matches only the facts that agree
+with it there.  The cap, with an environment override, still applies to
+n.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -30,7 +32,7 @@ import os
 from .completion import Completion
 from .core import Fact, FiniteDiscretePDB, Instance, facts_of
 from .errors import WorldCapExceeded
-from .fo import Formula, Fresh, constants, eval_boolean, free_variables, relations_of, substitute
+from .fo import Formula, Fresh, Pattern, atom_patterns, constants, eval_boolean, free_variables, substitute
 from .independence import BIDPdb, GeometricTail
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -127,40 +129,66 @@ def _truncated_blocks(t: Space, n: int, cap: int | None) -> list[Block]:
     return blocks + [(((fact,), p),) for _, fact, p in listed]
 
 
-def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
-    """Exact probability of each sentence on the finite space of ``blocks``.
+def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
+    """Each block's outcomes cut down to the facts that match a pattern:
+    the same relation, and equal at every position where the pattern holds
+    a constant.  Equal cuts merge; an outcome cut to nothing joins "no
+    outcome", and a block left with no outcome is dropped."""
+    pins: dict[str, list[tuple[tuple[int, Element], ...]]] = {}
+    for relation, args in patterns:
+        pins.setdefault(relation, []).append(tuple((i, c) for i, c in enumerate(args) if c is not None))
 
-    Outcomes are cut down to the facts of relations some sentence mentions,
-    and equal cuts merged; the elements of the facts cut away act as
-    generics.  Each block branches over "no outcome", weighted 1 minus the
-    mass it keeps, then over each kept outcome.
-    """
-    relations = frozenset().union(*map(relations_of, sentences))
+    def matches(g: Fact) -> bool:
+        return any(all(g.args[i] == c for i, c in pin) for pin in pins.get(g.relation, ()))
+
     kept = []
     for block in blocks:
         merged = {}
         for facts, p in block:
-            if p > 0.0 and (cut := tuple(g for g in facts if g.relation in relations)):
+            if p > 0.0 and (cut := tuple(filter(matches, facts))):
                 merged[cut] = merged.get(cut, 0.0) + p
         if merged:
-            kept.append((list(merged.items()), 1.0 - math.fsum(merged.values())))
-    accs = [CompensatedAccumulator() for _ in sentences]
+            kept.append((tuple(merged.items()), 1.0 - math.fsum(merged.values())))
+    return tuple(kept)
 
-    def descend(i: int, chosen: tuple[Fact, ...], weight: float) -> None:
+
+def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
+    """Exact probability of each sentence on the finite space of ``blocks``.
+
+    For each sentence, outcomes are cut down to the facts that one of its
+    atoms can match (:func:`fo.atom_patterns`), and equal cuts merged.  A
+    fact that matches no atom makes no atom true under any assignment, so
+    the elements that occur only in the facts cut away, and are not
+    constants, act as generics.  Sentences with equal cuts share one walk,
+    in which each block branches over "no outcome", weighted 1 minus the
+    mass it keeps, then over each kept outcome.  A grounded open query
+    ``exists y. R(c, y)`` thus walks only the worlds of the ``R(c, .)``
+    facts.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, f in enumerate(sentences):
+        groups.setdefault(_cut(blocks, atom_patterns(f)), []).append(j)
+    values = [0.0] * len(sentences)
+
+    def descend(kept, group, i: int, chosen: tuple[Fact, ...], weight: float) -> None:
         if i == len(kept):
             d = Instance(chosen)
-            for f, acc in zip(sentences, accs):
+            for f, acc in group:
                 if eval_boolean(d, f, universe):
                     acc.add(weight)
             return
         outcomes, none = kept[i]
         if none > 0.0:
-            descend(i + 1, chosen, weight * none)
+            descend(kept, group, i + 1, chosen, weight * none)
         for facts, p in outcomes:
-            descend(i + 1, chosen + facts, weight * p)
+            descend(kept, group, i + 1, chosen + facts, weight * p)
 
-    descend(0, (), 1.0)
-    return [min(max(acc.value, 0.0), 1.0) for acc in accs]
+    for kept, members in groups.items():
+        group = [(sentences[j], CompensatedAccumulator()) for j in members]
+        descend(kept, group, 0, (), 1.0)
+        for j, (_, acc) in zip(members, group):
+            values[j] = min(max(acc.value, 0.0), 1.0)
+    return values
 
 
 def conditional_query_prob(

@@ -63,6 +63,7 @@ class Const(Record):
 
 
 Term = Var | Const
+Pattern = tuple[str, tuple[Element | None, ...]]  # relation, then a constant or None per position
 
 
 class Atom(Record):
@@ -317,17 +318,17 @@ def _print(f: Formula, parent: int) -> str:
 # --- analysis ----------------------------------------------------------
 
 
-def _analysis(f: Formula) -> tuple[int, set[Element], list[str], frozenset[str]]:
-    """(quantifier rank, constants, ordered free variables, relations) in
-    one walk over the formula."""
+def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom]]:
+    """(quantifier rank, constants, ordered free variables, relation atoms)
+    in one walk over the formula."""
     consts: set[Element] = set()
     free: list[str] = []
-    relations: set[str] = set()
+    atoms: list[Atom] = []
 
     def walk(g: Formula, bound: frozenset[str]) -> int:
         if isinstance(g, (Atom, Eq)):
             if isinstance(g, Atom):
-                relations.add(g.relation)
+                atoms.append(g)
                 terms = g.terms
             else:
                 terms = (g.left, g.right)
@@ -344,7 +345,7 @@ def _analysis(f: Formula) -> tuple[int, set[Element], list[str], frozenset[str]]
         return 1 + walk(g.body, bound | {g.var})
 
     rank = walk(f, frozenset())
-    return rank, consts, free, frozenset(relations)
+    return rank, consts, free, atoms
 
 
 def quantifier_rank(f: Formula) -> int:
@@ -362,8 +363,13 @@ def free_variables(f: Formula) -> list[str]:
     return _analysis(f)[2]
 
 
-def relations_of(f: Formula) -> frozenset[str]:
-    return _analysis(f)[3]
+def atom_patterns(f: Formula) -> frozenset[Pattern]:
+    """One ``(relation, args)`` per distinct atom, each argument its constant
+    or ``None`` where a variable stands; only a fact that matches one of
+    them can make an atom true under some assignment."""
+    return frozenset(
+        (a.relation, tuple(t.value if isinstance(t, Const) else None for t in a.terms)) for a in _analysis(f)[3]
+    )
 
 
 def analyze(f: Formula) -> tuple[int, set[Element], list[str]]:

@@ -451,8 +451,7 @@ def load_spec(path: str | Path) -> SpecDocument:
 
 def save_spec(doc: SpecDocument, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json(doc), fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(spec_to_json(doc), indent=2) + "\n")
 
 
 def load_instance(path: str | Path, schema: Schema, universe: Universe) -> Instance:

@@ -84,6 +84,8 @@ class Universe(Record):
                 raise ValueError("alphabet symbols must be distinct")
             if any(len(s) != 1 for s in self.alphabet):
                 raise ValueError("alphabet symbols must be single characters")
+            # the alphabet as one string, so that contains checks at C speed
+            object.__setattr__(self, "_symbols", "".join(self.alphabet))
         else:
             raise ValueError(f"unknown universe kind {self.kind!r}")
 
@@ -98,7 +100,9 @@ class Universe(Record):
     def contains(self, e: Element) -> bool:
         if self.kind == "naturals":
             return isinstance(e, int) and not isinstance(e, bool) and e >= 1
-        return isinstance(e, str) and all(ch in self.alphabet for ch in e)
+        # strip removes every alphabet symbol from both ends: a string over
+        # the alphabet, and only such a string, strips to ""
+        return isinstance(e, str) and not e.strip(self._symbols)
 
     def element_at(self, k: int) -> Element:
         """The k-th universe element (k >= 1); identity on naturals, shortlex on strings."""

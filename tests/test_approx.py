@@ -1,10 +1,13 @@
 import ast
 import itertools
+import json
 import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infpdb import approx
 from infpdb.approx import (
@@ -570,3 +573,90 @@ class TestEveryKindWalk:
         for _ in range(30):
             space, blocks = _random_space(rng, bid=True, with_tail=False)
             self._check(space, blocks, rng, 0.1)
+
+
+def _outcomes(rng, members):
+    """Disjoint outcomes of one block: a total mass of 1 or less, split at random."""
+    weights = [rng.random() + 0.01 for _ in members]
+    mass = rng.choice([1.0, rng.uniform(0.05, 1.0)])
+    return [(m, mass * w / sum(weights)) for m, w in zip(members, weights)]
+
+
+def _random_block_list(rng, schema, kind):
+    """Head-only blocks of (facts, p) outcomes of one space kind, over at
+    most 10 distinct facts of the schema on elements 1-4."""
+    pool = [Fact(r, args) for r, arity in schema.relations for args in itertools.product((1, 2, 3, 4), repeat=arity)]
+    facts = rng.sample(pool, rng.randint(1, min(10, len(pool))))
+    table = facts if kind == "finite" else facts[: rng.randint(1, 3)] if kind == "completion" else []
+    blocks = []
+    if table:
+        worlds = {frozenset(rng.sample(table, rng.randint(1, len(table)))) for _ in range(rng.randint(1, 6))}
+        blocks.append(_outcomes(rng, [tuple(w) for w in worlds]))
+    rest = facts[len(table):]
+    labels = [rng.randint(0, len(rest) // 2) if kind != "ti" else i for i, _ in enumerate(rest)]
+    for label in sorted(set(labels)):
+        blocks.append(_outcomes(rng, [(g,) for g, b in zip(rest, labels) if b == label]))
+    return blocks
+
+
+class TestPatternCut:
+    """The walk cuts each sentence's blocks down to the facts its atoms can match."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "finite", "completion"]))
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_walk_is_exact_per_sentence(self, rng, kind):
+        schema = rng.choice([Schema.of(R=1, S=1), Schema.of(R=2, S=1)])
+        blocks = _random_block_list(rng, schema, kind)
+        sentences = [random_sentence(rng, schema, max_rank=2, constant_pool=(1, 2, 3, 5)) for _ in range(3)]
+        # an open query grounded on elements of the facts and on fresh ones
+        c = rng.choice((1, 2, 3, 5))
+        open_query = And(_lift(sentences[0], c), Atom("S", (Var("x"),)))
+        sentences += [substitute(open_query, {"x": e}) for e in (1, 2, 3, 4, 7, 8)]
+        worlds = enumerate_block_worlds(blocks)
+        values = approx.world_walk(blocks, sentences, NAT)
+        for f, value in zip(sentences, values):
+            want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT))
+            assert abs(value - want) <= 1e-12, (kind, f)
+            assert approx.world_walk(blocks, [f], NAT) == [value]
+
+    def _counting(self, monkeypatch):
+        calls, built = [], []
+        evaluate, instance = approx.eval_boolean, approx.Instance
+        monkeypatch.setattr(approx, "eval_boolean", lambda d, f, u: calls.append(f) or evaluate(d, f, u))
+        monkeypatch.setattr(approx, "Instance", lambda facts: built.append(facts) or instance(facts))
+        return calls, built
+
+    # R(1, 2), R(1, 3), R(2, 3) and S(1)
+    HEAD = ((fact("R", 1, 2), 0.5), (fact("R", 1, 3), 0.4), (fact("R", 2, 3), 0.7), (fact("S", 1), 0.6))
+
+    def test_open_query_walks_only_the_facts_each_tuple_matches(self, monkeypatch):
+        schema = Schema.of(R=2, S=1)
+        t = ti_construct(FactProbabilityAssignment(self.HEAD))
+        calls, built = self._counting(monkeypatch)
+        table = approx_nonboolean(t, parse("exists y. R(x, y)", schema), 0.1, NAT)
+        assert table == pytest.approx({(1,): 0.7, (2,): 0.7, (3,): 0.0})
+        # x = 1 walks R(1, 2) and R(1, 3), x = 2 walks R(2, 3), and x = 3 and
+        # the pattern (*1) share the one empty world: 4 + 2 + 1 worlds, where
+        # every tuple and the pattern walked all 2**3 R worlds before
+        assert len(calls) == 4 + 2 + 1 + 1
+        assert len(built) == 4 + 2 + 1
+
+    def test_oracle_compare_walks_each_ground_atom_on_two_worlds(self, monkeypatch, tmp_path, capsys):
+        from infpdb import cli
+
+        spec = {
+            "kind": "ti", "schema": {"R": 2, "S": 1}, "universe": {"kind": "naturals"},
+            "head_facts": [
+                {"relation": g.relation, "args": list(g.args), "p": str(p)} for g, p in self.HEAD
+            ],
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "query.txt").write_text((GOLDEN / "query.txt").read_text())
+        calls, _ = self._counting(monkeypatch)
+        assert cli.main(["oracle-compare", str(tmp_path / "spec.json"), "--query", str(tmp_path / "query.txt")]) == 0
+        capsys.readouterr()
+        ground = [f for f in calls if isinstance(f, Atom)]
+        assert len(ground) == 4 * 2
+        assert {f: ground.count(f) for f in ground} == {
+            Atom(g.relation, tuple(map(Const, g.args))): 2 for g, _ in self.HEAD
+        }

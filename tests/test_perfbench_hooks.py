@@ -55,3 +55,26 @@ def test_traced_boolean_query_on_ti_and_bid():
     assert tracer.n_sum == 4 + 11  # the certified n of each golden query
     assert tracer.counts["approx.worlds"] > 0 and tracer.counts["fo.eval_boolean.calls"] > 0
     assert all(value == 0 for name, (value, _) in metrics.items() if name.endswith(".errors"))
+
+
+def test_traced_open_query_walks_each_tuple_on_its_own_facts():
+    tracer = _tracer()
+    tracer.install(infpdb)
+    try:
+        spec, query = str(GOLDEN / "bid.json"), str(GOLDEN / "open_query.txt")
+        tracer.begin_op("bid")
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert infpdb.cli.main(["query", spec, "--query", query, "--epsilon", "0.1"]) == 0
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1)
+    assert [span[1] for span in tracer.spans].count("approx.approx_nonboolean") == 1
+    # exists y. R(x, y) & !(y = '1') on the blocks R(1, .), R(2, .), R(3, .):
+    # x = 1 walks 3 worlds, x = 2 and x = 3 walk 2 each, and the other five
+    # candidates and the pattern (*1) share the one world with no R fact
+    assert tracer.counts["fo.eval_boolean.calls"] == 3 + 2 + 2 + 6
+    assert tracer.counts["core.instances_built"] == 3 + 2 + 2 + 1
+    assert all(value == 0 for name, (value, _) in metrics.items() if name.endswith(".errors"))

@@ -64,6 +64,19 @@ class TestUniverseElements:
         assert u.contains("0110") and u.contains("")
         assert not u.contains("2") and not u.contains(1)
 
+    @given(
+        st.lists(st.sampled_from("0aé\\ '"), min_size=1, max_size=4, unique=True).map("".join),
+        st.one_of(
+            st.text(alphabet="01aé\\ '\"z", max_size=6),
+            st.integers(), st.none(), st.booleans(), st.floats(), st.lists(st.text(max_size=2), max_size=3),
+        ),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_string_membership_is_every_character_in_the_alphabet(self, alphabet, e):
+        u = Universe.strings(alphabet)
+        assert u.contains(e) == (isinstance(e, str) and all(ch in tuple(alphabet) for ch in e))
+        assert u.contains("") and not u.contains(1) and not u.contains(["0"])
+
     def test_fresh_elements_skip_taken(self):
         u = Universe.naturals()
         assert u.fresh_elements({1, 3}, 3) == [2, 4, 5]
