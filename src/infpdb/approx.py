@@ -32,7 +32,7 @@ import os
 from .completion import Completion
 from .core import Fact, FiniteDiscretePDB, Instance, facts_of
 from .errors import WorldCapExceeded
-from .fo import Formula, Fresh, Pattern, atom_patterns, constants, eval_boolean, free_variables, substitute
+from .fo import Formula, Fresh, Pattern, atom_patterns, eval_boolean, free_variables, groundings
 from .independence import BIDPdb, GeometricTail
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -229,36 +229,22 @@ def approx_nonboolean(
 ) -> dict[tuple, float]:
     """Per-tuple marginals of an open query, each additively eps-accurate.
 
-    The formula is grounded over every tuple of candidates: the elements of
-    the truncated facts and the formula's constants.  On the truncation
-    event any other element is generic, so two tuples that agree on their
-    candidates and whose other elements repeat at the same positions have
-    one value.  Each such pattern is grounded once, on fresh elements in
-    first-use order, and returned when non-zero, keyed by ``Fresh(j)`` for
-    its j-th fresh element; a tuple of no returned key has a marginal of at
-    most eps.  Keys come in lexicographic order, with candidates sorted and
-    fresh elements last.
+    The formula is grounded by :func:`fo.groundings` over the candidates:
+    the elements of the truncated facts and the formula's constants.  On
+    the truncation event any other element is generic, so a pattern keyed
+    by ``Fresh(j)`` has the value of every tuple it stands for; it is
+    returned when non-zero, and every tuple of candidates always.  A tuple
+    of no returned key has a marginal of at most eps.  Keys come in the
+    order of :func:`fo.groundings`.
     """
-    free = free_variables(f)
-    if not free:
+    if not free_variables(f):
         raise ValueError("open formula expected; use approx_boolean for sentences")
     cert = choose_truncation(t, epsilon)
     blocks = _truncated_blocks(t, cert.n, cap)
-    elements: set[Element] = set(constants(f))
-    for facts, _ in itertools.chain.from_iterable(blocks):
-        for fact in facts:
-            elements.update(fact.args)
-    candidates = sorted(elements, key=lambda e: (isinstance(e, str), e))
-    fresh = universe.fresh_elements(elements, len(free))
-    combos = []
-    for combo in itertools.product(candidates + fresh, repeat=len(free)):
-        used = [e for e in dict.fromkeys(combo) if e in fresh]
-        if used == fresh[: len(used)]:
-            combos.append(combo)
-    grounded = [substitute(f, dict(zip(free, combo))) for combo in combos]
-    names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}
-    table = {}
-    for combo, p in zip(combos, world_walk(blocks, grounded, universe)):
-        if p > 0.0 or names.keys().isdisjoint(combo):
-            table[tuple(names.get(e, e) for e in combo)] = p
-    return table
+    elements = {e for block in blocks for facts, _ in block for fact in facts for e in fact.args}
+    keys, grounded = zip(*groundings(f, elements, universe))
+    return {
+        key: p
+        for key, p in zip(keys, world_walk(blocks, list(grounded), universe))
+        if p > 0.0 or not any(isinstance(e, Fresh) for e in key)
+    }

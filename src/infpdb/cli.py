@@ -20,7 +20,9 @@ treats each tail fact up to the certified truncation as a singleton
 block, and walks the worlds block by block.  ``oracle-compare`` needs a
 space without a tail.
 
-Exit codes: 0 ok, 1 usage, 2 validation, 3 capability (enumeration caps).
+Exit codes: 0 ok, 1 usage, 2 validation, 3 capability: the enumeration
+caps, and ``NestingTooDeep`` for spec JSON or a query nested past the
+interpreter's recursion limit.
 The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) sets
 the world-enumeration cap used by ``query``; any other value is a usage
 error.
@@ -39,7 +41,7 @@ import sys
 
 from . import approx, completion as completion_mod, fo, oracle
 from .core import FiniteDiscretePDB
-from .errors import PdbError, ValidationError, WorldCapExceeded
+from .errors import NestingTooDeep, PdbError, ValidationError, WorldCapExceeded
 from .numerics import ProbabilityInterval
 from .specio import SpecDocument, instance_lines, load_instance, load_spec, save_spec
 
@@ -66,7 +68,7 @@ def _report_error(exc: Exception) -> int:
         print(f"WorldCapExceeded: {exc} (required n = {exc.required})", file=sys.stderr)
         return EXIT_CAPABILITY
     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return EXIT_VALIDATION
+    return EXIT_CAPABILITY if isinstance(exc, NestingTooDeep) else EXIT_VALIDATION
 
 
 _VALIDATE_LINE = {
@@ -203,8 +205,6 @@ def cmd_oracle_compare(args) -> int:
     facts = list(dict.fromkeys(g for block in blocks for outcome, _ in block for g in outcome))
     atoms = [fo.Atom(g.relation, tuple(map(fo.Const, g.args))) for g in facts]
     *engine, engine_q = approx.world_walk(blocks, [*atoms, formula], doc.universe)
-    if engine:
-        engine[0] += args.inject_error or 0.0
     diffs = []
     for f, engine_marginal in zip(facts, engine):
         oracle_marginal = oracle.exact_event_prob(worlds, lambda d: f in d)
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-compare", help="engine vs brute-force oracle")
     p.add_argument("spec")
     p.add_argument("--query", required=True)
-    p.add_argument("--inject-error", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_compare)
 
     return parser
@@ -278,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PdbError, OSError, ValueError) as exc:
         return _report_error(exc)
+    except RecursionError:  # reading converts its own; what is left is a walk over a query
+        return _report_error(NestingTooDeep("query or its world walk nests too deeply to evaluate"))
 
 
 if __name__ == "__main__":

@@ -52,6 +52,10 @@ class WorldCapExceeded(PdbError):
         self.cap = cap
 
 
+class NestingTooDeep(PdbError):
+    """Spec JSON or a query nests past the recursion limit of the walk that reads it."""
+
+
 class QuerySyntaxError(PdbError):
     """Query text failed to parse; ``position`` is a 0-based offset."""
 

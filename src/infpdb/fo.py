@@ -24,23 +24,23 @@ elements.  Generic elements are real universe elements, taken
 deterministically as the first enumeration indices outside the active
 domains.
 
-Open formulas are evaluated by enumerating candidate tuples over the
-combined active domain: any answer outside that set would have to hold
-for a generic element, in which case it holds for infinitely many and
-the answer relation is infinite.  This is reported with the
-:data:`INFINITE_ANSWER` sentinel rather than an exception so that batch
-callers can handle it per instance.  Over a probability space, answer
-keys name elements outside the candidates by the :class:`Fresh` sentinel.
+Open formulas are grounded in one place, :func:`groundings`: on every
+tuple of candidates, and on one representative per pattern of generic
+elements, keyed by the :class:`Fresh` sentinel.  On one instance
+(:func:`eval_query`), an answer with a generic element holds for
+infinitely many, so the answer relation is infinite; the
+:data:`INFINITE_ANSWER` sentinel says so rather than an exception, so
+that batch callers can handle it per instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
-from .errors import InfiniteAnswerError, QuerySyntaxError
+from .core import Fact, FiniteDiscretePDB, Instance, Schema, _element_key, active_domain
+from .errors import InfiniteAnswerError, NestingTooDeep, QuerySyntaxError
 from .record import Record
 from .universe import Element, Universe
 
@@ -279,8 +279,12 @@ class _Parser:
 
 
 def parse(text: str, schema: Schema) -> Formula:
-    """Parse query text against a schema; raises :class:`QuerySyntaxError`."""
-    return _Parser(text, schema).parse()
+    """Parse query text against a schema; raises :class:`QuerySyntaxError`,
+    or :class:`NestingTooDeep` past the recursion limit."""
+    try:
+        return _Parser(text, schema).parse()
+    except RecursionError:
+        raise NestingTooDeep("query nests too deeply to parse") from None
 
 
 # --- printing ----------------------------------------------------------
@@ -411,10 +415,9 @@ def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
 def _quantifier_domain(
     d: Instance, consts: set[Element], u: Universe, pool_size: int
 ) -> list[Element]:
+    # in any order: no truth value depends on the order a quantifier tries
     adom = active_domain(d) | consts
-    generics = u.fresh_elements(adom, pool_size)
-    ordered = sorted(adom, key=lambda e: (isinstance(e, str), e))
-    return ordered + generics
+    return [*adom, *u.fresh_elements(adom, pool_size)]
 
 
 def eval_boolean(
@@ -460,29 +463,44 @@ def _eval(f: Formula, d: Instance, env: dict[str, Element], domain: list[Element
     return not exists
 
 
+def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:
+    """``(key, sentence)`` for each grounding of the open formula ``f``.
+
+    The candidates are ``elements`` and the formula's constants, in
+    ``core``'s element order; any other element is generic.  A tuple with
+    generic elements stands for every tuple that repeats them at the same
+    positions, so each such pattern is grounded once, on fresh elements in
+    first-use order, its key naming the j-th ``Fresh(j)``.  Keys come in
+    lexicographic order, candidates before fresh elements.
+    """
+    _, consts, free, _ = _analysis(f)
+    taken = elements | consts
+    fresh = u.fresh_elements(taken, len(free))
+    names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}
+    for combo in itertools.product(sorted(taken, key=_element_key) + fresh, repeat=len(free)):
+        used = [e for e in dict.fromkeys(combo) if e in names]
+        if used == fresh[: len(used)]:
+            yield tuple(names.get(e, e) for e in combo), substitute(f, dict(zip(free, combo)))
+
+
 def eval_query(
     d: Instance, f: Formula, u: Universe
 ) -> frozenset[tuple] | _InfiniteAnswer:
     """Answer tuples of an open formula, or :data:`INFINITE_ANSWER`.
 
     Candidate tuples range over the combined active domain of instance
-    and formula; valuations that involve a generic element are probed as
-    well, and if any of them satisfies the formula the true answer
-    relation is infinite.
+    and formula (:func:`groundings`); if a pattern with a fresh element
+    satisfies the formula, so does every tuple it stands for, and the true
+    answer relation is infinite.
     """
-    _, consts, free, _ = _analysis(f)
-    k = len(free)
-    if k < 1:
+    if not free_variables(f):
         raise ValueError("open formula expected; use eval_boolean for sentences")
-    candidates = sorted(active_domain(d) | consts, key=lambda e: (isinstance(e, str), e))
-    generics = u.fresh_elements(set(candidates), k)
     answers: set[tuple] = set()
-    for combo in itertools.product(candidates + generics, repeat=k):
-        assignment = dict(zip(free, combo))
-        if eval_boolean(d, substitute(f, assignment), u):
-            if any(e in generics for e in combo):
+    for key, sentence in groundings(f, active_domain(d), u):
+        if eval_boolean(d, sentence, u):
+            if any(isinstance(e, Fresh) for e in key):
                 return INFINITE_ANSWER
-            answers.add(combo)
+            answers.add(key)
     return frozenset(answers)
 
 

@@ -20,8 +20,11 @@ that product is never evaluated, only enclosed.
 Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
 solves one closed form, :meth:`GeometricTail.mass_after`, for its point
 with :meth:`GeometricTail.position`; no caller walks the tail to find it.
-The enclosure's expanded prefix is summed per index group, whose facts
-share one probability, and lists at most one group.
+The tail owns its layout in index groups, whose facts share one
+probability: :meth:`GeometricTail.group` lists a group's facts and
+:meth:`GeometricTail.dropped` counts each group's facts among the first
+k.  The enclosure and the skip sampler read both and list a group only
+when they must tell its facts apart.
 
 A tuple-independent space is the block-disjoint space whose blocks are
 all singletons: :func:`ti_construct` builds that case of :class:`BIDPdb`,
@@ -230,6 +233,7 @@ class GeometricTail(Record):
                 f"rule value exceeds 1 at the first supplied index: "
                 f"{self.c} * {self.q}**{self.supply.first_index}"
             )
+        object.__setattr__(self, "_plans", {})  # skip_plan's, per tolerance
 
     def rule_value(self, i: int) -> float:
         return self.c * self.q**i
@@ -255,14 +259,19 @@ class GeometricTail(Record):
         )
         return gross - removed
 
+    def group(self, i: int) -> tuple[Fact, ...]:
+        """The listed facts of index group ``i``, in listing order: the
+        supplied ones that are not excluded.  Nothing is kept."""
+        exclude = self.exclude
+        return tuple(f for f in self.supply.facts_at(i) if f not in exclude)
+
     def indexed_facts(self) -> Iterator[tuple[int, Fact, float]]:
         """(intrinsic index, fact, probability) in canonical tail order."""
         i = self.supply.first_index
         while True:
             p = self.rule_value(i)
-            for f in self.supply.facts_at(i):
-                if f not in self.exclude:
-                    yield i, f, p
+            for f in self.group(i):
+                yield i, f, p
             i += 1
 
     @cached_property
@@ -282,6 +291,16 @@ class GeometricTail(Record):
         # facts; at most len(excluded) missing facts push it past first + k // m
         groups = range(first + k // m, first + (k + len(self._excluded_indices)) // m + 1)
         return groups[bisect.bisect_left(groups, k + 1, key=self.listed_through)]
+
+    def dropped(self, k: int) -> tuple[int, collections.Counter]:
+        """(``last``, the index group of listed fact k or ``first - 1`` for
+        k = 0; and per group through ``last`` how many of its m supplied
+        facts are not among the first k listed: the excluded ones, and in
+        ``last`` those past fact k).  Group i holds ``m - dropped[i]`` of them."""
+        last = self.group_of(k - 1)
+        dropped = collections.Counter(i for i in self._excluded_indices if i <= last)
+        dropped[last] += self.listed_through(last) - k
+        return last, dropped
 
     def mass_after(self, k: int) -> tuple[float, float]:
         """(mass of the listed tail facts after the first k, probability of
@@ -322,6 +341,64 @@ class GeometricTail(Record):
                 cap=ENCLOSURE_FACT_CAP,
             )
         return n
+
+    def skip_plan(self, delta: float) -> tuple:
+        """``(sure, runs, ends, drawn)``: the first ``truncation_count(delta)``
+        listed facts as :meth:`draw` reads them, built once per tolerance.
+
+        ``sure`` holds the facts with p >= 1, which every draw holds.  The
+        others form runs, one per index group with a listed fact among them:
+        run j is ``(i, count, w)`` for the first ``count`` listed facts of
+        group i, each of weight ``w = -log1p(-p)``, and ``ends[j]`` is the
+        sum of the weights of every fact through run j.  Their facts are
+        not listed: ``drawn`` keeps a group's facts from its first draw on.
+        """
+        plan = self._plans.get(delta)
+        if plan is None:
+            last, dropped = self.dropped(self.truncation_count(delta))
+            m, sure, runs = self.supply.multiplicity, [], []
+            for i in range(self.supply.first_index, last + 1):
+                count, p = m - dropped[i], self.rule_value(i)
+                if p >= 1.0:
+                    sure.extend(self.group(i)[:count])
+                elif count:
+                    runs.append((i, count, -math.log1p(-p)))
+            ends = tuple(itertools.accumulate(k * w for _, k, w in runs))
+            plan = self._plans[delta] = (tuple(sure), tuple(runs), ends, {})
+        return plan
+
+    def draw(self, rng, delta: float) -> list[Fact]:
+        """The tail facts of one draw: the first ``truncation_count(delta)``
+        listed facts, each occurring independently with its probability.
+
+        No fact in a stretch of total weight w occurs with probability
+        ``exp(-w)``, so the next fact to occur is the one in whose weight the
+        running sum plus an Exp(1) variate falls.  Each step adds one variate
+        and bisects over the plan's runs, and stops past the last run.
+        """
+        sure, runs, ends, drawn = self.skip_plan(delta)
+        chosen = list(sure)
+        total, j, r = 0.0, 0, 0  # the weight before fact r of run j
+        while True:
+            total -= math.log(1.0 - rng.random())
+            hit = bisect.bisect_right(ends, total, j)
+            if hit == len(ends):
+                return chosen
+            if hit > j:
+                j, r = hit, 0
+            i, count, w = runs[j]
+            begin = ends[j - 1] if j else 0.0
+            # rounding may place the sum on a fact already passed or past the run
+            r = min(max(r, int((total - begin) / w)), count - 1)
+            facts = drawn.get(i)
+            if facts is None:
+                facts = drawn[i] = self.group(i)
+            chosen.append(facts[r])
+            r += 1
+            if r == count:
+                total, j, r = ends[j], j + 1, 0
+            else:
+                total = begin + r * w
 
 
 class ConstantTail(Record):
@@ -393,9 +470,10 @@ class BlockPartition(Record):
         for r, j in self.key_attributes:
             if j < 0:
                 raise ValueError(f"key width must be >= 0 for {r!r}, got {j}")
-        listed = [f for f, _ in self.explicit]
-        if len(set(listed)) != len(listed):
+        labels = dict(self.explicit)
+        if len(labels) != len(self.explicit):
             raise ValueError("a fact is listed in two explicit blocks")
+        object.__setattr__(self, "_labels", labels)
 
     @classmethod
     def singletons(cls) -> "BlockPartition":
@@ -410,9 +488,8 @@ class BlockPartition(Record):
         return cls(explicit=tuple(assignments.items()))
 
     def key(self, f: Fact) -> Hashable:
-        for listed, label in self.explicit:
-            if listed == f:
-                return ("explicit", label)
+        if f in self._labels:
+            return ("explicit", self._labels[f])
         for r, j in self.key_attributes:
             if f.relation == r:
                 return ("key", r, f.args[:j])
@@ -478,54 +555,11 @@ class BIDPdb:
         # the positive-probability head facts, block by block
         self.head = tuple(fp for facts in self.blocks.values() for fp in facts)
         self._head_probs = dict(self.head)
-        self._tail_plans: dict[float, TailSkipPlan] = {}
-        self._tail_groups: dict[int, tuple[Fact, ...]] = {}
 
     @property
     def remainders(self) -> dict[Hashable, float]:
         """Per block, the probability that none of its facts occurs."""
         return {k: max(0.0, 1.0 - m) for k, m in self.masses.items()}
-
-    def tail_sampling_plan(self, delta: float) -> TailSkipPlan | None:
-        """The first ``truncation_count(delta)`` tail facts as the sampler
-        reads them, cached per tolerance; ``None`` without a tail.
-
-        The plan holds floats per index group.  The only facts it lists
-        are those with p >= 1, which every draw holds; the others are
-        built when first drawn (:meth:`tail_group`).
-        """
-        if self.tail is None:
-            return None
-        plan = self._tail_plans.get(delta)
-        if plan is None:
-            plan = self._tail_plans[delta] = self._skip_plan(self.tail.truncation_count(delta))
-        return plan
-
-    def _skip_plan(self, n: int) -> TailSkipPlan:
-        tail, sure, runs = self.tail, [], []
-        m, c, q, first = tail.supply.multiplicity, tail.c, tail.q, tail.supply.first_index
-        last = tail.group_of(n - 1) if n else first - 1
-        # group i lists m facts less its excluded ones; the last, only up to fact n
-        dropped = collections.Counter(i for i in tail._excluded_indices if i <= last)
-        dropped[last] += tail.listed_through(last) - n
-        for i in range(first, last + 1):
-            count, p = m - dropped[i], c * q**i
-            if p >= 1.0:
-                sure.extend(self.tail_group(i)[:count])
-            elif count:
-                runs.append((i, count, -math.log1p(-p)))
-        ends = tuple(itertools.accumulate(k * w for _, k, w in runs))
-        return TailSkipPlan(tuple(sure), tuple(runs), ends)
-
-    def tail_group(self, i: int) -> tuple[Fact, ...]:
-        """The listed tail facts of index group ``i``, in listing order,
-        built on first use and kept for the life of the space."""
-        facts = self._tail_groups.get(i)
-        if facts is None:
-            exclude = self.tail.exclude
-            facts = tuple(f for f in self.tail.supply.facts_at(i) if f not in exclude)
-            self._tail_groups[i] = facts
-        return facts
 
     @property
     def expected_size(self) -> float:
@@ -591,18 +625,18 @@ def _tail_one_minus_enclosure(
     start = tail.listed_through(skipped[-1] if skipped else 0)
     n = tail.position(ENCLOSURE_MASS_TARGET, start=start, p_max=0.5)
     k = min(n, ENCLOSURE_FACT_CAP)
-    m, first, last = tail.supply.multiplicity, tail.supply.first_index, tail.group_of(k - 1)
+    # the facts to count are all m of each group first..last, less one of
+    # group i for each fact of it dropped: not among the first k, or skipped
+    last, dropped = tail.dropped(k)
     skipped_in_last = skipped.count(last)
     if skipped_in_last and k < tail.listed_through(last):
-        listed = [f for f in tail.supply.facts_at(last) if f not in tail.exclude]
-        skipped_in_last = len(skip.intersection(listed[: k - tail.listed_through(last - 1)]))
-    # the facts to count are all m of each group first..last, less one of
-    # group i for each i dropped: excluded, skipped, or in group last past fact k
-    dropped = [i for i in tail._excluded_indices if i <= last] + [i for i in skipped if i < last]
-    dropped += [last] * (tail.listed_through(last) - k + skipped_in_last)
-    below_one = first  # p >= 1 only in the first groups, which must count no fact
+        skipped_in_last = len(skip.intersection(tail.group(last)[: k - tail.listed_through(last - 1)]))
+    dropped.update(i for i in skipped if i < last)
+    dropped[last] += skipped_in_last
+    m, below_one = tail.supply.multiplicity, tail.supply.first_index
+    # p >= 1 only in the first groups, which must count no fact
     while below_one <= last and tail.rule_value(below_one) >= 1.0:
-        if dropped.count(below_one) < m:
+        if dropped[below_one] < m:
             return ProbabilityInterval.point(0.0)
         below_one += 1
     # each group's term m times, as one exact multiple per set bit of m, less
@@ -610,7 +644,7 @@ def _tail_one_minus_enclosure(
     c, q, weights = tail.c, tail.q, [1 << b for b in range(m.bit_length()) if m >> b & 1]
     hi = math.exp(math.fsum(itertools.chain(
         (w * math.log1p(-c * q**i) for w in weights for i in range(below_one, last + 1)),
-        (-math.log1p(-c * q**i) for i in dropped if i >= below_one),
+        (-math.log1p(-c * q**i) for i in dropped.elements() if i >= below_one),
     )))
     if n > ENCLOSURE_FACT_CAP:
         return ProbabilityInterval(0.0, hi)
@@ -680,58 +714,9 @@ def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
 # --- sampling ------------------------------------------------------------
 
 
-def _check_delta(delta: float) -> None:
+def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     if math.isnan(delta) or not (0.0 < delta < 1.0):
         raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
-
-
-class TailSkipPlan(Record):
-    """The first n listed tail facts, as the skip sampler reads them.
-
-    ``sure`` holds the facts with p >= 1, which every draw holds.  The
-    others form runs, one per index group with a listed fact among the
-    first n: run j is ``(i, count, w)`` for the first ``count`` listed
-    facts of group i, each of weight ``w = -log1p(-p)``, and ``ends[j]``
-    is the sum of the weights of every fact through run j.
-    """
-
-    sure: tuple[Fact, ...]
-    runs: tuple[tuple[int, int, float], ...]
-    ends: tuple[float, ...]
-
-
-def _draw_tail(b: BIDPdb, plan: TailSkipPlan, rng, chosen: list[Fact]) -> None:
-    """Add the tail facts of one draw to ``chosen``.
-
-    No fact in a stretch of total weight w occurs with probability
-    ``exp(-w)``, so the next fact to occur is the one in whose weight the
-    running sum plus an Exp(1) variate falls.  Each step adds one variate
-    and bisects over the runs, and stops past the last run.
-    """
-    chosen.extend(plan.sure)
-    runs, ends = plan.runs, plan.ends
-    total, j, r = 0.0, 0, 0  # the weight before fact r of run j
-    while True:
-        total -= math.log(1.0 - rng.random())
-        hit = bisect.bisect_right(ends, total, j)
-        if hit == len(ends):
-            return
-        if hit > j:
-            j, r = hit, 0
-        group, count, w = runs[j]
-        begin = ends[j - 1] if j else 0.0
-        # rounding may place the sum on a fact already passed or past the run
-        r = min(max(r, int((total - begin) / w)), count - 1)
-        chosen.append(b.tail_group(group)[r])
-        r += 1
-        if r == count:
-            total, j, r = ends[j], j + 1, 0
-        else:
-            total = begin + r * w
-
-
-def _draw(b: BIDPdb, rng, delta: float) -> Instance:
-    _check_delta(delta)
     chosen: list[Fact] = []
     for facts in b.blocks.values():
         x = rng.random()
@@ -742,7 +727,7 @@ def _draw(b: BIDPdb, rng, delta: float) -> Instance:
                 chosen.append(f)
                 break
     if b.tail is not None:
-        _draw_tail(b, b.tail_sampling_plan(delta), rng, chosen)
+        chosen += b.tail.draw(rng, delta)
     return Instance(chosen)
 
 
@@ -754,7 +739,7 @@ def ti_sample(t: BIDPdb, rng, delta: float) -> Instance:
     beyond the truncation occurs with probability at most that mass), and
     its first n facts occur independently, each with its probability.
     Facts with p >= 1 always occur; among the others the draw jumps from
-    one occurring fact to the next (:func:`_draw_tail`), so it costs
+    one occurring fact to the next (:meth:`GeometricTail.draw`), so it costs
     O(head blocks + (1 + tail facts drawn) * log n) and builds a fact only
     when it is drawn.
     """

@@ -1,11 +1,12 @@
 """Log-domain products of probabilities and rigorous tail enclosures.
 
-Every probability that the engine derives from a (possibly infinite)
-product of factors ``1 - p`` goes through this module.  Products are
-accumulated as sums of ``log1p(-p)`` because linear-domain products over
-hundreds of near-one factors lose precision.  Infinite tails are never
-evaluated exactly; they are enclosed between the trivial upper bound
-(every remaining factor is at most one) and the lower bound
+Products of factors ``1 - p`` are accumulated as sums of ``log1p(-p)``,
+because linear-domain products over hundreds of near-one factors lose
+precision: here for listed factors (block masses, event unions), and in
+``independence`` per index group of a tail, for its enclosure and sampler.
+Infinite tails are never evaluated exactly; they are enclosed between
+the trivial upper bound (every remaining factor is at most one) and the
+lower bound
 
     prod_i (1 - p_i)  >=  exp(-(3/2) * sum_i p_i)      for all p_i <= 1/2,
 

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 from .completion import Completion, FactProbabilityAssignment, complete
 from .core import Fact, FiniteDiscretePDB, Instance, Schema
-from .errors import ValidationError
+from .errors import NestingTooDeep, ValidationError
 from .independence import (
     BIDPdb,
     BlockPartition,
@@ -443,6 +443,8 @@ def _load_json(path: str | Path):
             return json.load(fh, parse_constant=no_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except RecursionError:
+            raise NestingTooDeep(f"{path}: JSON nests too deeply to read") from None
 
 
 def load_spec(path: str | Path) -> SpecDocument:

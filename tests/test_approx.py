@@ -21,7 +21,7 @@ from infpdb.completion import complete
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, facts_of
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
-    And, Atom, Const, Fresh, Not, Or, Var, constants, eval_boolean, free_variables, parse, substitute,
+    And, Atom, Const, Fresh, Not, Or, Var, constants, eval_boolean, free_variables, groundings, parse, substitute,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -520,6 +520,24 @@ class TestOpenQueryPatterns:
                 wants = _block_outcome_probs([[(g, p) for (g,), p in block] for block in blocks], sentences)
                 for combo, want in zip(tuples, wants):
                     assert abs(table.get(_pattern_of(combo, candidates), 0.0) - want) <= 1e-12, (f, combo)
+
+    def test_keys_are_the_groundings_keys(self):
+        """Every tuple of candidates, then each pattern with a fresh element
+        whose value is not 0, in the order :func:`fo.groundings` yields them."""
+        rng = random.Random(17)
+        for case in range(24):
+            bid, with_tail, k = case % 2 == 1, case % 4 >= 2, 1 + (case % 8 >= 4)
+            space, _ = _random_space(rng, bid, with_tail)
+            f = _random_open_query(rng, k)
+            table = approx_nonboolean(space, f, self.EPS, NAT)
+            n = choose_truncation(space, self.EPS).n
+            blocks = approx._truncated_blocks(space, n, None)
+            elements = {e for block in blocks for facts, _ in block for g in facts for e in g.args}
+            keys = [
+                key for key, sentence in groundings(f, elements, NAT)
+                if not any(isinstance(e, Fresh) for e in key) or conditional_query_prob(space, sentence, n, NAT) > 0.0
+            ]
+            assert list(table) == keys, f
 
     def test_zero_patterns_keep_the_candidate_rows(self):
         space, _ = _random_space(random.Random(3), bid=False, with_tail=True)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infpdb import approx
 from infpdb.cli import build_parser, main
 from infpdb.core import Fact, Instance
 from infpdb.specio import instance_lines, load_spec, parse_spec, save_spec, spec_to_json
@@ -815,26 +816,49 @@ class TestComplete:
         assert main(["complete", str(bpath), str(tpath), "--c", "0.5", "-o", out_path]) == 0
 
 
+class TestDeepNesting:
+    """Input nested past the recursion limit is a capability limit: exit 3
+    and one ``NestingTooDeep`` line, not a traceback."""
+
+    def _one_line(self, capsys, where):
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"NestingTooDeep: {where}"]
+
+    def test_spec_json_nested_past_the_limit(self, tmp_path, capsys):
+        spath = tmp_path / "deep.json"
+        depth = 100_000
+        spath.write_text('{"kind": "ti", "schema": {"R": 1}, "head_facts": ' + "[" * depth + "]" * depth + "}")
+        assert main(["validate", str(spath)]) == 3
+        self._one_line(capsys, f"{spath}: JSON nests too deeply to read")
+
+    def test_query_nested_past_the_parser(self, tmp_path, capsys):
+        qpath = tmp_path / "q.txt"
+        qpath.write_text("!" * 5_000 + "R('A', '1')")
+        assert main(["query", str(GOLDEN / "ti_head.json"), "--query", str(qpath), "--epsilon", "0.1"]) == 3
+        self._one_line(capsys, "query nests too deeply to parse")
+
+    def test_parsed_query_nested_past_the_walk(self, tmp_path, capsys):
+        qpath = tmp_path / "q.txt"
+        qpath.write_text(" & ".join(["R(1, 2)"] * 1_200))
+        assert main(["query", str(GOLDEN / "ti_head.json"), "--query", str(qpath), "--epsilon", "0.1"]) == 3
+        self._one_line(capsys, "query or its world walk nests too deeply to evaluate")
+
+
 class TestOracleCompare:
     def test_agreement(self, example_spec, query_file, capsys):
         assert main(["oracle-compare", example_spec, "--query", query_file]) == 0
         out = capsys.readouterr().out
         assert "max abs difference" in out
 
-    def test_injected_error_detected(self, example_spec, query_file, capsys):
-        assert (
-            main(
-                [
-                    "oracle-compare",
-                    example_spec,
-                    "--query",
-                    query_file,
-                    "--inject-error",
-                    "1e-6",
-                ]
-            )
-            == 2
-        )
+    def test_injected_error_detected(self, example_spec, query_file, capsys, monkeypatch):
+        walk = approx.world_walk
+
+        def shifted(*args):
+            first, *rest = walk(*args)
+            return [first + 1e-6, *rest]
+
+        monkeypatch.setattr(approx, "world_walk", shifted)
+        assert main(["oracle-compare", example_spec, "--query", query_file]) == 2
         assert "MISMATCH" in capsys.readouterr().err
 
     def test_spec_with_tail_is_refused(self, capsys):

@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema
+from infpdb import fo
+from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
 from infpdb.errors import InfiniteAnswerError, QuerySyntaxError
 from infpdb.fo import (
     INFINITE_ANSWER,
@@ -16,15 +20,20 @@ from infpdb.fo import (
     Not,
     Or,
     Var,
+    Fresh,
     View,
     analyze,
+    constants,
     eval_boolean,
     eval_query,
+    free_variables,
+    groundings,
     parse,
     print_formula,
     substitute,
     view_pushforward,
 )
+from infpdb.record import Record
 from infpdb.universe import Universe
 
 from helpers import naive_eval, random_instance, random_sentence
@@ -231,6 +240,80 @@ class TestEvalQuery:
             if eval_boolean(d, substitute(f, {"z": e}), NAT)
         }
         assert answers == frozenset(expected)
+
+
+def _all_generic_combos(d, f, u):
+    """eval_query by trying every tuple over the candidates and one generic
+    element per free variable, the generics in every combination."""
+    free = free_variables(f)
+    candidates = sorted(active_domain(d) | constants(f), key=lambda e: (isinstance(e, str), e))
+    generics = u.fresh_elements(set(candidates), len(free))
+    answers = set()
+    for combo in itertools.product(candidates + generics, repeat=len(free)):
+        if eval_boolean(d, substitute(f, dict(zip(free, combo))), u):
+            if any(e in generics for e in combo):
+                return INFINITE_ANSWER
+            answers.add(combo)
+    return frozenset(answers)
+
+
+def _open_formula(rng, k):
+    """A random formula whose free variables are x, y, z up to k: the
+    marker constants 101, 102, 103 of a random sentence become them."""
+    markers = dict(zip((101, 102, 103), "xyz"[:k]))
+    schema = Schema.of(R=2, S=1)
+
+    def lift(node):
+        if isinstance(node, Const) and node.value in markers:
+            return Var(markers[node.value])
+        if isinstance(node, tuple):
+            return tuple(map(lift, node))
+        if isinstance(node, Record):
+            return type(node)(*(lift(getattr(node, name)) for name in node._fields))
+        return node
+
+    f = lift(random_sentence(rng, schema, max_rank=1, constant_pool=(1, 2, *markers)))
+    f = And(f, Atom("R", (Var("x"), Const(2)))) if not free_variables(f) else f
+    return Not(f) if rng.random() < 0.4 else f
+
+
+class TestGroundings:
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_eval_query_matches_every_generic_combination(self, rng, k):
+        f = _open_formula(rng, k)
+        d = random_instance(rng, Schema.of(R=2, S=1), elements=(1, 2, 3, "a"), max_facts=4)
+        assert eval_query(d, f, NAT) == _all_generic_combos(d, f, NAT)
+
+    def test_both_answer_kinds_occur_among_the_drawn_formulas(self):
+        rng, kinds = random.Random(5), set()
+        for k in (1, 2, 3) * 20:
+            f = _open_formula(rng, k)
+            d = random_instance(rng, Schema.of(R=2, S=1), elements=(1, 2, 3, "a"), max_facts=4)
+            answers = eval_query(d, f, NAT)
+            assert answers == _all_generic_combos(d, f, NAT)
+            kinds.add(answers is INFINITE_ANSWER)
+        assert kinds == {False, True}
+
+    def test_keys_in_element_order_then_fresh_in_first_use_order(self):
+        f = parse("R(x, y) | x = 'b'", Schema.of(R=2))
+        keys = [key for key, _ in groundings(f, {"a", 2}, NAT)]
+        fresh = [Fresh(1), Fresh(2)]
+        order = [2, "a", "b"]
+        want = [(a, b) for a in order + fresh[:1] for b in order + fresh[: 1 + (a == fresh[0])]]
+        assert keys == want
+        # the fresh elements are the first naturals outside the candidates
+        sentences = dict(groundings(f, {"a", 2}, NAT))
+        assert sentences[(Fresh(1), Fresh(2))] == parse("R(1, 3) | 1 = 'b'", Schema.of(R=2))
+
+    def test_eval_query_tries_only_first_use_patterns(self, monkeypatch):
+        calls = []
+        evaluate = fo.eval_boolean
+        monkeypatch.setattr(fo, "eval_boolean", lambda d, f, u: calls.append(f) or evaluate(d, f, u))
+        d = Instance([fact("R", 1, 2), fact("R", 2, 3)])
+        assert eval_query(d, parse("R(x, y)", Schema.of(R=2)), NAT) == {(1, 2), (2, 3)}
+        # 3 candidates: 9 tuples, 3 + 3 with one fresh element, and (*1, *1), (*1, *2)
+        assert len(calls) == 9 + 6 + 2 < (3 + 2) ** 2
 
 
 class TestViews:

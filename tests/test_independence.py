@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -262,6 +263,23 @@ class TestTailPrimitive:
         for bound, start, p_max in itertools.product((0.3, 1e-3, 1e-9), (0, 5, 17), (1.0, 0.2)):
             assert tail.position(bound, start, p_max) == scan(bound, start, p_max)
 
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
+    def test_group_listing_matches_indexed_facts(self, name):
+        tail = PRIMITIVE_TAILS[name]
+        groups = range(tail.supply.first_index, tail.supply.first_index + 14)
+        listed = list(itertools.islice(tail.indexed_facts(), tail.listed_through(groups[-1])))
+        assert [(i, f) for i in groups for f in tail.group(i)] == [(i, f) for i, f, _ in listed]
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
+    def test_dropped_counts_each_group_among_the_first_k(self, name):
+        tail = PRIMITIVE_TAILS[name]
+        m, first = tail.supply.multiplicity, tail.supply.first_index
+        listed = [i for i, _, _ in itertools.islice(tail.indexed_facts(), 40)]
+        for k in range(41):
+            last, dropped = tail.dropped(k)
+            assert last == (listed[k - 1] if k else first - 1)
+            assert all(m - dropped[i] == listed[:k].count(i) for i in range(first, last + 1)), k
+
     @pytest.mark.parametrize("bound", [-1e-9, math.nan])
     def test_position_rejects_unreachable_bounds(self, bound):
         with pytest.raises(ValueError):
@@ -472,6 +490,18 @@ class TestIndependenceProperties:
 
 
 class TestBlockPartition:
+    def test_explicit_keys_cost_linear_comparisons(self, monkeypatch):
+        """Building a 2,000-fact explicit partition and its space compares
+        facts O(n) times, not once per listed fact per lookup."""
+        facts = rfacts(*range(1, 2_001))
+        calls = []
+        equal = Fact.__eq__
+        monkeypatch.setattr(Fact, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
+        part = BlockPartition.explicit_blocks({f: f"b{f.args[0] // 2}" for f in facts})
+        space = bid_construct(part, FactProbabilityAssignment(tuple((f, 0.25) for f in facts)))
+        assert len(space.blocks) == 1_001
+        assert len(calls) <= 4 * len(facts)
+
     def test_key_projection(self):
         part = BlockPartition.by_keys(R=1)
         assert part.key(fact("R", 1, 5)) == part.key(fact("R", 1, 9))
@@ -688,6 +718,28 @@ class TestSkipSampler:
         for size, p in enumerate(size_law(units)):
             assert_frequency(sizes[size], draws, p, f"size {size}")
 
+    @pytest.mark.parametrize("tail", [
+        geometric_tail(c=1.0, q=0.7),
+        geometric_tail(c=2.0, q=0.5, exclude=rfacts(3, 4)),  # fact 1 has p = 1
+        product_tail((1, 2), c=2.0),
+        product_tail((1, 2, 3), exclude=[fact("R", 2, 1), fact("R", 1, 2), fact("R", 2, 2), fact("R", 3, 2)],
+                     c=2.0 * (1 + 1e-13), q=0.5),
+        product_tail((1, 2, 3), exclude=[fact("R", 1, 1), fact("R", 2, 2), fact("R", 3, 2)], c=0.9, q=0.8),
+    ])
+    def test_skip_plan_is_the_listing_by_group(self, tail):
+        """The plan of the first truncation_count(delta) listed facts, rebuilt
+        from the listing: facts with p >= 1 in ``sure``, then per index group
+        its count and weight, and the running sums of the weights."""
+        for delta in (0.5, 1e-2, 1e-3, 1e-9):
+            listed = list(itertools.islice(tail.indexed_facts(), tail.truncation_count(delta)))
+            sure = tuple(f for _, f, p in listed if p >= 1.0)
+            counts = collections.Counter(i for i, _, p in listed if p < 1.0)
+            runs = tuple((i, k, -math.log1p(-tail.rule_value(i))) for i, k in counts.items())
+            ends = tuple(itertools.accumulate(k * w for _, k, w in runs))
+            plan = tail.skip_plan(delta)
+            assert plan[:3] == (sure, runs, ends), delta
+            assert tail.skip_plan(delta) is plan
+
     @pytest.mark.parametrize("supply, c", [("enumeration", 2.0), ("product", 2.0),
                                            ("enumeration", 2.0 * (1 + 1e-13))])
     def test_facts_with_probability_one_always_occur(self, supply, c):
@@ -695,7 +747,7 @@ class TestSkipSampler:
         facts are drawn every time and the rest keep their law."""
         tail = geometric_tail(c=c, q=0.5) if supply == "enumeration" else product_tail((1, 2), c=c)
         space = ti_construct(FactProbabilityAssignment((), tail))
-        sure = space.tail_group(1)
+        sure = tail.group(1)
         assert tail.rule_value(1) >= 1.0
         draws, rng, total = 5_000, random.Random(3), 0
         for _ in range(draws):

@@ -8,6 +8,7 @@ kind runs the hooks that read the space, such as ``BIDPdb.head``.
 import contextlib
 import importlib.util
 import io
+import random
 from pathlib import Path
 
 import infpdb
@@ -78,3 +79,27 @@ def test_traced_open_query_walks_each_tuple_on_its_own_facts():
     assert tracer.counts["fo.eval_boolean.calls"] == 3 + 2 + 2 + 6
     assert tracer.counts["core.instances_built"] == 3 + 2 + 2 + 1
     assert all(value == 0 for name, (value, _) in metrics.items() if name.endswith(".errors"))
+
+
+def test_traced_sample_records_the_tail_truncation_and_the_draws():
+    tracer = _tracer()
+    tracer.install(infpdb)
+    try:
+        tracer.begin_op("sample")
+        try:
+            spec = str(GOLDEN / "ti_tail.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert infpdb.cli.main(["sample", spec, "--n", "5", "--seed", "7"]) == 0
+            # pdb sample draws through BIDPdb.sample, which every kind shares
+            space = infpdb.specio.load_spec(spec).space()
+            infpdb.independence.ti_sample(space, random.Random(7), 1e-9)
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans]
+    # the skip plan is built once per tail and tolerance, on its first draw
+    assert names.count("independence.truncation_count") == 2
+    assert names.count("independence.bid_sample") == 5 and names.count("independence.ti_sample") == 1
+    assert tracer.counts["independence.draws"] == 6
+    assert all(value == 0 for name, (value, _) in tracer.metrics(1).items() if name.endswith(".errors"))
