@@ -21,10 +21,8 @@ from .core import (
 )
 from .universe import FactEnumeration, Universe
 from .numerics import (
-    LogProbability,
     ProbabilityInterval,
     euler_tail_lower_bound,
-    log_product_one_minus,
     subset_expansion_check,
 )
 from .independence import (

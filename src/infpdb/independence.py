@@ -10,12 +10,13 @@ refuses anything it cannot certify.
 Block-disjoint spaces partition facts into blocks: facts in one block
 are mutually exclusive, facts across blocks independent.  Blocks are
 derived structurally (key-attribute projection, explicit listing, or
-singletons); each block keeps the remainder mass it places on "no fact
-from this block".  Tail facts always form singleton blocks.  A finite
-instance with at most one fact per block has the product of its facts'
-probabilities times the remainders of the untouched blocks times the
-product of ``1 - p`` over all absent tail facts; the infinite part of
-that product is never evaluated, only enclosed.
+singletons); each block keeps, from construction, the log of the mass
+it places on "no fact from this block".  Tail facts always form
+singleton blocks.  A finite instance with at most one fact per block
+has the product of its facts' probabilities times the remainders of the
+untouched blocks times the product of ``1 - p`` over all absent tail
+facts; the infinite part of that product is never evaluated, only
+enclosed.
 
 Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
 solves one closed form, :meth:`GeometricTail.mass_after`, for its point
@@ -48,7 +49,7 @@ from .errors import (
     ValidationError,
     WorldCapExceeded,
 )
-from .numerics import ProbabilityInterval, log_product_one_minus
+from .numerics import ProbabilityInterval
 from .record import Record
 from .universe import Element, FactEnumeration
 
@@ -165,7 +166,8 @@ class ProductSupply(Record):
     def _element_to_index(self, e: Element) -> int | None:
         if self.enumeration.universe.kind == "naturals":
             return e if isinstance(e, int) and not isinstance(e, bool) and e >= 1 else None
-        if not isinstance(e, str) or not e.isdigit() or e[0] == "0":
+        # exactly the numerals _index_element writes: ASCII digits, no leading zero
+        if not isinstance(e, str) or not (e.isascii() and e.isdigit()) or e[0] == "0":
             return None
         return int(e)
 
@@ -555,6 +557,10 @@ class BIDPdb:
         # the positive-probability head facts, block by block
         self.head = tuple(fp for facts in self.blocks.values() for fp in facts)
         self._head_probs = dict(self.head)
+        # per block, in block order, log P(no fact of the block occurs); and
+        # each head fact's block slot in that list
+        self._log_none = [math.log1p(-m) if m < 1.0 else -math.inf for m in self.masses.values()]
+        self._slot = {f: j for j, facts in enumerate(self.blocks.values()) for f, _ in facts}
 
     @property
     def remainders(self) -> dict[Hashable, float]:
@@ -658,26 +664,24 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     two facts of ``d`` share a block.
     """
     log_present = 0.0
-    touched: set[Hashable] = set()
+    log_none = b._log_none.copy()
     tail_skip: list[Fact] = []
     for f in d:
         p = b.probability_of(f)
         if p <= 0.0:
             return ProbabilityInterval.point(0.0)
         log_present += math.log(p) if p < 1.0 else 0.0
-        if f in b._head_probs:
-            key = b.partition.key(f)
-            if key in touched:
-                return ProbabilityInterval.point(0.0)
-            touched.add(key)
-        else:
+        j = b._slot.get(f)
+        if j is None:
             tail_skip.append(f)
-    log_absent = log_product_one_minus(
-        [min(m, 1.0) for k, m in b.masses.items() if k not in touched]
-    )
-    if log_absent.value == -math.inf:
+        elif log_none[j] == 0.0:  # a block's own term is < 0, as its mass is > 0
+            return ProbabilityInterval.point(0.0)  # a second fact of one block
+        else:
+            log_none[j] = 0.0
+    log_absent = math.fsum(log_none)
+    if log_absent == -math.inf:
         return ProbabilityInterval.point(0.0)
-    point = min(math.exp(log_present + log_absent.value), 1.0)
+    point = min(math.exp(log_present + log_absent), 1.0)
     return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point)
 
 
@@ -707,7 +711,8 @@ def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
         conj = 0.0
     else:
         conj = math.exp(math.fsum(math.log(p) for p in ps))
-    union = 1.0 - log_product_one_minus(ps).probability
+    # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0
+    union = 0.0 - math.expm1(math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in ps))
     return conj, union
 
 

@@ -1,9 +1,12 @@
 """Log-domain products of probabilities and rigorous tail enclosures.
 
-Products of factors ``1 - p`` are accumulated as sums of ``log1p(-p)``,
-because linear-domain products over hundreds of near-one factors lose
-precision: here for listed factors (block masses, event unions), and in
-``independence`` per index group of a tail, for its enclosure and sampler.
+One rule computes every finite product of factors ``1 - p``: it is
+``exp`` of one ``math.fsum`` of the terms ``log1p(-p)``, because
+linear-domain products over hundreds of near-one factors lose precision,
+and ``fsum`` adds the terms exactly, in any order.  In ``independence``
+a space fixes its blocks' terms at construction and an instance sums
+them less its touched blocks' terms, an event union sums its facts'
+terms, and a tail's enclosure sums them per index group.
 Infinite tails are never evaluated exactly; they are enclosed between
 the trivial upper bound (every remaining factor is at most one) and the
 lower bound
@@ -17,7 +20,7 @@ after the linear term and absorbing the remainder into an extra ``p/2``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .record import Record
 
@@ -44,34 +47,6 @@ class CompensatedAccumulator:
     @property
     def value(self) -> float:
         return self._total + self._comp
-
-
-def compensated_sum(xs: Iterable[float]) -> float:
-    """Neumaier-compensated sum; order-sensitive only at the 1-ulp level."""
-    acc = CompensatedAccumulator()
-    for x in xs:
-        acc.add(x)
-    return acc.value
-
-
-class LogProbability(Record):
-    """A probability stored as its natural log, in [-inf, 0].
-
-    ``value == -inf`` encodes probability zero.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if math.isnan(self.value) or self.value > 0.0:
-            raise ValueError(f"log-probability must lie in [-inf, 0], got {self.value}")
-
-    @property
-    def probability(self) -> float:
-        return math.exp(self.value)
-
-    def __mul__(self, other: "LogProbability") -> "LogProbability":
-        return LogProbability(self.value + other.value)
 
 
 class ProbabilityInterval(Record):
@@ -108,27 +83,6 @@ class ProbabilityInterval(Record):
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"scale factor must be a probability, got {factor}")
         return ProbabilityInterval(self.lo * factor, self.hi * factor)
-
-
-def _check_probabilities(ps: Sequence[float]) -> None:
-    for p in ps:
-        if math.isnan(p) or not (0.0 <= p <= 1.0):
-            raise ValueError(f"probability out of range [0, 1]: {p!r}")
-
-
-def log_product_one_minus(ps: Sequence[float]) -> LogProbability:
-    """Log of ``prod (1 - p)`` over a finite sequence of probabilities.
-
-    The summands ``log1p(-p)`` are accumulated in ascending sorted order
-    with compensation, so the result is exactly permutation-invariant.
-    Returns -inf iff some ``p`` equals 1.
-    """
-    _check_probabilities(ps)
-    if any(p == 1.0 for p in ps):
-        return LogProbability(-math.inf)
-    terms = sorted(math.log1p(-p) for p in ps)
-    total = compensated_sum(terms)
-    return LogProbability(min(total, 0.0))
 
 
 def euler_tail_lower_bound(tail_sum: float) -> float:

@@ -507,6 +507,35 @@ class TestValidate:
         assert f"ValidationError: {message}" in err
         assert "Traceback" not in err
 
+class TestIndexNumerals:
+    """A product tail over strings indexes its groups by ASCII decimal
+    numerals; other Unicode digits are plain elements outside the supply."""
+
+    SPEC = {
+        "kind": "ti",
+        "schema": {"R": 2},
+        "universe": {"kind": "strings", "alphabet": "0123456789A\u0663\u00b2"},
+        "tail": {"rule": "geometric", "c": "0.5", "q": "0.5",
+                 "supply": {"type": "product", "relation": "R", "index_position": 2,
+                            "fixed": {"1": ["A"]}}},
+    }
+
+    def test_arabic_indic_three_is_not_index_three(self, tmp_path, capsys):
+        spec, instance = tmp_path / "spec.json", tmp_path / "d.json"
+        spec.write_text(json.dumps(self.SPEC))
+        instance.write_text(json.dumps({"facts": [{"relation": "R", "args": ["A", "\u0663"]}]}))
+        assert main(["prob", "--instance", str(instance), str(spec)]) == 0
+        assert capsys.readouterr().out == "probability = 0.0\n"
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"], ids=["arabic-indic-three", "superscript-two"])
+    def test_head_fact_with_a_unicode_digit_is_valid(self, digit, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**self.SPEC, "head_facts": [
+            {"relation": "R", "args": ["A", digit], "p": "0.5"}]}))
+        assert main(["validate", str(spec)]) == 0
+        assert capsys.readouterr().out == "TI, total mass 1.000, convergent, expected size 1.000\n"
+
+
 class TestInProcess:
     """``main`` called many times in one process behaves as fresh processes."""
 

@@ -209,6 +209,15 @@ class TestTiEventProbs:
         t = ti_construct(FactProbabilityAssignment(()))
         assert ti_event_probs(t, []) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("ps", [[1e-20], [1e-20, 3e-17]], ids=["one", "two"])
+    def test_union_of_small_probabilities(self, ps):
+        head = tuple((fact("R", i), p) for i, p in enumerate(ps, start=1))
+        t = ti_construct(FactProbabilityAssignment(head))
+        conj, union = ti_event_probs(t, [f for f, _ in head])
+        truth = exact_event_prob(enumerate_worlds(list(head)), lambda d: len(d) > 0)
+        assert union >= conj
+        assert union == pytest.approx(truth, rel=1e-12)
+
     def test_marginals_match_oracle(self):
         rng = random.Random(23)
         head = tuple((fact("R", i), rng.random()) for i in range(1, 9))

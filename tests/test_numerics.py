@@ -6,52 +6,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infpdb.core import Fact, Instance, Schema
+from infpdb.errors import ValidationError
 from infpdb.independence import (
+    BlockPartition,
     EnumerationSupply,
     FactProbabilityAssignment,
     GeometricTail,
+    bid_construct,
+    bid_instance_prob,
     ti_construct,
     ti_instance_prob,
 )
 from infpdb.numerics import (
-    LogProbability,
+    CompensatedAccumulator,
     ProbabilityInterval,
-    compensated_sum,
     euler_tail_lower_bound,
-    log_product_one_minus,
     subset_expansion_check,
 )
+from infpdb.oracle import enumerate_block_worlds
 from infpdb.universe import FactEnumeration, Universe
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def _none_of(ps):
+    """Probability of the empty instance of singleton blocks with these
+    probabilities: the product of their ``1 - p``."""
+    head = tuple((Fact("S", (i,)), p) for i, p in enumerate(ps, start=1))
+    return ti_instance_prob(ti_construct(FactProbabilityAssignment(head)), Instance.empty())
+
+
 class TestLogProductOneMinus:
+    """The one rule for finite products of ``1 - p``, read through the empty
+    instance of a head-only space."""
+
     def test_empty_product_is_one(self):
-        assert log_product_one_minus([]).value == 0.0
-        assert log_product_one_minus([]).probability == 1.0
+        assert _none_of([]) == ProbabilityInterval.point(1.0)
 
     def test_worked_example(self):
         # direct multiplication: 0.7 * 0.8 * 0.9 = 0.504
-        result = log_product_one_minus([0.3, 0.2, 0.1])
-        assert result.value == pytest.approx(math.log(0.504), abs=1e-12)
-        assert result.value == pytest.approx(-0.685179, abs=1e-6)
+        result = _none_of([0.3, 0.2, 0.1])
+        assert result.is_point
+        assert result.lo == pytest.approx(0.504, abs=1e-12)
+        assert math.log(result.lo) == pytest.approx(-0.685179, abs=1e-6)
 
     def test_zero_factor_gives_log_zero(self):
-        assert log_product_one_minus([1.0, 0.5]).value == -math.inf
-        assert log_product_one_minus([1.0, 0.5]).probability == 0.0
+        assert _none_of([1.0, 0.5]) == ProbabilityInterval.point(0.0)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            log_product_one_minus([0.5, 1.5])
-        with pytest.raises(ValueError):
-            log_product_one_minus([-0.1])
+        with pytest.raises(ValidationError):
+            _none_of([0.5, 1.5])
+        with pytest.raises(ValidationError):
+            _none_of([-0.1])
 
     @given(st.lists(probabilities, max_size=30), st.randoms(use_true_random=False))
     def test_exact_permutation_invariance(self, ps, rng):
         shuffled = ps[:]
         rng.shuffle(shuffled)
-        assert log_product_one_minus(ps).value == log_product_one_minus(shuffled).value
+        assert _none_of(ps) == _none_of(shuffled)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=1, max_size=1000))
     @settings(max_examples=50)
@@ -59,8 +71,46 @@ class TestLogProductOneMinus:
         direct = 1.0
         for p in ps:
             direct *= 1.0 - p
-        via_log = log_product_one_minus(ps).probability
-        assert via_log == pytest.approx(direct, abs=1e-12)
+        assert _none_of(ps).lo == pytest.approx(direct, abs=1e-12)
+
+
+# head-only BID spaces: singleton S blocks, and K blocks keyed on K's first
+# attribute, optionally with a fact of p = 1 and a block of mass exactly 1
+@st.composite
+def head_only_bid(draw):
+    singles = draw(st.lists(probabilities, max_size=4))
+    keyed = draw(st.lists(st.lists(st.floats(min_value=0.0, max_value=1 / 3), min_size=1, max_size=3),
+                          max_size=3))
+    if draw(st.booleans()):
+        singles.append(1.0)
+    if draw(st.booleans()):
+        keyed.append(draw(st.sampled_from([[0.5, 0.5], [0.25, 0.75], [0.125, 0.375, 0.5]])))
+    blocks = [[(Fact("S", (i,)), p)] for i, p in enumerate(singles, start=1)]
+    blocks += [[(Fact("K", (k, j)), p) for j, p in enumerate(ps, start=1)]
+               for k, ps in enumerate(keyed, start=1)]
+    return blocks
+
+
+class TestBlockInstanceProbabilities:
+    @given(head_only_bid(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    def test_matches_the_oracle_world_by_world(self, blocks, rng):
+        def space(head):
+            return bid_construct(BlockPartition.by_keys(K=1), FactProbabilityAssignment(tuple(head)))
+
+        head = [fp for block in blocks for fp in block]
+        shuffled = head[:]
+        rng.shuffle(shuffled)
+        b, b_shuffled = space(head), space(shuffled)
+        worlds = enumerate_block_worlds([[((f,), p) for f, p in block] for block in blocks])
+        for d, p in worlds.items():
+            iv = bid_instance_prob(b, d)
+            assert iv.is_point and abs(iv.lo - p) <= 1e-12
+            assert bid_instance_prob(b_shuffled, d) == iv
+        for block in blocks:
+            if len(block) >= 2:
+                d = Instance([block[0][0], block[1][0]])
+                assert bid_instance_prob(b, d) == ProbabilityInterval.point(0.0)
 
 
 class TestEulerTailLowerBound:
@@ -90,7 +140,7 @@ class TestEulerTailLowerBound:
 
 def _enclosure(head, tail_sum):
     """Head product as the upper end, times the exponential tail bound."""
-    hi = log_product_one_minus(head).probability
+    hi = math.prod(1.0 - p for p in head)
     return hi * euler_tail_lower_bound(tail_sum), hi
 
 
@@ -181,14 +231,10 @@ class TestIntervalAndLogTypes:
         assert iv.contains(0.3) and not iv.contains(0.9)
         assert iv.scale(0.5) == ProbabilityInterval(0.125, 0.375)
 
-    def test_log_probability_range(self):
-        with pytest.raises(ValueError):
-            LogProbability(0.1)
-        assert LogProbability(-math.inf).probability == 0.0
-        combined = LogProbability(math.log(0.5)) * LogProbability(math.log(0.5))
-        assert combined.probability == pytest.approx(0.25, abs=1e-15)
-
     def test_compensated_sum_matches_fsum(self):
         rng = random.Random(3)
         xs = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(500)]
-        assert compensated_sum(xs) == pytest.approx(math.fsum(xs), rel=1e-15, abs=1e-12)
+        acc = CompensatedAccumulator()
+        for x in xs:
+            acc.add(x)
+        assert acc.value == pytest.approx(math.fsum(xs), rel=1e-15, abs=1e-12)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import os
 import pickle
 import subprocess
@@ -37,7 +36,7 @@ from infpdb.independence import (
     ProductSupply,
     ti_construct,
 )
-from infpdb.numerics import LogProbability, ProbabilityInterval
+from infpdb.numerics import ProbabilityInterval
 from infpdb.record import Record
 from infpdb.specio import SpecDocument
 from infpdb.universe import FactEnumeration, Universe
@@ -156,7 +155,6 @@ ARGUMENTS = {
         .map(tuple),
         st.lists(st.tuples(facts, st.sampled_from(["a", "b", 1])), max_size=2, unique_by=first).map(tuple),
     ),
-    LogProbability: st.tuples(st.floats(max_value=0.0, allow_nan=False)),
     ProbabilityInterval: st.tuples(probabilities, probabilities).map(sorted).map(tuple),
     SpecDocument: st.tuples(
         st.sampled_from(["ti", "bid", "finite", "completion"]), schemas, universes, heads,
@@ -185,7 +183,7 @@ def hash_outcome(obj):
 
 
 def test_every_converted_class_is_a_record():
-    assert len(CONVERTED) == 25
+    assert len(CONVERTED) == 24
     for cls in CONVERTED:
         assert issubclass(cls, Record) and not dataclasses.is_dataclass(cls), cls
         assert cls._fields == tuple(f.name for f in dataclasses.fields(TWINS[cls])), cls
@@ -282,8 +280,6 @@ BAD_INPUT = {
     "geometric q = 1.5": (lambda c: c[GeometricTail](SUPPLY, 0.5, 1.5), DivergentAssignment),
     "geometric c < 0": (lambda c: c[GeometricTail](SUPPLY, c=-1.0, q=0.5), ValueError),
     "interval lo > hi": (lambda c: c[ProbabilityInterval](0.6, 0.5), ValueError),
-    "log-probability > 0": (lambda c: c[LogProbability](0.5), ValueError),
-    "log-probability nan": (lambda c: c[LogProbability](math.nan), ValueError),
     "duplicate relation": (lambda c: c[Schema]((("R", 1), ("R", 2))), ValueError),
     "unknown universe": (lambda c: c[Universe]("reals"), ValueError),
     "empty alphabet": (lambda c: c[Universe]("strings"), ValueError),
