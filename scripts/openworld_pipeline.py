@@ -17,13 +17,14 @@ import random
 
 from infpdb.approx import approx_boolean
 from infpdb.completion import complete, completion_sample, head_worlds
-from infpdb.core import Fact, Schema, expected_size
+from infpdb.core import Fact, Instance, Schema, expected_size
 from infpdb.fo import parse
 from infpdb.independence import (
     FactProbabilityAssignment,
     GeometricTail,
     ProductSupply,
     ti_construct,
+    ti_instance_prob,
 )
 from infpdb.universe import FactEnumeration, Universe
 
@@ -59,9 +60,13 @@ def main() -> int:
         q=0.5,
         exclude=frozenset(f for f, _ in head),
     )
-    completion = complete(base, FactProbabilityAssignment((), tail))
-    print(f"fresh-fact mass: {completion.tail_pdb.total_mass}")
-    print(f"measure of the original space: {completion.p_empty.lo:.6f}")
+    fresh = FactProbabilityAssignment((), tail)
+    completion = complete(base, fresh)
+    fresh_space = ti_construct(fresh)
+    print(f"fresh-fact mass: {fresh_space.total_mass}")
+    # every original instance keeps its probability times P(no fresh fact)
+    no_fresh = ti_instance_prob(fresh_space, Instance.empty())
+    print(f"measure of the original space: {no_fresh.lo:.6f}")
 
     query = parse("exists x. exists y. R(x, y)", schema)
     p, cert = approx_boolean(closed, query, 0.01, universe)

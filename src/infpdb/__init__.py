@@ -37,13 +37,13 @@ from .independence import (
     bid_instance_prob,
     bid_sample,
     is_good,
+    table_space,
     ti_construct,
     ti_event_probs,
     ti_instance_prob,
     ti_sample,
 )
 from .completion import (
-    Completion,
     bounded_tail_validate,
     closure_extend,
     complete,

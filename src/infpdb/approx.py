@@ -1,6 +1,6 @@
 """Additive-error evaluation of first-order queries on every kind of space.
 
-:func:`head_blocks` reads each space as independent blocks of disjoint
+Every space is a :class:`BIDPdb`: independent blocks of disjoint
 (facts, probability) outcomes, then a tail of facts.  The query
 probability is approximated by conditioning on the event that only the
 first n facts occur: every head fact, then the first tail facts.  The
@@ -29,11 +29,10 @@ import itertools
 import math
 import os
 
-from .completion import Completion
-from .core import Fact, FiniteDiscretePDB, Instance, facts_of
+from .core import Fact, Instance
 from .errors import WorldCapExceeded
 from .fo import Formula, Fresh, Pattern, atom_patterns, eval_boolean, free_variables, groundings
-from .independence import BIDPdb, GeometricTail
+from .independence import BIDPdb, Block
 from .numerics import CompensatedAccumulator
 from .record import Record
 from .universe import Element, Universe
@@ -41,21 +40,15 @@ from .universe import Element, Universe
 DEFAULT_WORLD_CAP = 25
 WORLD_CAP_ENV = "PDB_WORLD_CAP"
 
-Space = BIDPdb | FiniteDiscretePDB | Completion
-Block = tuple[tuple[tuple[Fact, ...], float], ...]  # disjoint (facts, probability) outcomes
-
 
 def world_cap() -> int:
-    """``PDB_WORLD_CAP`` if set (ValueError unless a nonnegative integer), else the default."""
+    """``PDB_WORLD_CAP`` if set (ValueError unless a decimal numeral of
+    ASCII digits), else the default."""
     raw = os.environ.get(WORLD_CAP_ENV)
     if not raw:
         return DEFAULT_WORLD_CAP
-    try:
-        cap = int(raw)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
     raise ValueError(f"{WORLD_CAP_ENV} must be a nonnegative integer, got {raw!r}")
 
 
@@ -76,21 +69,7 @@ class TruncationCertificate(Record):
             raise ValueError("certificate violates exp(-alpha) >= 1 - eps")
 
 
-def head_blocks(space: Space) -> tuple[list[Block], int, GeometricTail | None]:
-    """(head blocks, head fact count, tail) of a space of any kind.  A BID
-    block's outcomes are its single facts; a finite table is one block whose
-    outcomes are its non-empty worlds; a completion is its table's block,
-    then the head blocks and tail of its fresh-fact space."""
-    if isinstance(space, Completion):
-        table, h, _ = head_blocks(space.original)
-        blocks, k, tail = head_blocks(space.tail_pdb)
-        return table + blocks, h + k, tail
-    if isinstance(space, FiniteDiscretePDB):
-        return [tuple((d.facts, p) for d, p in space.worlds.items() if d)], len(facts_of(space)), None
-    return [tuple(((f,), p) for f, p in block) for block in space.blocks.values()], len(space.head), space.tail
-
-
-def choose_truncation(t: Space, epsilon: float) -> TruncationCertificate:
+def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
     """Smallest truncation point satisfying both exponential conditions.
 
     Head facts are always included; the tail's closed-form unseen mass
@@ -100,7 +79,7 @@ def choose_truncation(t: Space, epsilon: float) -> TruncationCertificate:
     if math.isnan(epsilon) or not (0.0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     allowed = min(math.log1p(epsilon), -math.log1p(-epsilon))
-    _, h, tail = head_blocks(t)
+    h, tail = len(t.head), t.tail
     if tail is None:
         return TruncationCertificate(n=h, alpha_n=0.0, tail_sum=0.0, epsilon=epsilon)
     # every unseen mass at or below this bound passes 1.5 * unseen <= allowed
@@ -112,7 +91,7 @@ def choose_truncation(t: Space, epsilon: float) -> TruncationCertificate:
     return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
 
 
-def _truncated_blocks(t: Space, n: int, cap: int | None) -> list[Block]:
+def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[Block]:
     """Every head block whole, then each tail fact up to n as its own block."""
     limit = world_cap() if cap is None else cap
     if n > limit:
@@ -122,7 +101,7 @@ def _truncated_blocks(t: Space, n: int, cap: int | None) -> list[Block]:
             required=n,
             cap=limit,
         )
-    blocks, h, tail = head_blocks(t)
+    blocks, h, tail = list(t.blocks.values()), len(t.head), t.tail
     if n < h or tail is None and n > h:
         raise ValueError(f"truncation keeps the {h} head facts whole and then lists tail facts: n = {n}")
     listed = () if tail is None else itertools.islice(tail.indexed_facts(), n - h)
@@ -192,7 +171,7 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
 
 
 def conditional_query_prob(
-    t: Space, f: Formula, n: int, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
 ) -> float:
     """Exact query probability conditioned on seeing only the first n facts.
 
@@ -208,7 +187,7 @@ def conditional_query_prob(
 
 
 def approx_boolean(
-    t: Space, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
 ) -> tuple[float, TruncationCertificate]:
     """Additively eps-accurate probability of a Boolean query.
 
@@ -221,7 +200,7 @@ def approx_boolean(
 
 
 def approx_nonboolean(
-    t: Space,
+    t: BIDPdb,
     f: Formula,
     epsilon: float,
     universe: Universe,

@@ -10,20 +10,19 @@ Subcommands::
     pdb complete BASE TAIL [--c C] -o OUT
     pdb oracle-compare SPEC --query FILE
 
-Every spec kind loads into a space offering ``expected_size``,
-``instance_prob`` and ``sample`` (a ``ti`` space is the ``bid`` space with
-singleton blocks), so ``expected-size``, ``prob`` and ``sample`` never ask
-which kind they have.  Nor do ``query`` and ``oracle-compare``: they read
-every space as independent blocks of disjoint fact-set outcomes, then a
-tail (``approx.head_blocks``).  ``query`` keeps the head blocks whole,
-treats each tail fact up to the certified truncation as a singleton
-block, and walks the worlds block by block.  ``oracle-compare`` needs a
-space without a tail.
+Every spec kind loads into one space type, independent blocks of
+disjoint fact-set outcomes, then a tail (``independence.BIDPdb``): a
+``ti`` space has singleton blocks, a ``finite`` table is one block of its
+worlds, and a ``completion`` is that block beside its fresh facts' blocks.
+Only ``validate``'s line names the kind.  ``query`` keeps the head blocks
+whole, treats each tail fact up to the certified truncation as a
+singleton block, and walks the worlds block by block.  ``oracle-compare``
+needs a space without a tail.
 
 Exit codes: 0 ok, 1 usage, 2 validation, 3 capability: the enumeration
 caps, and ``NestingTooDeep`` for spec JSON or a query nested past the
 interpreter's recursion limit.
-The environment variable ``PDB_WORLD_CAP`` (a nonnegative integer) sets
+The environment variable ``PDB_WORLD_CAP`` (ASCII decimal digits) sets
 the world-enumeration cap used by ``query``; any other value is a usage
 error.
 
@@ -72,16 +71,16 @@ def _report_error(exc: Exception) -> int:
 
 
 _VALIDATE_LINE = {
-    "ti": lambda s: (
+    "ti": lambda doc, s: (
         f"TI, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
     ),
-    "bid": lambda s: (
+    "bid": lambda doc, s: (
         f"BID, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
     ),
-    "finite": lambda s: f"finite, {len(s.worlds)} worlds, expected size {s.expected_size:.3f}",
-    "completion": lambda s: (
-        f"completion, {len(s.original.worlds)} base worlds, "
-        f"tail mass {s.tail_pdb.total_mass:.3f}, convergent, "
+    "finite": lambda doc, s: f"finite, {len(doc.worlds)} worlds, expected size {s.expected_size:.3f}",
+    "completion": lambda doc, s: (
+        f"completion, {len(doc.worlds)} base worlds, "
+        f"tail mass {doc.ti().total_mass:.3f}, convergent, "
         f"expected size {s.expected_size:.3f}"
     ),
 }
@@ -89,7 +88,7 @@ _VALIDATE_LINE = {
 
 def cmd_validate(args) -> int:
     doc = load_spec(args.spec)
-    print(_VALIDATE_LINE[doc.kind](doc.space()))
+    print(_VALIDATE_LINE[doc.kind](doc, doc.space()))
     return EXIT_OK
 
 
@@ -178,14 +177,14 @@ def cmd_complete(args) -> int:
     if args.c is not None:
         base = completion_mod.closure_extend(base, args.c)
     assignment = tail_doc.assignment()
-    comp = completion_mod.complete(base, assignment)
+    completion_mod.complete(base, assignment)  # refuses an open base and overlapping facts
     out_doc = SpecDocument(
         kind="completion",
         schema=base_doc.schema,
         universe=base_doc.universe,
         head=assignment.head,
         tail=assignment.tail,
-        worlds=tuple((d, comp.original.probability(d)) for d in comp.original.instances()),
+        worlds=tuple((d, base.probability(d)) for d in base.instances()),
     )
     save_spec(out_doc, args.output)
     print(f"wrote completion spec to {args.output}")
@@ -194,13 +193,14 @@ def cmd_complete(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     doc = load_spec(args.spec)
-    blocks, _, tail = approx.head_blocks(doc.space())
-    if tail is not None:
+    space = doc.space()
+    if space.tail is not None:
         raise ValidationError("oracle comparison needs a head-only spec (no tail)")
     with open(args.query, "r", encoding="utf-8") as fh:
         formula = fo.parse(fh.read(), doc.schema)
     if fo.free_variables(formula):
         raise ValidationError("oracle comparison takes a Boolean query")
+    blocks = list(space.blocks.values())
     worlds = oracle.enumerate_block_worlds(blocks)
     facts = list(dict.fromkeys(g for block in blocks for outcome, _ in block for g in outcome))
     atoms = [fo.Atom(g.relation, tuple(map(fo.Const, g.args))) for g in facts]

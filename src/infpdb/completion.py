@@ -3,9 +3,11 @@
 A completion keeps the original finite space intact and adjoins an
 independent tuple-independent space over fresh facts: the completed
 measure of ``D (original part) disjoint-union C (fresh part)`` is the
-product ``P(D) * P1(C)``.  Conditioning the completed space on the
-original sample space then reproduces the original measure exactly,
-because every original instance picks up the same factor ``P1(empty)``.
+product ``P(D) * P1(C)``.  It is one :class:`BIDPdb`: the original table
+is one exhaustive block of its worlds, beside the fresh facts' singleton
+blocks and tail.  Conditioning the completed space on the original sample
+space then reproduces the original measure exactly, because every
+original instance picks up the same factor ``P1(empty)``.
 
 The decomposition requires the original sample space to contain every
 subset and union of its instances; spaces that do not can first be
@@ -16,11 +18,10 @@ by ``c`` and spreads the leftover ``1 - c`` over the missing instances.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .core import Fact, FiniteDiscretePDB, Instance, Schema, expected_size, facts_of
+from .core import Fact, FiniteDiscretePDB, Instance, Schema, facts_of
 from .errors import (
     NotClosed,
     OverlappingFacts,
@@ -33,13 +34,14 @@ from .independence import (
     ConstantTail,
     FactProbabilityAssignment,
     GeometricTail,
+    bid_instance_prob,
+    bid_sample,
+    table_space,
     ti_construct,
     ti_instance_prob,
-    ti_sample,
 )
 from .numerics import ProbabilityInterval
 from .oracle import WORLD_FACT_CAP
-from .record import Record
 from .universe import Universe
 
 CLOSURE_FACT_CAP = 16
@@ -142,34 +144,10 @@ def closure_extend(
     return FiniteDiscretePDB(p0.schema, p0.universe, worlds)
 
 
-class Completion(Record):
-    """A finite original space extended by independent fresh facts."""
-
-    original: FiniteDiscretePDB
-    tail_pdb: BIDPdb
-
-    @cached_property
-    def p_empty(self) -> ProbabilityInterval:
-        """Probability of no fresh fact: the factor every original instance gets."""
-        return ti_instance_prob(self.tail_pdb, Instance.empty())
-
-    @cached_property
-    def original_facts(self) -> frozenset[Fact]:
-        return frozenset(facts_of(self.original))
-
-    @property
-    def expected_size(self) -> float:
-        return expected_size(self.original) + self.tail_pdb.total_mass
-
-    def instance_prob(self, d: Instance) -> ProbabilityInterval:
-        return completion_instance_prob(self, d)
-
-    def sample(self, rng, delta: float) -> Instance:
-        return completion_sample(self, rng, delta)
-
-
-def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> Completion:
-    """Complete a closed finite space by an independent fresh-fact assignment.
+def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> BIDPdb:
+    """Complete a closed finite space by an independent fresh-fact assignment:
+    the table's block (:func:`table_space`), then the fresh head's blocks and
+    the tail.
 
     Fresh facts must be disjoint from the original facts and must all
     have probability strictly below one (a sure fresh fact would give
@@ -195,39 +173,35 @@ def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> Completio
                 raise UnitTailProbability(
                     f"tail rule value {first_value} at the first index is not below 1"
                 )
-    return Completion(p, ti_construct(tail))
+    table, fresh = table_space(p), ti_construct(tail)
+    return BIDPdb({**table.blocks, **fresh.blocks}, fresh.tail)
 
 
-def completion_instance_prob(c: Completion, d: Instance) -> ProbabilityInterval:
+def completion_instance_prob(c: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Measure of one instance of the completed space: ``P(D) * P1(C)``."""
-    base = c.original_facts
-    original_part = d.intersection(base)
-    fresh_part = d.difference(base)
-    p_original = c.original.probability(original_part)
-    if p_original == 0.0:
-        return ProbabilityInterval.point(0.0)
-    return ti_instance_prob(c.tail_pdb, fresh_part).scale(p_original)
+    return bid_instance_prob(c, d)
 
 
 def completion_condition_check(
-    c: Completion, a: Iterable[Instance]
+    original: FiniteDiscretePDB, c: BIDPdb, a: Iterable[Instance]
 ) -> tuple[float, float]:
-    """(completed measure of A conditioned on the original space, original
-    measure of A); the two must agree for a valid completion."""
+    """(measure of A under the completion ``c`` of ``original``, conditioned
+    on the original space; original measure of A); the two must agree for a
+    valid completion."""
     event = set(a)
-    unknown = event - set(c.original.worlds)
+    unknown = event - set(original.worlds)
     if unknown:
         raise ValueError(f"instances outside the original sample space: {unknown}")
     numerator = math.fsum(
         completion_instance_prob(c, d).midpoint for d in event
     )
     denominator = math.fsum(
-        completion_instance_prob(c, d).midpoint for d in c.original.worlds
+        completion_instance_prob(c, d).midpoint for d in original.worlds
     )
     if denominator <= 0.0:
         raise ValueError("completed measure of the original space is zero")
     conditioned = numerator / denominator
-    original_prob = math.fsum(c.original.probability(d) for d in event)
+    original_prob = math.fsum(original.probability(d) for d in event)
     return conditioned, original_prob
 
 
@@ -264,9 +238,7 @@ def bounded_tail_validate(
     return generator.q <= bound_q**m + 1e-15
 
 
-def completion_sample(c: Completion, rng, delta: float) -> Instance:
-    """Draw ``D`` from the original by inverse CDF and fresh facts from the
-    tail sampler, returning their disjoint union."""
-    drawn = c.original.sample(rng)
-    fresh = ti_sample(c.tail_pdb, rng, delta)
-    return drawn.union(fresh)
+def completion_sample(c: BIDPdb, rng, delta: float) -> Instance:
+    """Draw ``D`` from the original table and fresh facts as in
+    :func:`bid_sample`, returning their disjoint union."""
+    return bid_sample(c, rng, delta)

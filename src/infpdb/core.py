@@ -3,22 +3,21 @@
 Instances are immutable value objects: their facts are kept in a fixed
 structural order so that equality and hashing are purely structural and
 instances can key probability mappings.  A :class:`FiniteDiscretePDB` is
-the explicit form of a probability space over instances -- a finite
-mapping from worlds to probabilities summing to one -- and carries the
-size statistics (expected size, size tail) and fact marginals.
+a world table -- a finite mapping from worlds to probabilities summing to
+one -- with its size statistics (expected size, size tail) and fact
+marginals.  It is data, not a space: ``independence.table_space`` reads it
+as one exhaustive block of a :class:`~infpdb.independence.BIDPdb`, which
+gives its instance probabilities and draws.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
-from .numerics import ProbabilityInterval
 from .record import Record
 
 RENORMALIZE_TOLERANCE = 1e-12
@@ -177,7 +176,7 @@ def instance_size(d: Instance) -> int:
 
 
 class FiniteDiscretePDB:
-    """An explicit probability space over finitely many instances.
+    """An explicit world table over finitely many instances.
 
     Probabilities must be in [0, 1] and sum to one; sums off by more than
     1e-12 are renormalized on construction (with a warning beyond 1e-9,
@@ -201,7 +200,6 @@ class FiniteDiscretePDB:
         self.schema = schema
         self.universe = universe
         self.worlds: dict[Instance, float] = dict(worlds)
-        self._cdf: tuple[list[Instance], list[float]] | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -216,25 +214,6 @@ class FiniteDiscretePDB:
 
     def instances(self) -> list[Instance]:
         return sorted(self.worlds, key=lambda d: (len(d), [f.sort_key() for f in d]))
-
-    @property
-    def expected_size(self) -> float:
-        return expected_size(self)
-
-    def instance_prob(self, d: Instance) -> ProbabilityInterval:
-        return ProbabilityInterval.point(self.probability(d))
-
-    def sample(self, rng, delta: float | None = None) -> Instance:
-        """Draw a world by inverse CDF over :meth:`instances` order.
-
-        The draw is exact; ``delta`` is the tolerance the other spaces'
-        samplers take and is not used.
-        """
-        if self._cdf is None:
-            worlds = self.instances()
-            self._cdf = (worlds, list(accumulate(self.worlds[d] for d in worlds)))
-        worlds, cumulative = self._cdf
-        return worlds[min(bisect_right(cumulative, rng.random()), len(worlds) - 1)]
 
 
 def expected_size(p: FiniteDiscretePDB) -> float:

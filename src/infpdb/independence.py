@@ -7,16 +7,16 @@ exists for such an assignment exactly when the probability sum is
 finite, so construction certifies the tail's mass in closed form and
 refuses anything it cannot certify.
 
-Block-disjoint spaces partition facts into blocks: facts in one block
-are mutually exclusive, facts across blocks independent.  Blocks are
-derived structurally (key-attribute projection, explicit listing, or
-singletons); each block keeps, from construction, the log of the mass
-it places on "no fact from this block".  Tail facts always form
-singleton blocks.  A finite instance with at most one fact per block
-has the product of its facts' probabilities times the remainders of the
-untouched blocks times the product of ``1 - p`` over all absent tail
-facts; the infinite part of that product is never evaluated, only
-enclosed.
+A block-disjoint space is independent blocks of mutually exclusive
+outcomes, each a set of facts with its probability.  Blocks of single
+facts are derived structurally (key-attribute projection, explicit
+listing, or singletons); a world table is one *exhaustive* block of all
+its worlds (:func:`table_space`).  Tail facts always form singleton
+blocks.  A finite instance whose facts in each touched block form one of
+its outcomes has the product of those outcomes' probabilities times the
+remainders of the untouched blocks times the product of ``1 - p`` over
+all absent tail facts; the infinite part of that product is never
+evaluated, only enclosed.
 
 Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
 solves one closed form, :meth:`GeometricTail.mass_after`, for its point
@@ -41,7 +41,7 @@ import math
 from functools import cached_property
 from typing import Hashable, Iterator, Sequence
 
-from .core import Fact, Instance
+from .core import Fact, FiniteDiscretePDB, Instance
 from .errors import (
     BlockMassExceedsOne,
     DivergentAssignment,
@@ -445,10 +445,6 @@ class FactProbabilityAssignment(Record):
                         f"fact {f} appears in the head and is generated by the tail"
                     )
 
-    @property
-    def head_mass(self) -> float:
-        return math.fsum(p for _, p in self.head)
-
 
 # --- block-independent-disjoint spaces ----------------------------------
 
@@ -509,62 +505,66 @@ def is_good(partition: BlockPartition, d: Instance) -> bool:
     return True
 
 
+Outcome = tuple[tuple[Fact, ...], float]  # a set of facts, and its probability
+Block = tuple[Outcome, ...]  # disjoint outcomes
+
+
 class BIDPdb:
     """A block-independent-disjoint measure over finite instances.
 
-    Construct via :func:`bid_construct`, or :func:`ti_construct` for
-    singleton blocks.  Like every space the CLI handles, it offers
-    ``expected_size``, ``instance_prob(d)`` and ``sample(rng, delta)``;
-    query truncation reads its ``blocks`` and ``tail``.
+    ``blocks`` maps each block key to its disjoint ``(facts, p)`` outcomes;
+    blocks are independent of each other and of the tail, whose facts are
+    singleton blocks.  A block that lists an outcome with no facts is
+    *exhaustive*: its outcomes carry all of its mass, and an instance gets
+    the listed probability of the outcome it holds, the empty one included.
+    :func:`bid_construct` and :func:`ti_construct` build blocks of single
+    facts, :func:`table_space` one exhaustive block of a world table, and
+    :func:`completion.complete` a table's block next to fresh facts' blocks.
     """
 
-    def __init__(self, partition: BlockPartition, assignment: FactProbabilityAssignment):
-        tail = assignment.tail
-        if isinstance(tail, ConstantTail):
-            if tail.value > 0.0:
-                raise DivergentAssignment(
-                    f"constant positive probability {tail.value} over infinitely many facts diverges"
-                )
-            tail = None
-        if tail is not None:
-            tail_relations = tail.supply.relations()
-            for r, _ in partition.key_attributes:
-                if r in tail_relations:
-                    raise ValidationError(
-                        f"key-attribute blocks over tail relation {r!r} would have infinite "
-                        "support; only singleton tail blocks are supported"
-                    )
-            for f, _ in partition.explicit:
-                if tail.generates(f):
-                    raise ValidationError(
-                        f"explicitly listed fact {f} is generated by the tail; only "
-                        "singleton tail blocks are supported"
-                    )
-        blocks: dict[Hashable, list[tuple[Fact, float]]] = {}
-        for f, p in assignment.head:
-            if p > 0.0:
-                blocks.setdefault(partition.key(f), []).append((f, p))
-        self.partition = partition
-        self.blocks = {k: tuple(facts) for k, facts in blocks.items()}
-        self.tail: GeometricTail | None = tail
-        self.masses: dict[Hashable, float] = {
-            k: math.fsum(p for _, p in facts) for k, facts in blocks.items()
-        }
+    def __init__(self, blocks: dict[Hashable, Block], tail: GeometricTail | None = None):
+        self.blocks = blocks
+        self.tail = tail
+        self.masses = {k: math.fsum(p for _, p in block) for k, block in blocks.items()}
         for key, mass in self.masses.items():
             if mass > 1.0 + 1e-12:
                 raise BlockMassExceedsOne(f"block {key!r} has mass {mass}, exceeding 1")
-        self.total_mass = assignment.head_mass + (tail.total_mass() if tail is not None else 0.0)
-        # the positive-probability head facts, block by block
-        self.head = tuple(fp for facts in self.blocks.values() for fp in facts)
-        self._head_probs = dict(self.head)
-        # per block, in block order, log P(no fact of the block occurs); and
-        # each head fact's block slot in that list
-        self._log_none = [math.log1p(-m) if m < 1.0 else -math.inf for m in self.masses.values()]
-        self._slot = {f: j for j, facts in enumerate(self.blocks.values()) for f, _ in facts}
+        self.total_mass = math.fsum(p * len(facts) for block in blocks.values() for facts, p in block) + (
+            tail.total_mass() if tail is not None else 0.0
+        )
+
+    @cached_property
+    def head(self) -> tuple[tuple[Fact, float], ...]:
+        """Every head fact with its marginal, block by block."""
+        marginals: dict[Fact, list[float]] = {}
+        for block in self.blocks.values():
+            for facts, p in block:
+                for f in facts:
+                    marginals.setdefault(f, []).append(p)
+        return tuple((f, math.fsum(ps)) for f, ps in marginals.items())
+
+    @cached_property
+    def _head_probs(self) -> dict[Fact, float]:
+        return dict(self.head)
+
+    @cached_property
+    def _index(self) -> tuple:
+        """What instance probabilities read, built on the first one: each head
+        fact's block slot, and per block slot its outcomes by fact set; the
+        exhaustive blocks' P(empty outcome); each block's log P(no outcome),
+        0.0 for the exhaustive ones."""
+        slot = {f: j for j, block in enumerate(self.blocks.values()) for facts, _ in block for f in facts}
+        outcomes = [{frozenset(facts): p for facts, p in block} for block in self.blocks.values()]
+        exhaustive = {j: o[frozenset()] for j, o in enumerate(outcomes) if frozenset() in o}
+        log_none = [
+            0.0 if j in exhaustive else math.log1p(-m) if m < 1.0 else -math.inf
+            for j, m in enumerate(self.masses.values())
+        ]
+        return slot, outcomes, exhaustive, log_none
 
     @property
     def remainders(self) -> dict[Hashable, float]:
-        """Per block, the probability that none of its facts occurs."""
+        """Per block, the probability that none of its outcomes occurs."""
         return {k: max(0.0, 1.0 - m) for k, m in self.masses.items()}
 
     @property
@@ -572,6 +572,7 @@ class BIDPdb:
         return self.total_mass
 
     def probability_of(self, f: Fact) -> float:
+        """The marginal probability of ``f``."""
         p = self._head_probs.get(f)
         if p is not None:
             return p
@@ -586,6 +587,35 @@ class BIDPdb:
         return bid_sample(self, rng, delta)
 
 
+def _construct(partition: BlockPartition, assignment: FactProbabilityAssignment) -> BIDPdb:
+    tail = assignment.tail
+    if isinstance(tail, ConstantTail):
+        if tail.value > 0.0:
+            raise DivergentAssignment(
+                f"constant positive probability {tail.value} over infinitely many facts diverges"
+            )
+        tail = None
+    if tail is not None:
+        tail_relations = tail.supply.relations()
+        for r, _ in partition.key_attributes:
+            if r in tail_relations:
+                raise ValidationError(
+                    f"key-attribute blocks over tail relation {r!r} would have infinite "
+                    "support; only singleton tail blocks are supported"
+                )
+        for f, _ in partition.explicit:
+            if tail.generates(f):
+                raise ValidationError(
+                    f"explicitly listed fact {f} is generated by the tail; only "
+                    "singleton tail blocks are supported"
+                )
+    blocks: dict[Hashable, list[Outcome]] = {}
+    for f, p in assignment.head:
+        if p > 0.0:
+            blocks.setdefault(partition.key(f), []).append(((f,), p))
+    return BIDPdb({k: tuple(outcomes) for k, outcomes in blocks.items()}, tail)
+
+
 def bid_construct(
     partition: BlockPartition, assignment: FactProbabilityAssignment
 ) -> BIDPdb:
@@ -595,13 +625,21 @@ def bid_construct(
     form singleton blocks, so the declared partition must not claim any
     tail relation or tail-generated fact.
     """
-    return BIDPdb(partition, assignment)
+    return _construct(partition, assignment)
 
 
 def ti_construct(assignment: FactProbabilityAssignment) -> BIDPdb:
     """Build a tuple-independent space, the singleton-block BID space,
     certifying that the mass is finite."""
-    return BIDPdb(BlockPartition.singletons(), assignment)
+    return _construct(BlockPartition.singletons(), assignment)
+
+
+def table_space(p: FiniteDiscretePDB) -> BIDPdb:
+    """The world table as one exhaustive block: every world in
+    :meth:`FiniteDiscretePDB.instances` order, led by the empty world even
+    where the table gives it no mass, so that its probability stays exact."""
+    worlds = dict.fromkeys([Instance.empty(), *p.instances()])
+    return BIDPdb({"table": tuple((d.facts, p.probability(d)) for d in worlds)})
 
 
 # --- instance probabilities ----------------------------------------------
@@ -659,30 +697,37 @@ def _tail_one_minus_enclosure(
 
 
 def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
-    """Product of the present facts' probabilities, of ``1 - mass`` over the
-    untouched blocks, and of the enclosed absent-tail factors; zero when
-    two facts of ``d`` share a block.
+    """Product of the touched blocks' outcome probabilities, of ``1 - mass``
+    over the untouched blocks, and of the enclosed absent-tail factors.  The
+    facts of ``d`` in one block must form one of its outcomes, else the
+    probability is zero.  Exhaustive blocks give their factors exactly, in
+    the linear domain, after the enclosure; the others sum in the log domain.
     """
-    log_present = 0.0
-    log_none = b._log_none.copy()
-    tail_skip: list[Fact] = []
+    slot, outcomes, exhaustive, log_none = b._index
+    touched: dict[int | Fact, list[Fact]] = {}  # block slot, or tail fact: its facts in d
     for f in d:
-        p = b.probability_of(f)
+        touched.setdefault(slot.get(f, f), []).append(f)
+    log_present, log_none, exact = 0.0, log_none.copy(), exhaustive.copy()
+    tail_skip: list[Fact] = []
+    for key, facts in touched.items():
+        if isinstance(key, Fact):
+            p = b.tail.probability_of(key) if b.tail is not None else 0.0
+            tail_skip.append(key)
+        else:
+            p = outcomes[key].get(frozenset(facts), 0.0)
+            log_none[key] = 0.0
         if p <= 0.0:
             return ProbabilityInterval.point(0.0)
-        log_present += math.log(p) if p < 1.0 else 0.0
-        j = b._slot.get(f)
-        if j is None:
-            tail_skip.append(f)
-        elif log_none[j] == 0.0:  # a block's own term is < 0, as its mass is > 0
-            return ProbabilityInterval.point(0.0)  # a second fact of one block
+        if key in exact:
+            exact[key] = p
         else:
-            log_none[j] = 0.0
+            log_present += math.log(p) if p < 1.0 else 0.0
     log_absent = math.fsum(log_none)
-    if log_absent == -math.inf:
+    factor = math.prod(exact.values())
+    if log_absent == -math.inf or factor == 0.0:
         return ProbabilityInterval.point(0.0)
     point = min(math.exp(log_present + log_absent), 1.0)
-    return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point)
+    return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point).scale(factor)
 
 
 def ti_instance_prob(t: BIDPdb, d: Instance) -> ProbabilityInterval:
@@ -707,13 +752,11 @@ def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
     if len(set(facts)) != len(facts):
         raise DuplicateFact("event facts must be distinct")
     ps = [t.probability_of(f) for f in facts]
-    if any(p == 0.0 for p in ps):
-        conj = 0.0
-    else:
-        conj = math.exp(math.fsum(math.log(p) for p in ps))
-    # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0
+    conj = math.prod(ps, start=1.0)  # partial products only shrink, so none underflows early
+    # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0; the
+    # union is at least its largest term, which rounding may have undercut
     union = 0.0 - math.expm1(math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in ps))
-    return conj, union
+    return conj, max([union, *ps])
 
 
 # --- sampling ------------------------------------------------------------
@@ -723,13 +766,13 @@ def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     if math.isnan(delta) or not (0.0 < delta < 1.0):
         raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
     chosen: list[Fact] = []
-    for facts in b.blocks.values():
+    for block in b.blocks.values():
         x = rng.random()
         acc = 0.0
-        for f, p in facts:
+        for facts, p in block:
             acc += p
             if x < acc:
-                chosen.append(f)
+                chosen.extend(facts)
                 break
     if b.tail is not None:
         chosen += b.tail.draw(rng, delta)

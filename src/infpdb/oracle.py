@@ -32,8 +32,9 @@ def enumerate_block_worlds(
     blocks: Sequence[Sequence[tuple[Sequence[Fact], float]]],
 ) -> dict[Instance, float]:
     """Every world of independent blocks of disjoint (facts, probability)
-    outcomes: one outcome, or none at 1 minus the block's mass, per block.
-    The first block varies fastest, like the lowest bit of a counter."""
+    outcomes: one outcome, or none at 1 minus the block's mass, per block;
+    a block that lists an empty outcome has no "none".  The first block
+    varies fastest, like the lowest bit of a counter."""
     fact_sets = [{f for facts, _ in block for f in facts} for block in blocks]
     size = sum(map(len, fact_sets))
     if size > WORLD_FACT_CAP:
@@ -50,7 +51,10 @@ def enumerate_block_worlds(
         for facts, p in block:
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability out of range for {', '.join(map(str, facts))}: {p}")
-    choices = [[((), 1.0 - sum(p for _, p in block)), *block] for block in reversed(blocks)]
+    choices = []
+    for block in reversed(blocks):
+        exhaustive = any(not facts for facts, _ in block)
+        choices.append([*block] if exhaustive else [((), 1.0 - sum(p for _, p in block)), *block])
     worlds: dict[Instance, float] = {}
     for world in itertools.product(*choices):
         prob, chosen = 1.0, []

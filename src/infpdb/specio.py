@@ -41,7 +41,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .completion import Completion, FactProbabilityAssignment, complete
+from .completion import FactProbabilityAssignment, complete
 from .core import Fact, FiniteDiscretePDB, Instance, Schema
 from .errors import NestingTooDeep, ValidationError
 from .independence import (
@@ -53,6 +53,7 @@ from .independence import (
     ProductSupply,
     Tail,
     bid_construct,
+    table_space,
     ti_construct,
 )
 from .record import Record
@@ -93,14 +94,16 @@ class SpecDocument(Record):
             raise ValidationError("spec has no worlds table")
         return FiniteDiscretePDB(self.schema, self.universe, dict(self.worlds))
 
-    def completion(self) -> Completion:
+    def completion(self) -> BIDPdb:
         return complete(self.finite(), self.assignment())
 
-    def space(self) -> BIDPdb | FiniteDiscretePDB | Completion:
-        """The space of this spec's kind; every kind's space offers
-        ``expected_size``, ``instance_prob(d)`` and ``sample(rng, delta)``."""
-        build = {"ti": self.ti, "bid": self.bid, "finite": self.finite, "completion": self.completion}
-        return build[self.kind]()
+    def space(self) -> BIDPdb:
+        """The space of this spec's kind: a ``finite`` table is one exhaustive
+        block (:func:`table_space`), a ``completion`` that block beside its
+        fresh facts' blocks."""
+        if self.kind == "finite":
+            return table_space(self.finite())
+        return {"ti": self.ti, "bid": self.bid, "completion": self.completion}[self.kind]()
 
 
 class _Json:

@@ -245,7 +245,7 @@ def test_criterion_5_completion_condition():
             worlds = list(orig.worlds)
             for mask in range(2 ** len(worlds)):
                 event = [worlds[i] for i in range(len(worlds)) if mask >> i & 1]
-                conditioned, original = completion_condition_check(c, event)
+                conditioned, original = completion_condition_check(orig, c, event)
                 assert abs(conditioned - original) <= 1e-10
         # chained identity through a closure extension
         for _ in range(20):
@@ -299,10 +299,11 @@ def test_criterion_6_worked_pipeline():
         )
         assert abs(tail.total_mass() - 2.625) <= 1e-12
         c = complete(base, FactProbabilityAssignment((), tail))
-        assert abs(c.tail_pdb.total_mass - 2.625) <= 1e-12
-        assert c.p_empty.lo > 0.0
+        fresh_space = ti_construct(FactProbabilityAssignment((), tail))
+        assert abs(fresh_space.total_mass - 2.625) <= 1e-12
+        assert ti_instance_prob(fresh_space, Instance.empty()).lo > 0.0
         fresh = [Fact("R", ("D", "1")), Fact("R", ("A", "2")), Fact("R", ("C", "5"))]
-        probs = [c.tail_pdb.probability_of(f) for f in fresh]
+        probs = [c.probability_of(f) for f in fresh]
         assert probs == [0.5, 0.25, 2.0**-5]
         for pattern in itertools.product([True, False], repeat=3):
             value = 1.0

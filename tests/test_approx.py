@@ -30,6 +30,7 @@ from infpdb.independence import (
     FactProbabilityAssignment,
     GeometricTail,
     bid_construct,
+    table_space,
     ti_construct,
 )
 from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob
@@ -390,7 +391,7 @@ def random_bid_space(rng):
         mass = rng.choice([1.0, rng.random()])
         head += [(g, mass * w / sum(weights)) for g, w in zip(members, weights)]
     b = bid_construct(BlockPartition.explicit_blocks(labels), FactProbabilityAssignment(tuple(head)))
-    return b, list(b.blocks.values())
+    return b, [tuple((g, p) for (g,), p in block) for block in b.blocks.values()]
 
 
 class TestBlockWalk:
@@ -424,7 +425,7 @@ class TestBlockWalk:
         # the head blocks whole, then the tail facts up to the certified n
         n = choose_truncation(b, 0.1).n
         tail = itertools.islice(b.tail.indexed_facts(), n - len(b.head))
-        blocks = [*b.blocks.values(), *(((g, p),) for _, g, p in tail)]
+        blocks = [*(tuple((g, p) for (g,), p in block) for block in b.blocks.values()), *(((g, p),) for _, g, p in tail)]
         printed = (GOLDEN / "bid.query.out").read_text().splitlines()[0]
         [want] = _block_outcome_probs(blocks, [sentence])
         assert printed == f"probability = {want:.6f} (additive error <= 0.1)"
@@ -572,8 +573,8 @@ class TestEveryKindWalk:
     def test_finite(self):
         rng = random.Random(5)
         for _ in range(30):
-            space, block = _random_table(rng, closed=False)
-            self._check(space, [block], rng, 0.1)
+            table, block = _random_table(rng, closed=False)
+            self._check(table_space(table), [block], rng, 0.1)
 
     def test_completion_with_tail(self):
         rng = random.Random(6)

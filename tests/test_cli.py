@@ -725,7 +725,8 @@ class TestQuery:
         assert rows[-1] == "(*1)\t1.000000"
         assert "*1, *2, ... stand for distinct elements that occur in no row without a *" in note
 
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "-3"])
+    # int() would read the last four as 3, 7, 10 and 5
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-3", "\u0663", " 7 ", "1_0", "+5"])
     def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):
         monkeypatch.setenv("PDB_WORLD_CAP", raw)
         args = ["query", example_spec, "--query", query_file, "--epsilon", "0.1"]

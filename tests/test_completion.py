@@ -1,10 +1,17 @@
+import bisect
+import contextlib
+import io
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from infpdb.approx import choose_truncation
+from infpdb.cli import main
 
 from infpdb.completion import (
     bounded_tail_validate,
@@ -21,11 +28,16 @@ from infpdb.independence import (
     EnumerationSupply,
     FactProbabilityAssignment,
     GeometricTail,
+    table_space,
+    ti_construct,
+    ti_instance_prob,
 )
+from infpdb.numerics import ProbabilityInterval
 from infpdb.universe import FactEnumeration, Universe
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fact(i):
@@ -158,6 +170,12 @@ class TestClosureExtend:
         assert p.probability(Instance([fact(2)])) == pytest.approx(0.125, abs=1e-15)
 
 
+def no_fresh_fact(tail):
+    """P1(empty), the probability of no fresh fact: the factor every
+    original instance gets in a completion by ``tail``."""
+    return ti_instance_prob(ti_construct(tail), Instance.empty())
+
+
 def simple_completion(tail_p=0.25):
     orig = closed_space({Instance.empty(): 0.5, Instance([fact(1)]): 0.5})
     tail = FactProbabilityAssignment(((fact(9), tail_p),))
@@ -172,7 +190,7 @@ class TestComplete:
 
     def test_original_instances_carry_empty_tail_factor(self):
         _, c = simple_completion()
-        assert c.p_empty.lo == pytest.approx(0.75, abs=1e-15)
+        assert no_fresh_fact(FactProbabilityAssignment(((fact(9), 0.25),))).lo == pytest.approx(0.75, abs=1e-15)
         iv = completion_instance_prob(c, Instance([fact(1)]))
         assert iv.lo == pytest.approx(0.5 * 0.75, abs=1e-15)
 
@@ -183,7 +201,7 @@ class TestComplete:
     def test_empty_tail_reproduces_original(self):
         orig = closed_space({Instance.empty(): 0.5, Instance([fact(1)]): 0.5})
         c = complete(orig, FactProbabilityAssignment(()))
-        assert c.p_empty.lo == 1.0
+        assert no_fresh_fact(FactProbabilityAssignment(())).lo == 1.0
         for d, p in orig.worlds.items():
             assert completion_instance_prob(c, d).lo == pytest.approx(p, abs=1e-15)
 
@@ -215,19 +233,19 @@ class TestComplete:
 class TestConditionCheck:
     def test_full_space(self):
         orig, c = simple_completion()
-        conditioned, original = completion_condition_check(c, orig.worlds)
+        conditioned, original = completion_condition_check(orig, c, orig.worlds)
         assert conditioned == pytest.approx(1.0, abs=1e-12)
         assert original == pytest.approx(1.0, abs=1e-12)
 
     def test_singleton_event(self):
-        _, c = simple_completion()
-        conditioned, original = completion_condition_check(c, [Instance.empty()])
+        orig, c = simple_completion()
+        conditioned, original = completion_condition_check(orig, c, [Instance.empty()])
         assert conditioned == pytest.approx(0.5, abs=1e-12)
         assert original == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_event(self):
-        _, c = simple_completion()
-        assert completion_condition_check(c, []) == (0.0, 0.0)
+        orig, c = simple_completion()
+        assert completion_condition_check(orig, c, []) == (0.0, 0.0)
 
     def test_completed_mass_of_original_space_two_ways(self):
         # sum of completed world probabilities over the original space vs the
@@ -235,12 +253,13 @@ class TestConditionCheck:
         orig = closed_space({Instance.empty(): 0.5, Instance([fact(1)]): 0.5})
         e = FactEnumeration(R1, NAT)
         generator = GeometricTail(EnumerationSupply(e, offset=5), c=1.0, q=0.5)
-        c = complete(orig, FactProbabilityAssignment(((fact(2), 0.25),), generator))
-        assert c.p_empty.lo > 0.0
+        tail = FactProbabilityAssignment(((fact(2), 0.25),), generator)
+        c, p_empty = complete(orig, tail), no_fresh_fact(tail)
+        assert p_empty.lo > 0.0
         summed_lo = math.fsum(completion_instance_prob(c, d).lo for d in orig.worlds)
         summed_hi = math.fsum(completion_instance_prob(c, d).hi for d in orig.worlds)
-        assert summed_lo <= c.p_empty.hi + 1e-15
-        assert summed_hi >= c.p_empty.lo - 1e-15
+        assert summed_lo <= p_empty.hi + 1e-15
+        assert summed_hi >= p_empty.lo - 1e-15
 
     def test_condition_holds_on_random_completions(self):
         rng = random.Random(59)
@@ -252,7 +271,7 @@ class TestConditionCheck:
             worlds = list(orig.worlds)
             for _ in range(10):
                 event = [d for d in worlds if rng.random() < 0.5]
-                conditioned, original = completion_condition_check(c, event)
+                conditioned, original = completion_condition_check(orig, c, event)
                 assert abs(conditioned - original) <= 1e-10
 
     def test_chained_identity_after_closure_extend(self):
@@ -322,3 +341,74 @@ class TestCompletionSample:
                 kept.append(s)
         freq = sum(d == Instance([fact(1)]) for d in kept) / len(kept)
         assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / len(kept))
+
+
+def subsets(facts):
+    return [Instance(c) for r in range(len(facts) + 1) for c in itertools.combinations(facts, r)]
+
+
+def random_table(rng, facts, closed):
+    """A world table over ``facts``: every subset when closed, else some of
+    them.  Any world may have probability 0, the empty world too."""
+    worlds = subsets(facts) if closed else rng.sample(subsets(facts), rng.randint(1, 2 ** len(facts)))
+    weights = [rng.choice([0.0, rng.random()]) for _ in worlds]
+    weights[rng.randrange(len(worlds))] = rng.random() + 0.01
+    total = math.fsum(weights)
+    return FiniteDiscretePDB(R1, NAT, {d: w / total for d, w in zip(worlds, weights)})
+
+
+class TestTableSpace:
+    """A table is one exhaustive block of its worlds, and a completion that
+    block beside the fresh facts' blocks."""
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_instance_probabilities_and_draws_are_the_tables(self, rng, closed):
+        facts = [fact(i) for i in rng.sample(range(1, 6), rng.randint(0, 3))]
+        p = random_table(rng, facts, closed)
+        space = table_space(p)
+        for d in [*subsets(facts), *(d.union([fact(9)]) for d in p.worlds)]:
+            iv = space.instance_prob(d)
+            assert iv.is_point and iv.lo == p.probability(d), d
+        # a draw is the inverse-CDF draw over instances() order, unless the
+        # uniform lands past the float total
+        worlds = p.instances()
+        cumulative = list(itertools.accumulate(p.worlds[d] for d in worlds))
+        for seed in range(10):
+            i = bisect.bisect_right(cumulative, random.Random(seed).random())
+            if i < len(worlds):
+                assert space.sample(random.Random(seed), 0.5) == worlds[i]
+
+    @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_completion_is_the_product_rule_bit_for_bit(self, rng, with_head, with_tail):
+        base = [fact(i) for i in rng.sample(range(1, 6), rng.randint(0, 3))]
+        p = random_table(rng, base, closed=True)
+        head = tuple((fact(10 + i), rng.choice([0.0, rng.uniform(0.01, 0.9)])) for i in range(rng.randint(1, 3)))
+        generator = GeometricTail(
+            EnumerationSupply(FactEnumeration(R1, NAT), offset=20), c=rng.uniform(0.1, 0.9) * 2.0**21, q=0.5
+        )
+        tail = FactProbabilityAssignment(head if with_head else (), generator if with_tail else None)
+        c, fresh = complete(p, tail), ti_construct(tail)
+        fresh_facts = [f for f, _ in head] + [f for i in range(21, 25) for f in generator.group(i)]
+        for d in [*p.worlds, Instance([fact(7)])]:
+            d = d.union(f for f in fresh_facts if rng.random() < 0.4)
+            p0 = p.probability(d.intersection(base))
+            old = ti_instance_prob(fresh, d.difference(base)).scale(p0) if p0 else ProbabilityInterval.point(0.0)
+            new = completion_instance_prob(c, d)
+            assert (new.lo, new.hi) == (old.lo, old.hi), d
+
+    def test_certificate_counts_facts_of_zero_probability_worlds(self):
+        """n counts every fact a table lists, as it did before tables were
+        blocks, where a TI space leaves its facts of p = 0 out."""
+        p = closed_space({Instance.empty(): 0.5, Instance([fact(1)]): 0.5, Instance([fact(2)]): 0.0,
+                          Instance([fact(1), fact(2)]): 0.0})
+        space = table_space(p)
+        assert [f for f, _ in space.head] == [fact(1), fact(2)] and space.head[1][1] == 0.0
+        assert choose_truncation(space, 0.1).n == 2
+        assert choose_truncation(ti_construct(FactProbabilityAssignment(((fact(1), 0.5), (fact(2), 0.0)))), 0.1).n == 1
+
+    def test_oracle_compare_on_a_table(self):
+        args = ["oracle-compare", str(GOLDEN / "finite.json"), "--query", str(GOLDEN / "unary_query.txt")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infpdb import independence
 from infpdb.completion import complete, completion_instance_prob
@@ -218,6 +220,20 @@ class TestTiEventProbs:
         assert union >= conj
         assert union == pytest.approx(truth, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-20, 0.1])
+    def test_conjunction_of_one_fact_is_its_probability(self, p):
+        t = ti_construct(FactProbabilityAssignment(((fact("R", 1), p), (fact("R", 2), 0.1))))
+        assert ti_event_probs(t, [fact("R", 1)])[0] == p
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example([0.1])
+    @settings(derandomize=True, deadline=None)
+    def test_conjunction_never_exceeds_union(self, ps):
+        head = tuple((fact("R", i), p) for i, p in enumerate(ps, start=1))
+        t = ti_construct(FactProbabilityAssignment(head))
+        conj, union = ti_event_probs(t, [f for f, _ in head])
+        assert conj <= union
+
     def test_marginals_match_oracle(self):
         rng = random.Random(23)
         head = tuple((fact("R", i), rng.random()) for i in range(1, 9))
@@ -421,7 +437,7 @@ class TestTailEnclosure:
             (bid_instance_prob, bid, Instance([heads[1][0], fact("R", 2, 50), fact("R", 1, 50)]),
              0.4, bid_tail),
             (completion_instance_prob, completion, Instance(rfacts(1, 30)), 0.5,
-             completion.tail_pdb.tail),
+             completion.tail),
         ]
         plain = []
         for _, _, d, head_p, tail in cases:
@@ -653,7 +669,7 @@ def truncated_units(space, delta):
     At most one fact of a unit occurs; fact f with probability p."""
     n = space.tail.truncation_count(delta)
     tail = [((f, p),) for _, f, p in itertools.islice(space.tail.indexed_facts(), n)]
-    return list(space.blocks.values()) + tail
+    return [tuple((f, p) for (f,), p in block) for block in space.blocks.values()] + tail
 
 
 def size_law(units):

@@ -5,7 +5,7 @@ import pytest
 
 from infpdb.core import Fact, Instance
 from infpdb.errors import WorldCapExceeded
-from infpdb.oracle import enumerate_worlds, exact_event_prob, monte_carlo
+from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob, monte_carlo
 
 
 def fact(rel, *args):
@@ -34,6 +34,14 @@ class TestEnumerateWorlds:
         assert len(worlds) == 16
         assert worlds[Instance.empty()] == pytest.approx(0.006, abs=1e-12)
         assert math.fsum(worlds.values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_block_with_an_empty_outcome_is_exhaustive(self):
+        """Its worlds are its outcomes, even where the plain sum of their
+        probabilities passes 1, as 0.34 + 0.56 + 0.1 does: no "none" below 0."""
+        r1, r2 = fact("R", 1), fact("R", 2)
+        block = [((), 0.0), ((r1,), 0.34), ((r2,), 0.56), ((r1, r2), 0.1)]
+        worlds = enumerate_block_worlds([block])
+        assert worlds == {Instance.empty(): 0.0, Instance([r1]): 0.34, Instance([r2]): 0.56, Instance([r1, r2]): 0.1}
 
     def test_size_cap(self):
         facts = [(fact("R", i), 0.5) for i in range(21)]

@@ -103,3 +103,23 @@ def test_traced_sample_records_the_tail_truncation_and_the_draws():
     assert names.count("independence.bid_sample") == 5 and names.count("independence.ti_sample") == 1
     assert tracer.counts["independence.draws"] == 6
     assert all(value == 0 for name, (value, _) in tracer.metrics(1).items() if name.endswith(".errors"))
+
+
+def test_traced_queries_on_finite_and_completion_specs():
+    """A table's space lists its head facts like every other kind's, so the
+    world-count hook reads finite and completion specs too."""
+    tracer = _tracer()
+    tracer.install(infpdb)
+    try:
+        for space in ("finite", "completion"):
+            spec, query = str(GOLDEN / f"{space}.json"), str(GOLDEN / "unary_query.txt")
+            tracer.begin_op(space)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert infpdb.cli.main(["query", spec, "--query", query, "--epsilon", "0.4"]) == 0
+            finally:
+                tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["approx.choose_truncation.calls"] == 2
+    assert all(value == 0 for name, (value, _) in tracer.metrics(2).items() if name.endswith(".errors"))

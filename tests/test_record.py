@@ -23,8 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infpdb.approx import TruncationCertificate
-from infpdb.completion import Completion
-from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema
+from infpdb.core import Fact, Schema
 from infpdb.errors import DivergentAssignment, ValidationError
 from infpdb.fo import And, Atom, Const, Eq, Exists, Forall, Implies, Not, Or, Var, View
 from infpdb.independence import (
@@ -34,7 +33,6 @@ from infpdb.independence import (
     FactProbabilityAssignment,
     GeometricTail,
     ProductSupply,
-    ti_construct,
 )
 from infpdb.numerics import ProbabilityInterval
 from infpdb.record import Record
@@ -103,8 +101,6 @@ geometric_tails = st.builds(
 constant_tails = st.builds(ConstantTail, supplies, probabilities, excludes)
 heads = st.lists(st.tuples(facts, probabilities), max_size=3, unique_by=lambda fp: fp[0]).map(tuple)
 universes = st.sampled_from([NATURALS, STRINGS, Universe("strings", ("a", "b"))])
-FINITE = FiniteDiscretePDB(SCHEMA, NATURALS, {Instance([Fact("S", (1,))]): 0.25, Instance(): 0.75})
-TAIL_PDB = ti_construct(FactProbabilityAssignment(((Fact("S", (2,)), 0.5),)))
 
 
 def _views(draw_names, arity_of):
@@ -128,7 +124,6 @@ def _certificate(n, tail_sum):
 
 ARGUMENTS = {
     TruncationCertificate: st.builds(_certificate, st.integers(0, 30), st.floats(0.0, 0.01)),
-    Completion: st.just((FINITE, TAIL_PDB)),
     Schema: schemas.map(lambda s: (s.relations,)),
     Var: st.tuples(names),
     Const: st.tuples(st.integers(-3, 3) | st.text("ab", max_size=2)),
@@ -183,7 +178,7 @@ def hash_outcome(obj):
 
 
 def test_every_converted_class_is_a_record():
-    assert len(CONVERTED) == 24
+    assert len(CONVERTED) == 23
     for cls in CONVERTED:
         assert issubclass(cls, Record) and not dataclasses.is_dataclass(cls), cls
         assert cls._fields == tuple(f.name for f in dataclasses.fields(TWINS[cls])), cls
