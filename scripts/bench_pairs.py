@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Benchmark the working tree against a base commit in alternating pairs.
+
+Each pair runs ``perfbench/run.py --trace 0`` once on the base and once on
+the working tree, for one workload, in ABBA order (pair 1 runs the base
+first, pair 2 the change first, and so on), so that a drift of the
+machine's speed falls on both sides alike. The base runs from a copy of
+its committed files (``git archive``) in a temporary directory, removed
+afterwards; the change runs from the repository root. Each side thus runs
+its own harness on its own engine.
+
+It writes ``BENCH_<label>.json`` at the repository root: every run's
+end-to-end metrics, each side's median and quartiles per metric, and the
+number of pairs the change won per metric, where "better" is read from
+``BENCHMARK.json``. It prints one summary line per metric.
+
+Usage:
+    python3 scripts/bench_pairs.py --label L [--workload query] [--pairs 10]
+        [--seconds 25] [--base HEAD] [--seed 0]
+
+Standard library only. A run that fails or reports ``correct: false``
+stops the script with status 1 and writes no file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: str) -> None:
+    """The committed files of ``rev``, unpacked into ``dest``."""
+    archive = os.path.join(dest, "base.tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev], cwd=ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        # the "data" filter refuses members that would land outside dest
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(os.path.join(dest, "tree"), **safe)
+    os.remove(archive)
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
+    """One untraced run of the checkout's harness; its final JSON line."""
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+           "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-5000:])
+        raise SystemExit(f"{checkout}: perfbench exited with status {proc.returncode}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{checkout}: perfbench reported correct: false ({result['failed']} failed)")
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the change's pair wins."""
+    out = {}
+    for name, direction in better.items():
+        sides = {side: [r["metrics"][name] for r in runs if r["side"] == side] for side in ("base", "change")}
+        pairs = list(zip(sides["base"], sides["change"]))
+        wins = sum(c > b if direction == "higher" else c < b for b, c in pairs)
+        base, change = spread(sides["base"]), spread(sides["change"])
+        out[name] = {
+            "better": direction,
+            "base": base,
+            "change": change,
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "median_change": change["median"] / base["median"] - 1.0 if base["median"] else None,
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--workload", default="query")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--base", default="HEAD", help="the commit the working tree is measured against")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    base_rev = git("rev-parse", args.base)
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        export(base_rev, tmp)
+        checkouts = {"base": os.path.join(tmp, "tree"), "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                result = run_once(checkouts[side], args.workload, args.seconds, args.seed)
+                metrics = {k: v["value"] for k, v in result["metrics"].items()}
+                runs.append({"pair": pair, "side": side, "attempted": result["attempted"],
+                             "failed": result["failed"], "metrics": metrics})
+                print(f"pair {pair + 1}/{args.pairs} {side}: "
+                      + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
+    summary = summarize(runs, better)
+    report = {
+        "label": args.label,
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "base": base_rev,
+        "change": {"head": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain", "--", "src"))},
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "runs": runs,
+        "summary": summary,
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for name, s in summary.items():
+        change = "" if s["median_change"] is None else f" ({s['median_change']:+.1%})"
+        print(f"{args.workload}.{name}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
+              f" -> change {s['change']['median']:.6g}{change}; change better in {s['change_wins']}/{s['pairs']} pairs")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

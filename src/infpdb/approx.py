@@ -15,8 +15,10 @@ tail fact as a singleton block.  Its worlds are enumerated block by
 block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
-with it there.  The cap, with an environment override, still applies to
-n.
+with it there.  Each walk analyses its sentences and takes one pool of
+generic elements once, not per world, which generic-pool invariance makes
+exact (:func:`world_walk`).  The cap, with an environment override, still
+applies to n.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -29,9 +31,9 @@ import itertools
 import math
 import os
 
-from .core import Fact, Instance
+from .core import Fact
 from .errors import WorldCapExceeded
-from .fo import Formula, Fresh, Pattern, atom_patterns, eval_boolean, free_variables, groundings
+from .fo import Formula, Fresh, Pattern, atom_patterns, eval_boolean, free_variables, groundings, walk_pool
 from .independence import BIDPdb, Block
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -131,6 +133,23 @@ def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
     return tuple(kept)
 
 
+class _World:
+    """One world of a walk: its facts' elements, and their argument tuples
+    by relation, which :func:`fo.eval_boolean` reads through ``tuples_of``."""
+
+    __slots__ = ("elements", "_tuples")
+
+    def __init__(self, facts: tuple[Fact, ...]):
+        self.elements: set[Element] = set()
+        self._tuples: dict[str, set[tuple]] = {}
+        for g in facts:
+            self.elements.update(g.args)
+            self._tuples.setdefault(g.relation, set()).add(g.args)
+
+    def tuples_of(self, relation: str) -> set[tuple] | tuple:
+        return self._tuples.get(relation, ())
+
+
 def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
     """Exact probability of each sentence on the finite space of ``blocks``.
 
@@ -143,28 +162,40 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
     mass it keeps, then over each kept outcome.  A grounded open query
     ``exists y. R(c, y)`` thus walks only the worlds of the ``R(c, .)``
     facts.
+
+    A walk analyses its sentences once and takes their generic elements
+    once, outside every element of its kept outcomes and every constant
+    (:func:`fo.walk_pool`).  On each world, a relation index of its facts,
+    the quantifiers range over the world's elements, the constants and
+    that pool: an element no fact of the world holds and no constant of the
+    sentence names is one more generic there, and a pool larger than the
+    rank changes no truth value.
     """
     groups: dict[tuple, list[int]] = {}
     for j, f in enumerate(sentences):
         groups.setdefault(_cut(blocks, atom_patterns(f)), []).append(j)
     values = [0.0] * len(sentences)
 
-    def descend(kept, group, i: int, chosen: tuple[Fact, ...], weight: float) -> None:
+    def descend(kept, group, pool, i: int, chosen: tuple[Fact, ...], weight: float) -> None:
         if i == len(kept):
-            d = Instance(chosen)
+            world = _World(chosen)
+            consts, generics = pool
+            # a quantifier-free sentence never reads the domain
+            domain = [*(world.elements | consts), *generics] if generics else []
             for f, acc in group:
-                if eval_boolean(d, f, universe):
+                if eval_boolean(world, f, universe, domain=domain):
                     acc.add(weight)
             return
         outcomes, none = kept[i]
         if none > 0.0:
-            descend(kept, group, i + 1, chosen, weight * none)
+            descend(kept, group, pool, i + 1, chosen, weight * none)
         for facts, p in outcomes:
-            descend(kept, group, i + 1, chosen + facts, weight * p)
+            descend(kept, group, pool, i + 1, chosen + facts, weight * p)
 
     for kept, members in groups.items():
         group = [(sentences[j], CompensatedAccumulator()) for j in members]
-        descend(kept, group, 0, (), 1.0)
+        elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
+        descend(kept, group, walk_pool([f for f, _ in group], elements, universe), 0, (), 1.0)
         for j, (_, acc) in zip(members, group):
             values[j] = min(max(acc.value, 0.0), 1.0)
     return values

@@ -80,7 +80,7 @@ _VALIDATE_LINE = {
     "finite": lambda doc, s: f"finite, {len(doc.worlds)} worlds, expected size {s.expected_size:.3f}",
     "completion": lambda doc, s: (
         f"completion, {len(doc.worlds)} base worlds, "
-        f"tail mass {doc.ti().total_mass:.3f}, convergent, "
+        f"tail mass {completion_mod.fresh_mass(s):.3f}, convergent, "
         f"expected size {s.expected_size:.3f}"
     ),
 }

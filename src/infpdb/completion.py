@@ -177,6 +177,15 @@ def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> BIDPdb:
     return BIDPdb({**table.blocks, **fresh.blocks}, fresh.tail)
 
 
+def fresh_mass(c: BIDPdb) -> float:
+    """The expected number of fresh facts of a completion, equal to its fresh
+    space's ``total_mass``: one fsum over the blocks that list no empty
+    outcome (every block but the exhaustive table's), plus the tail's mass."""
+    fresh = (block for block in c.blocks.values() if all(facts for facts, _ in block))
+    head = math.fsum(p * len(facts) for block in fresh for facts, p in block)
+    return head + (c.tail.total_mass() if c.tail is not None else 0.0)
+
+
 def completion_instance_prob(c: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Measure of one instance of the completed space: ``P(D) * P1(C)``."""
     return bid_instance_prob(c, d)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import Fact, FiniteDiscretePDB, Instance, Schema, _element_key, active_domain
 from .errors import InfiniteAnswerError, NestingTooDeep, QuerySyntaxError
@@ -420,25 +420,45 @@ def _quantifier_domain(
     return [*adom, *u.fresh_elements(adom, pool_size)]
 
 
+def walk_pool(sentences: Iterable[Formula], elements: set[Element], u: Universe) -> tuple[set[Element], list[Element]]:
+    """The sentences' constants, and as many generic elements outside them
+    and ``elements`` as the largest quantifier rank.  On a world whose
+    elements lie in ``elements``, its elements, the constants and the
+    generics form a quantifier domain exact for each sentence: a constant
+    of another sentence is one more generic there, and a pool larger than
+    a sentence's rank changes none of its truth values."""
+    rank, consts = 0, set()
+    for f in sentences:
+        r, c, free, _ = _analysis(f)
+        if free:
+            raise ValueError(f"sentence expected, found free variables {free}")
+        rank, consts = max(rank, r), consts | c
+    return consts, u.fresh_elements(elements | consts, rank)
+
+
 def eval_boolean(
-    d: Instance, f: Formula, u: Universe, pool_size: int | None = None
+    d: Instance, f: Formula, u: Universe, pool_size: int | None = None, *, domain: list[Element] | None = None
 ) -> bool:
     """Truth of a sentence on a finite instance over an infinite universe.
 
     ``pool_size`` overrides the number of generic elements (default: the
-    quantifier rank); enlarging it must not change the result.
+    quantifier rank); enlarging it must not change the result.  A caller
+    that evaluates sentences on many worlds analyses them once
+    (:func:`walk_pool`) and passes each world's quantifier domain as
+    ``domain``; ``d`` may then be any world with a ``tuples_of`` method.
     """
-    rank, consts, free, _ = _analysis(f)
-    if free:
-        raise ValueError(f"sentence expected, found free variables {free}")
-    # a quantifier-free sentence never reads the domain
-    domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
+    if domain is None:
+        rank, consts, free, _ = _analysis(f)
+        if free:
+            raise ValueError(f"sentence expected, found free variables {free}")
+        # a quantifier-free sentence never reads the domain
+        domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
     return _eval(f, d, {}, domain)
 
 
 def _eval(f: Formula, d: Instance, env: dict[str, Element], domain: list[Element]) -> bool:
     if isinstance(f, Atom):
-        args = tuple(env[t.name] if isinstance(t, Var) else t.value for t in f.terms)
+        args = tuple([env[t.name] if isinstance(t, Var) else t.value for t in f.terms])
         return args in d.tuples_of(f.relation)
     if isinstance(f, Eq):
         lv = env[f.left.name] if isinstance(f.left, Var) else f.left.value
@@ -453,14 +473,21 @@ def _eval(f: Formula, d: Instance, env: dict[str, Element], domain: list[Element
     if isinstance(f, Implies):
         return (not _eval(f.left, d, env, domain)) or _eval(f.right, d, env, domain)
     # a quantifier looks for a witness (exists) or a counterexample (forall);
-    # it binds its variable in a copy, so an outer binding of it survives
-    exists = isinstance(f, Exists)
-    inner = dict(env)
-    for e in domain:
-        inner[f.var] = e
-        if _eval(f.body, d, inner, domain) == exists:
-            return exists
-    return not exists
+    # it binds its variable in place and then puts back any outer binding
+    # (no element is None)
+    exists, var, body = isinstance(f, Exists), f.var, f.body
+    outer = env.get(var)
+    try:
+        for e in domain:
+            env[var] = e
+            if _eval(body, d, env, domain) == exists:
+                return exists
+        return not exists
+    finally:
+        if outer is None:
+            env.pop(var, None)
+        else:
+            env[var] = outer
 
 
 def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:

@@ -562,6 +562,16 @@ class BIDPdb:
         ]
         return slot, outcomes, exhaustive, log_none
 
+    @cached_property
+    def _draw_ends(self) -> list[tuple[tuple[tuple[Fact, ...], ...], list[float]]]:
+        """What draws read, built on the first one: per block its outcomes'
+        fact sets and the running sums of their probabilities, added in
+        outcome order."""
+        return [
+            (tuple(facts for facts, _ in block), list(itertools.accumulate(p for _, p in block)))
+            for block in self.blocks.values()
+        ]
+
     @property
     def remainders(self) -> dict[Hashable, float]:
         """Per block, the probability that none of its outcomes occurs."""
@@ -766,14 +776,11 @@ def _draw(b: BIDPdb, rng, delta: float) -> Instance:
     if math.isnan(delta) or not (0.0 < delta < 1.0):
         raise ValueError(f"total-variation tolerance must lie in (0, 1), got {delta!r}")
     chosen: list[Fact] = []
-    for block in b.blocks.values():
-        x = rng.random()
-        acc = 0.0
-        for facts, p in block:
-            acc += p
-            if x < acc:
-                chosen.extend(facts)
-                break
+    for outcomes, ends in b._draw_ends:
+        # the first outcome whose running sum passes the uniform; none past the last
+        i = bisect.bisect_right(ends, rng.random())
+        if i < len(outcomes):
+            chosen.extend(outcomes[i])
     if b.tail is not None:
         chosen += b.tail.draw(rng, delta)
     return Instance(chosen)

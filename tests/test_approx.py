@@ -18,10 +18,11 @@ from infpdb.approx import (
     conditional_query_prob,
 )
 from infpdb.completion import complete
-from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, facts_of
+from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain, facts_of
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
-    And, Atom, Const, Fresh, Not, Or, Var, constants, eval_boolean, free_variables, groundings, parse, substitute,
+    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, constants, eval_boolean,
+    free_variables, groundings, parse, quantifier_rank, substitute,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -33,17 +34,19 @@ from infpdb.independence import (
     table_space,
     ti_construct,
 )
+from infpdb.numerics import CompensatedAccumulator
 from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob
 from infpdb.record import Record
 from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import random_sentence, reference_boolean_enclosure
+from helpers import naive_eval, random_sentence, reference_boolean_enclosure
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
 S1 = Schema.of(S=1)
 RS = Schema.of(R=1, S=1)
+RS2 = Schema.of(R=2, S=1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -188,16 +191,12 @@ class TestConditionalQueryProb:
     def test_enumerates_only_mentioned_facts(self, monkeypatch):
         head = ((fact("S", 0), 0.3),) + tuple((fact("R", i), 0.5) for i in range(1, 21))
         t = ti_construct(FactProbabilityAssignment(head))
-        built = []
-
-        def counting_instance(facts):
-            built.append(facts)
-            return Instance(facts)
-
-        monkeypatch.setattr(approx, "Instance", counting_instance)
+        walked = []
+        world = approx._World
+        monkeypatch.setattr(approx, "_World", lambda facts: walked.append(facts) or world(facts))
         p = conditional_query_prob(t, parse("exists x. S(x)", RS), 21, NAT, cap=21)
         assert p == pytest.approx(0.3, abs=1e-12)
-        assert len(built) <= 2
+        assert len(walked) <= 2
 
 
 class TestApproxBoolean:
@@ -639,11 +638,12 @@ class TestPatternCut:
             assert approx.world_walk(blocks, [f], NAT) == [value]
 
     def _counting(self, monkeypatch):
-        calls, built = [], []
-        evaluate, instance = approx.eval_boolean, approx.Instance
-        monkeypatch.setattr(approx, "eval_boolean", lambda d, f, u: calls.append(f) or evaluate(d, f, u))
-        monkeypatch.setattr(approx, "Instance", lambda facts: built.append(facts) or instance(facts))
-        return calls, built
+        """The sentences evaluated, one per world and sentence, and the worlds walked."""
+        calls, walked = [], []
+        evaluate, world = approx.eval_boolean, approx._World
+        monkeypatch.setattr(approx, "eval_boolean", lambda d, f, u, **kw: calls.append(f) or evaluate(d, f, u, **kw))
+        monkeypatch.setattr(approx, "_World", lambda facts: walked.append(facts) or world(facts))
+        return calls, walked
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)
     HEAD = ((fact("R", 1, 2), 0.5), (fact("R", 1, 3), 0.4), (fact("R", 2, 3), 0.7), (fact("S", 1), 0.6))
@@ -651,14 +651,14 @@ class TestPatternCut:
     def test_open_query_walks_only_the_facts_each_tuple_matches(self, monkeypatch):
         schema = Schema.of(R=2, S=1)
         t = ti_construct(FactProbabilityAssignment(self.HEAD))
-        calls, built = self._counting(monkeypatch)
+        calls, walked = self._counting(monkeypatch)
         table = approx_nonboolean(t, parse("exists y. R(x, y)", schema), 0.1, NAT)
         assert table == pytest.approx({(1,): 0.7, (2,): 0.7, (3,): 0.0})
         # x = 1 walks R(1, 2) and R(1, 3), x = 2 walks R(2, 3), and x = 3 and
         # the pattern (*1) share the one empty world: 4 + 2 + 1 worlds, where
         # every tuple and the pattern walked all 2**3 R worlds before
         assert len(calls) == 4 + 2 + 1 + 1
-        assert len(built) == 4 + 2 + 1
+        assert len(walked) == 4 + 2 + 1
 
     def test_oracle_compare_walks_each_ground_atom_on_two_worlds(self, monkeypatch, tmp_path, capsys):
         from infpdb import cli
@@ -679,3 +679,87 @@ class TestPatternCut:
         assert {f: ground.count(f) for f in ground} == {
             Atom(g.relation, tuple(map(Const, g.args))): 2 for g, _ in self.HEAD
         }
+
+
+def _requantify(node, names):
+    """``node`` with each variable renamed by ``names``, binders included, so
+    that a quantifier can bind a variable that an outer one binds too."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(names[node.var], _requantify(node.body, names))
+    if isinstance(node, tuple):
+        return tuple(_requantify(part, names) for part in node)
+    if isinstance(node, Record):
+        return type(node)(*(_requantify(getattr(node, name), names) for name in node._fields))
+    return node
+
+
+def _space_blocks(rng, kind):
+    """The blocks of a head-only space over R/2 and S/1 on elements 1-4: TI,
+    BID keyed by R's first argument, or one world table's exhaustive block."""
+    pool = [fact("R", a, b) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)] + [fact("S", a) for a in (1, 2, 3, 4)]
+    facts = rng.sample(pool, rng.randint(1, 7))
+    if kind == "ti":
+        space = ti_construct(FactProbabilityAssignment(tuple((g, rng.uniform(0.05, 0.95)) for g in facts)))
+    elif kind == "bid":
+        keys = {g: g.args[0] if g.relation == "R" else g for g in facts}
+        head = []
+        for key in dict.fromkeys(keys.values()):
+            head += _outcomes(rng, [g for g in facts if keys[g] == key])
+        space = bid_construct(BlockPartition.by_keys(R=1), FactProbabilityAssignment(tuple(head)))
+    else:
+        worlds = {frozenset(rng.sample(facts, rng.randint(0, len(facts)))) for _ in range(rng.randint(1, 6))}
+        weights = [rng.random() + 0.01 for _ in worlds]
+        table = {Instance(w): x / sum(weights) for w, x in zip(worlds, weights)}
+        space = table_space(FiniteDiscretePDB(RS2, NAT, table))
+    return list(space.blocks.values())
+
+
+def _per_world_walk(blocks, sentences, u):
+    """Each sentence's probability, with a sorted Instance per world on which
+    eval_boolean analyses the sentence and builds its own domain; the naive
+    evaluator, which binds each variable in a fresh dict, must agree on
+    every world.  The cut of the blocks, the order of the worlds and the
+    order of the products and sums are the walk's, so the values agree with
+    the walk's bit for bit."""
+    values = []
+    for f in sentences:
+        acc = CompensatedAccumulator()
+        kept = approx._cut(blocks, atom_patterns(f))
+        choices = [[((), none)] * (none > 0.0) + list(outcomes) for outcomes, none in kept]
+        taken = constants(f)
+        for world in itertools.product(*choices):
+            weight, chosen = 1.0, ()
+            for facts, p in world:
+                weight, chosen = weight * p, chosen + facts
+            d = Instance(chosen)
+            truth = eval_boolean(d, f, u)
+            domain = active_domain(d) | taken
+            assert naive_eval(f, d, [*domain, *u.fresh_elements(domain, quantifier_rank(f))]) == truth, (f, d)
+            if truth:
+                acc.add(weight)
+        values.append(min(max(acc.value, 0.0), 1.0))
+    return values
+
+
+class TestSharedPoolWalk:
+    """A walk that analyses its sentences and takes their generics once, and
+    reads each world through a relation index, gives every value that an
+    Instance per world gives."""
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "table"]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_per_world_evaluation_bit_for_bit(self, rng, kind):
+        blocks = _space_blocks(rng, kind)
+        names = {f"v{k}": rng.choice("xy") for k in range(16)}
+        sentences = [
+            _requantify(random_sentence(rng, RS2, max_rank=rank, constant_pool=(1, 2, 5)), names)
+            for rank in (rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
+        ]
+        # x is read after a subformula that may quantify x again
+        connective, quantifier = rng.choice([And, Or, Implies]), rng.choice([Exists, Forall])
+        sentences.append(quantifier("x", connective(sentences[0], Atom("S", (Var("x"),)))))
+        # a negation and a disjunction share their operands' atoms, so their walks
+        sentences += [Not(sentences[0]), Or(sentences[0], sentences[1])]
+        assert approx.world_walk(blocks, sentences, NAT) == _per_world_walk(blocks, sentences, NAT)

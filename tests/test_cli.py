@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infpdb import approx
+from infpdb import completion as completion_mod
 from infpdb.cli import build_parser, main
 from infpdb.core import Fact, Instance
 from infpdb.specio import instance_lines, load_spec, parse_spec, save_spec, spec_to_json
@@ -234,6 +235,19 @@ class TestValidate:
         assert main(["validate", example_spec]) == 0
         out = capsys.readouterr().out
         assert "TI, total mass 2.600, convergent, expected size 2.600" in out
+
+    def test_completion_builds_its_fresh_space_once(self, monkeypatch, capsys):
+        from infpdb import independence
+
+        built, construct = [], independence.ti_construct
+        for name, module in list(sys.modules.items()):
+            if (name == "infpdb" or name.startswith("infpdb.")) and getattr(module, "ti_construct", None) is construct:
+                monkeypatch.setattr(module, "ti_construct", lambda a: built.append(a) or construct(a))
+        assert main(["validate", str(GOLDEN / "completion.json")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "completion.validate.out").read_text()
+        assert len(built) == 1
+        doc = load_spec(str(GOLDEN / "completion.json"))
+        assert completion_mod.fresh_mass(doc.space()) == doc.ti().total_mass
 
     def test_divergent_constant_tail(self, tmp_path, capsys):
         spec = {

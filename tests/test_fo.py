@@ -156,6 +156,14 @@ class TestEvalBoolean:
         assert eval_boolean(d, parse("R(1) & !S(1) & !(1 = 2)", S2), NAT)
         assert not eval_boolean(d, parse("S(1) | R(2)", S2), NAT)
 
+    def test_walk_pool_takes_generics_outside_the_walk(self):
+        sentences = [parse("exists x. R(x) & !(x = 7)", S2), parse("forall x. exists y. S(y) | x = 2", S2)]
+        consts, generics = fo.walk_pool(sentences, {1, 3}, NAT)
+        assert consts == {7, 2} and generics == [4, 5]
+        assert fo.walk_pool([parse("R(1) | S(2)", S2)], {1, 3}, NAT) == ({1, 2}, [])
+        with pytest.raises(ValueError):
+            fo.walk_pool([parse("R(x)", S1)], set(), NAT)
+
     def test_generic_equal_only_to_itself(self):
         # exactly one generic is available at rank 1, and it is not in R
         f = parse("exists x. !R(x) & !(x = 1)", S1)

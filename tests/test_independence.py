@@ -30,6 +30,7 @@ from infpdb.independence import (
     bid_instance_prob,
     bid_sample,
     is_good,
+    table_space,
     ti_construct,
     ti_event_probs,
     ti_instance_prob,
@@ -661,6 +662,54 @@ class TestBidSample:
         n = 100_000
         hits = sum(fact("R", 1) in bid_sample(b, rng, 0.5) for _ in range(n))
         assert 0.2957 <= hits / n <= 0.3044
+
+
+class _Uniforms:
+    """A stand-in for ``random.Random`` that returns the given uniforms."""
+
+    def __init__(self, *xs):
+        self._xs = iter(xs)
+
+    def random(self):
+        return next(self._xs)
+
+
+def _linear_draw(b, rng):
+    """A head-only draw that scans each block's outcomes, adding their
+    probabilities until the running sum passes the block's uniform."""
+    chosen = []
+    for block in b.blocks.values():
+        x, acc = rng.random(), 0.0
+        for facts, p in block:
+            acc += p
+            if x < acc:
+                chosen.extend(facts)
+                break
+    return Instance(chosen)
+
+
+class TestTableDraw:
+    """A draw bisects each block's running sums and picks the outcome that a
+    scan of the outcomes picks, from the same uniforms."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_the_linear_draw_on_random_tables(self, rng):
+        facts = [fact("R", i) for i in range(1, 7)]
+        worlds = list({frozenset(rng.sample(facts, rng.randint(0, 6))) for _ in range(rng.randint(1, 20))})
+        weights = [rng.choice([0.0, rng.random(), rng.random() * 1e-9]) for _ in worlds]
+        weights[0] += 0.5
+        table = FiniteDiscretePDB(R1, NAT, {Instance(w): x / sum(weights) for w, x in zip(worlds, weights)})
+        b = table_space(table)
+        seed = rng.randrange(2**32)
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert b.sample(fast, 0.5) == _linear_draw(b, slow)
+        # a uniform at or past the float total draws the empty world, as the scan does
+        (_, ends), = b._draw_ends
+        for x in (ends[-1], math.nextafter(1.0, 0.0)):
+            if x >= ends[-1]:
+                assert b.sample(_Uniforms(x), 0.5) == _linear_draw(b, _Uniforms(x)) == Instance.empty()
 
 
 def truncated_units(space, delta):
