@@ -15,9 +15,10 @@ tail fact as a singleton block.  Its worlds are enumerated block by
 block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
-with it there.  Each walk analyses its sentences and takes one pool of
-generic elements once, not per world, which generic-pool invariance makes
-exact (:func:`world_walk`).  The cap, with an environment override, still
+with it there.  Each walk analyses its sentences, compiles each into
+closures (:func:`fo.compile_sentence`) and takes one pool of generic
+elements once, not per world, which generic-pool invariance makes exact
+(:func:`world_walk`).  The cap, with an environment override, still
 applies to n.
 
 Guarantees are additive only; no relative-error mode exists, because
@@ -33,7 +34,8 @@ import os
 
 from .core import Fact
 from .errors import WorldCapExceeded
-from .fo import Formula, Fresh, Pattern, atom_patterns, eval_boolean, free_variables, groundings, walk_pool
+from .fo import Formula, Fresh, Pattern, atom_patterns, compile_sentence, eval_boolean, free_variables
+from .fo import groundings, walk_pool
 from .independence import BIDPdb, Block
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -163,13 +165,13 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
     ``exists y. R(c, y)`` thus walks only the worlds of the ``R(c, .)``
     facts.
 
-    A walk analyses its sentences once and takes their generic elements
-    once, outside every element of its kept outcomes and every constant
-    (:func:`fo.walk_pool`).  On each world, a relation index of its facts,
-    the quantifiers range over the world's elements, the constants and
-    that pool: an element no fact of the world holds and no constant of the
-    sentence names is one more generic there, and a pool larger than the
-    rank changes no truth value.
+    A walk analyses and compiles its sentences once and takes their
+    generic elements once, outside every element of its kept outcomes and
+    every constant (:func:`fo.walk_pool`).  On each world, a relation index
+    of its facts, the quantifiers range over the world's elements, the
+    constants and that pool: an element no fact of the world holds and no
+    constant of the sentence names is one more generic there, and a pool
+    larger than the rank changes no truth value.
     """
     groups: dict[tuple, list[int]] = {}
     for j, f in enumerate(sentences):
@@ -182,8 +184,8 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
             consts, generics = pool
             # a quantifier-free sentence never reads the domain
             domain = [*(world.elements | consts), *generics] if generics else []
-            for f, acc in group:
-                if eval_boolean(world, f, universe, domain=domain):
+            for f, compiled, acc in group:
+                if eval_boolean(world, f, universe, domain=domain, compiled=compiled):
                     acc.add(weight)
             return
         outcomes, none = kept[i]
@@ -193,10 +195,10 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
             descend(kept, group, pool, i + 1, chosen + facts, weight * p)
 
     for kept, members in groups.items():
-        group = [(sentences[j], CompensatedAccumulator()) for j in members]
+        group = [(sentences[j], compile_sentence(sentences[j]), CompensatedAccumulator()) for j in members]
         elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
-        descend(kept, group, walk_pool([f for f, _ in group], elements, universe), 0, (), 1.0)
-        for j, (_, acc) in zip(members, group):
+        descend(kept, group, walk_pool([f for f, _, _ in group], elements, universe), 0, (), 1.0)
+        for j, (_, _, acc) in zip(members, group):
             values[j] = min(max(acc.value, 0.0), 1.0)
     return values
 

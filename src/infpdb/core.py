@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -71,19 +70,25 @@ def _element_key(e) -> tuple:
     raise TypeError(f"unsupported element type {type(e).__name__}")
 
 
-@dataclass(frozen=True, order=False)
-class Fact:
-    """An atomic statement ``R(a_1, ..., a_k)``."""
+class Fact(Record):
+    """An atomic statement ``R(a_1, ..., a_k)``, hashed and ordered by keys fixed at construction."""
 
     relation: str
     args: tuple
 
-    def __post_init__(self):
+    def __init__(self, relation: str, args: tuple):
         # instances sort and hash facts far more often than they build them
-        args = tuple(self.args)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_key", (self.relation, len(args), tuple(map(_element_key, args))))
-        object.__setattr__(self, "_hash", hash((self.relation, args)))
+        args = tuple(args)
+        _set = object.__setattr__
+        _set(self, "relation", relation)
+        _set(self, "args", args)
+        _set(self, "_key", (relation, len(args), tuple(map(_element_key, args))))
+        _set(self, "_hash", hash((relation, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:  # twice as fast as comparing Record field tuples
+            return self.args == other.args and self.relation == other.relation
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

@@ -24,6 +24,10 @@ elements.  Generic elements are real universe elements, taken
 deterministically as the first enumeration indices outside the active
 domains.
 
+A sentence is compiled once into nested closures (:func:`compile_sentence`);
+a caller that evaluates it on many worlds passes those closures to
+:func:`eval_boolean` with every world.
+
 Open formulas are grounded in one place, :func:`groundings`: on every
 tuple of candidates, and on one representative per pattern of generic
 elements, keyed by the :class:`Fresh` sentinel.  On one instance
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .core import Fact, FiniteDiscretePDB, Instance, Schema, _element_key, active_domain
 from .errors import InfiniteAnswerError, NestingTooDeep, QuerySyntaxError
@@ -436,58 +441,95 @@ def walk_pool(sentences: Iterable[Formula], elements: set[Element], u: Universe)
     return consts, u.fresh_elements(elements | consts, rank)
 
 
+def compile_sentence(f: Formula) -> Callable[[Any, list[Element]], bool]:
+    """``f`` as nested closures: ``run(d, domain)`` is its truth on the
+    world ``d`` (any object with a ``tuples_of`` method) with quantifiers
+    over ``domain``.
+
+    The closures read one list per call: the domain, the tuple set of each
+    relation the sentence names, each constant, then one slot per level of
+    quantifier nesting.  A quantifier writes its level's slot, so an inner
+    quantifier that binds a variable again leaves the outer binding in
+    place; every term reads a slot, so an atom of arity 1 or 2 builds its
+    key directly.  ``=`` between two constants folds to its truth value.
+    """
+    rank, consts, free, atoms = _analysis(f)
+    if free:
+        raise ValueError(f"sentence expected, found free variables {free}")
+    relations = list(dict.fromkeys(a.relation for a in atoms))
+    const_slot = {c: 1 + len(relations) + i for i, c in enumerate(consts)}
+    first_level = 1 + len(relations) + len(const_slot)
+
+    def slots(terms, scope: dict[str, int]) -> list[int]:
+        return [scope[t.name] if isinstance(t, Var) else const_slot[t.value] for t in terms]
+
+    def build(g: Formula, scope: dict[str, int], depth: int) -> Callable[[list], bool]:
+        if isinstance(g, Atom):
+            s = 1 + relations.index(g.relation)
+            if all(isinstance(t, Const) for t in g.terms):
+                key = tuple(t.value for t in g.terms)
+                return lambda env: key in env[s]
+            at = slots(g.terms, scope)
+            if len(at) == 1:
+                (i,) = at
+                return lambda env: (env[i],) in env[s]
+            if len(at) == 2:
+                i, j = at
+                return lambda env: (env[i], env[j]) in env[s]
+            key_of = itemgetter(*at)
+            return lambda env: key_of(env) in env[s]
+        if isinstance(g, Eq):
+            if isinstance(g.left, Const) and isinstance(g.right, Const):
+                truth = g.left.value == g.right.value
+                return lambda env: truth
+            i, j = slots((g.left, g.right), scope)
+            return lambda env: env[i] == env[j]
+        if isinstance(g, Not):
+            body = build(g.body, scope, depth)
+            return lambda env: not body(env)
+        if isinstance(g, (And, Or, Implies)):
+            left, right = build(g.left, scope, depth), build(g.right, scope, depth)
+            if isinstance(g, And):
+                return lambda env: left(env) and right(env)
+            if isinstance(g, Or):
+                return lambda env: left(env) or right(env)
+            return lambda env: not left(env) or right(env)
+        # a quantifier looks for a witness (exists) or a counterexample (forall);
+        # every closure returns a bool, so ``is`` compares truth values
+        k, witness = first_level + depth, isinstance(g, Exists)
+        body = build(g.body, {**scope, g.var: k}, depth + 1)
+
+        def quantifier(env: list) -> bool:
+            for e in env[0]:
+                env[k] = e
+                if body(env) is witness:
+                    return witness
+            return not witness
+
+        return quantifier
+
+    node, rest = build(f, {}, 0), (*const_slot, *[None] * rank)
+    return lambda d, domain: node([domain, *map(d.tuples_of, relations), *rest])
+
+
 def eval_boolean(
-    d: Instance, f: Formula, u: Universe, pool_size: int | None = None, *, domain: list[Element] | None = None
+    d: Instance, f: Formula, u: Universe, pool_size: int | None = None, *,
+    domain: list[Element] | None = None, compiled: Callable[[Any, list[Element]], bool] | None = None,
 ) -> bool:
     """Truth of a sentence on a finite instance over an infinite universe.
 
     ``pool_size`` overrides the number of generic elements (default: the
     quantifier rank); enlarging it must not change the result.  A caller
-    that evaluates sentences on many worlds analyses them once
-    (:func:`walk_pool`) and passes each world's quantifier domain as
-    ``domain``; ``d`` may then be any world with a ``tuples_of`` method.
+    that evaluates sentences on many worlds analyses and compiles them once
+    (:func:`walk_pool`, :func:`compile_sentence`) and passes each world's
+    quantifier domain as ``domain`` and the sentence's closures as
+    ``compiled``; ``d`` may then be any world with a ``tuples_of`` method.
     """
     if domain is None:
-        rank, consts, free, _ = _analysis(f)
-        if free:
-            raise ValueError(f"sentence expected, found free variables {free}")
+        rank, consts, _, _ = _analysis(f)
         # a quantifier-free sentence never reads the domain
         domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
-    return _eval(f, d, {}, domain)
-
-
-def _eval(f: Formula, d: Instance, env: dict[str, Element], domain: list[Element]) -> bool:
-    if isinstance(f, Atom):
-        args = tuple([env[t.name] if isinstance(t, Var) else t.value for t in f.terms])
-        return args in d.tuples_of(f.relation)
-    if isinstance(f, Eq):
-        lv = env[f.left.name] if isinstance(f.left, Var) else f.left.value
-        rv = env[f.right.name] if isinstance(f.right, Var) else f.right.value
-        return lv == rv
-    if isinstance(f, Not):
-        return not _eval(f.body, d, env, domain)
-    if isinstance(f, And):
-        return _eval(f.left, d, env, domain) and _eval(f.right, d, env, domain)
-    if isinstance(f, Or):
-        return _eval(f.left, d, env, domain) or _eval(f.right, d, env, domain)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, d, env, domain)) or _eval(f.right, d, env, domain)
-    # a quantifier looks for a witness (exists) or a counterexample (forall);
-    # it binds its variable in place and then puts back any outer binding
-    # (no element is None)
-    exists, var, body = isinstance(f, Exists), f.var, f.body
-    outer = env.get(var)
-    try:
-        for e in domain:
-            env[var] = e
-            if _eval(body, d, env, domain) == exists:
-                return exists
-        return not exists
-    finally:
-        if outer is None:
-            env.pop(var, None)
-        else:
-            env[var] = outer
+    return (compiled or compile_sentence(f))(d, domain)
 
 
 def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:

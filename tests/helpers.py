@@ -34,6 +34,7 @@ from infpdb.fo import (
     free_variables,
 )
 from infpdb.independence import BIDPdb
+from infpdb.record import Record
 from infpdb.universe import Universe
 
 
@@ -77,6 +78,20 @@ def random_sentence(
         return leaf(scope)
 
     return build(max_rank, max_connectives, [])
+
+
+def requantify(node, names):
+    """``node`` with each variable renamed by ``names``, binders included, so
+    that a quantifier can bind a variable that an outer one binds too."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(names[node.var], requantify(node.body, names))
+    if isinstance(node, tuple):
+        return tuple(requantify(part, names) for part in node)
+    if isinstance(node, Record):
+        return type(node)(*(requantify(getattr(node, name), names) for name in node._fields))
+    return node
 
 
 def random_instance(rng: random.Random, schema, elements: tuple, max_facts: int = 5) -> Instance:

@@ -40,7 +40,7 @@ from infpdb.record import Record
 from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import naive_eval, random_sentence, reference_boolean_enclosure
+from helpers import naive_eval, random_sentence, reference_boolean_enclosure, requantify
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -681,20 +681,6 @@ class TestPatternCut:
         }
 
 
-def _requantify(node, names):
-    """``node`` with each variable renamed by ``names``, binders included, so
-    that a quantifier can bind a variable that an outer one binds too."""
-    if isinstance(node, Var):
-        return Var(names[node.name])
-    if isinstance(node, (Exists, Forall)):
-        return type(node)(names[node.var], _requantify(node.body, names))
-    if isinstance(node, tuple):
-        return tuple(_requantify(part, names) for part in node)
-    if isinstance(node, Record):
-        return type(node)(*(_requantify(getattr(node, name), names) for name in node._fields))
-    return node
-
-
 def _space_blocks(rng, kind):
     """The blocks of a head-only space over R/2 and S/1 on elements 1-4: TI,
     BID keyed by R's first argument, or one world table's exhaustive block."""
@@ -754,7 +740,7 @@ class TestSharedPoolWalk:
         blocks = _space_blocks(rng, kind)
         names = {f"v{k}": rng.choice("xy") for k in range(16)}
         sentences = [
-            _requantify(random_sentence(rng, RS2, max_rank=rank, constant_pool=(1, 2, 5)), names)
+            requantify(random_sentence(rng, RS2, max_rank=rank, constant_pool=(1, 2, 5)), names)
             for rank in (rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
         ]
         # x is read after a subformula that may quantify x again

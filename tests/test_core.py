@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import os
 import pickle
@@ -78,8 +77,8 @@ class TestFact:
     def test_copies_keep_equality_hash_and_order(self, r, args, r2, args2):
         f, other = Fact(r, args), Fact(r2, args2)
         copies = [
-            dataclasses.replace(f),
-            dataclasses.replace(Fact(r2, args2), relation=r, args=list(args)),
+            Fact(f.relation, f.args),
+            Fact(r, list(args)),
             copy.copy(f),
             copy.deepcopy(f),
             pickle.loads(pickle.dumps(f)),
@@ -87,7 +86,7 @@ class TestFact:
         for g in copies:
             assert g == f and hash(g) == hash(f) and g.sort_key() == f.sort_key()
             assert (g < other) == (f < other) and (other < g) == (other < f)
-        changed = dataclasses.replace(f, args=tuple(args2))
+        changed = Fact(f.relation, tuple(args2))
         assert hash(changed) == hash((r, tuple(args2)))
         assert changed.sort_key() == Fact(r, args2).sort_key()
 
@@ -116,13 +115,22 @@ class TestFact:
         with pytest.raises(TypeError):
             Fact("R", (1, bad))
         with pytest.raises(TypeError):
-            dataclasses.replace(Fact("R", (1, 2)), args=(bad,))
+            Fact("R", (bad,))
 
     def test_list_args_become_tuples(self):
         f = Fact("R", [1, "a"])
         assert f.args == (1, "a") and isinstance(f.args, tuple)
         assert f == Fact("R", (1, "a")) and hash(f) == hash(("R", (1, "a")))
         assert repr(f) == "Fact(relation='R', args=(1, 'a'))"
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        f = Fact("R", (1,))
+        for name in ("relation", "args", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, "S")
+        with pytest.raises(AttributeError):
+            del f.args
+        assert f == Fact("R", (1,)) and hash(f) == hash(("R", (1,)))
 
 
 class TestInstance:

@@ -36,7 +36,7 @@ from infpdb.fo import (
 from infpdb.record import Record
 from infpdb.universe import Universe
 
-from helpers import naive_eval, random_instance, random_sentence
+from helpers import naive_eval, random_instance, random_sentence, requantify
 
 S1 = Schema.of(R=1)
 S2 = Schema.of(R=1, S=1)
@@ -322,6 +322,71 @@ class TestGroundings:
         assert eval_query(d, parse("R(x, y)", Schema.of(R=2)), NAT) == {(1, 2), (2, 3)}
         # 3 candidates: 9 tuples, 3 + 3 with one fresh element, and (*1, *1), (*1, *2)
         assert len(calls) == 9 + 6 + 2 < (3 + 2) ** 2
+
+
+S123 = Schema.of(P=1, R=2, T=3)
+
+
+def _slot_layout_sentences(rng):
+    """Sentences of rank <= 3 over P/1, R/2 and T/3 whose variables are
+    renamed to x and y, so quantifiers bind a variable again inside a
+    quantifier that binds it; then one that reads x after such a scope."""
+    names = {f"v{k}": rng.choice("xy") for k in range(16)}
+    out = [
+        requantify(random_sentence(rng, S123, max_rank=rank, constant_pool=(1, 2, "a")), names)
+        for rank in (rng.randint(1, 3), rng.randint(0, 3))
+    ]
+    inner = requantify(random_sentence(rng, S123, max_rank=2, constant_pool=(1, 2, "a")), names)
+    connective, quantifier = rng.choice([And, Or, Implies]), rng.choice([Exists, Forall])
+    read = rng.choice([Atom("P", (Var("x"),)), Atom("R", (Const(2), Var("x"))), Eq(Var("x"), Const(1))])
+    out.append(quantifier("x", connective(inner, read)))
+    return out
+
+
+def _features(f, bound=frozenset(), seen=None):
+    """The constructs of ``f`` that the compiler lays out or folds apart."""
+    seen = set() if seen is None else seen
+    if isinstance(f, (Exists, Forall)):
+        if f.var in bound:
+            seen.add("requantified")
+        _features(f.body, bound | {f.var}, seen)
+    elif isinstance(f, Atom):
+        if any(isinstance(t, Const) for t in f.terms) and any(isinstance(t, Var) for t in f.terms):
+            seen.add(f"mixed atom/{len(f.terms)}")
+        seen.add(f"atom/{len(f.terms)}")
+    elif isinstance(f, Eq):
+        seen.add("const = const" if isinstance(f.left, Const) and isinstance(f.right, Const) else "=")
+        if isinstance(f.left, Const) != isinstance(f.right, Const):
+            seen.add("const = var")
+    else:
+        seen.add(type(f).__name__)
+        for part in (f.body,) if isinstance(f, Not) else (f.left, f.right):
+            _features(part, bound, seen)
+    return seen
+
+
+class TestCompiledSlots:
+    """The compiled closures, with one slot per quantifier level, against the
+    naive evaluator, which binds each variable in a fresh dict."""
+
+    def test_match_naive_evaluation(self):
+        rng = random.Random(19)
+        sentences, seen = [], set()
+        for _ in range(110):
+            d = random_instance(rng, S123, elements=(1, 2, 3, "a"), max_facts=7)
+            for f in _slot_layout_sentences(rng):
+                rank, consts, _ = analyze(f)
+                domain = active_domain(d) | consts
+                truth = eval_boolean(d, f, NAT)
+                assert naive_eval(f, d, [*domain, *NAT.fresh_elements(domain, rank)]) == truth, (f, d)
+                assert eval_boolean(d, f, NAT, pool_size=rank + 2) == truth, (f, d)
+                sentences.append(f)
+                seen |= _features(f)
+        assert len(sentences) >= 300
+        assert {
+            "requantified", "atom/1", "atom/2", "atom/3", "mixed atom/2", "mixed atom/3",
+            "const = const", "const = var", "Implies", "Not",
+        } <= seen
 
 
 class TestViews:

@@ -330,8 +330,8 @@ def test_record_layout():
     assert Child(1, c="d") == Child(a=1, b=2, c="d") != Base(1, 2)
 
 
-def test_fact_is_the_only_dataclass():
-    """A fresh interpreter imports every submodule; only ``core.Fact`` is a dataclass."""
+def test_no_dataclass_remains():
+    """A fresh interpreter imports every submodule; no class of the package is a dataclass."""
     code = (
         "import dataclasses, importlib, pkgutil, infpdb\n"
         "for info in pkgutil.iter_modules(infpdb.__path__):\n"
@@ -347,4 +347,4 @@ def test_fact_is_the_only_dataclass():
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['infpdb.core.Fact']"
+    assert proc.stdout.strip() == "[]"
