@@ -10,9 +10,13 @@ afterwards; the change runs from the repository root. Each side thus runs
 its own harness on its own engine.
 
 It writes ``BENCH_<label>.json`` at the repository root: every run's
-end-to-end metrics, each side's median and quartiles per metric, and the
-number of pairs the change won per metric, where "better" is read from
-``BENCHMARK.json``. It prints one summary line per metric.
+end-to-end metrics, each side's median and quartiles per metric, the
+number of pairs the change won per metric, and ``over_bound`` where the
+change's median is worse than the base's by more than the metric's bound,
+with "better" and "bound" read from ``BENCHMARK.json``. It also records
+each side's median count of attempted ops, against which a rise in
+``peak_rss_mb`` can be read, since the harness's memory grows with the ops
+it runs. It prints one summary line per metric and one for the op counts.
 
 Usage:
     python3 scripts/bench_pairs.py --label L [--workload query] [--pairs 10]
@@ -71,22 +75,34 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's pair wins."""
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end`` entries):
+    each side's median and quartiles, the change's pair wins, and whether
+    the change's median is worse than the base's by more than the metric's
+    relative bound; under ``attempted``, each side's median op count."""
+    sides = {which: [r for r in runs if r["side"] == which] for which in ("base", "change")}
     out = {}
-    for name, direction in better.items():
-        sides = {side: [r["metrics"][name] for r in runs if r["side"] == side] for side in ("base", "change")}
-        pairs = list(zip(sides["base"], sides["change"]))
+    for m in metrics:
+        name, direction, bound = m["name"], m["better"], m["bound"]
+        values = {which: [r["metrics"][name] for r in sides[which]] for which in sides}
+        pairs = list(zip(values["base"], values["change"]))
         wins = sum(c > b if direction == "higher" else c < b for b, c in pairs)
-        base, change = spread(sides["base"]), spread(sides["change"])
+        base, change = spread(values["base"]), spread(values["change"])
+        if direction == "higher":
+            over = change["median"] < base["median"] * (1.0 - bound)
+        else:
+            over = change["median"] > base["median"] * (1.0 + bound)
         out[name] = {
             "better": direction,
+            "bound": bound,
             "base": base,
             "change": change,
             "change_wins": wins,
             "pairs": len(pairs),
             "median_change": change["median"] / base["median"] - 1.0 if base["median"] else None,
+            "over_bound": over,
         }
+    out["attempted"] = {which: statistics.median(r["attempted"] for r in sides[which]) for which in sides}
     return out
 
 
@@ -102,7 +118,7 @@ def main() -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
     base_rev = git("rev-parse", args.base)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -117,7 +133,7 @@ def main() -> int:
                              "failed": result["failed"], "metrics": metrics})
                 print(f"pair {pair + 1}/{args.pairs} {side}: "
                       + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
-    summary = summarize(runs, better)
+    summary = summarize(runs, end_to_end)
     report = {
         "label": args.label,
         "workload": args.workload,
@@ -135,10 +151,15 @@ def main() -> int:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    for name, s in summary.items():
+    for m in end_to_end:
+        s = summary[m["name"]]
         change = "" if s["median_change"] is None else f" ({s['median_change']:+.1%})"
-        print(f"{args.workload}.{name}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
-              f" -> change {s['change']['median']:.6g}{change}; change better in {s['change_wins']}/{s['pairs']} pairs")
+        over = f"; over_bound (worse by more than {s['bound']:.0%})" if s["over_bound"] else ""
+        print(f"{args.workload}.{m['name']}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
+              f" -> change {s['change']['median']:.6g}{change}; change better in {s['change_wins']}/{s['pairs']} pairs"
+              f"{over}")
+    attempted = summary["attempted"]
+    print(f"{args.workload}.attempted: base {attempted['base']:.6g} -> change {attempted['change']:.6g} ops (medians)")
     print(f"wrote {path}")
     return 0
 

@@ -15,11 +15,14 @@ tail fact as a singleton block.  Its worlds are enumerated block by
 block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
-with it there.  Each walk analyses its sentences, compiles each into
-closures (:func:`fo.compile_sentence`) and takes one pool of generic
-elements once, not per world, which generic-pool invariance makes exact
-(:func:`world_walk`).  The cap, with an environment override, still
-applies to n.
+with it there; a block sure to take its one outcome is no branch, only
+facts of every world.  Each walk analyses its sentences, takes one pool
+of generic elements, which generic-pool invariance makes exact, and keeps
+one relation index of the world it stands in, all once, not per world:
+depth first, the index gains an outcome's facts on entering it and loses
+them on leaving, and each sentence's closures
+(:func:`fo.compile_sentence`) are bound to it once (:func:`world_walk`).
+The cap, with an environment override, still applies to n.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -135,21 +138,39 @@ def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
     return tuple(kept)
 
 
-class _World:
-    """One world of a walk: its facts' elements, and their argument tuples
-    by relation, which :func:`fo.eval_boolean` reads through ``tuples_of``."""
+class _Index:
+    """The world a walk stands in, changed in place as the walk enters and
+    leaves outcomes: one set of argument tuples per relation, kept for the
+    whole walk (:func:`fo.compile_sentence` binds to it once), and how many
+    of the world's facts hold each element.  Each constant counts once more,
+    so the keys of ``counts`` are the world's elements and the constants.
+    A fact is added at most once at a time, since it lies in one block."""
 
-    __slots__ = ("elements", "_tuples")
+    __slots__ = ("counts", "_tuples")
 
-    def __init__(self, facts: tuple[Fact, ...]):
-        self.elements: set[Element] = set()
+    def __init__(self, consts: set[Element]):
+        self.counts: dict[Element, int] = dict.fromkeys(consts, 1)
         self._tuples: dict[str, set[tuple]] = {}
-        for g in facts:
-            self.elements.update(g.args)
-            self._tuples.setdefault(g.relation, set()).add(g.args)
 
-    def tuples_of(self, relation: str) -> set[tuple] | tuple:
-        return self._tuples.get(relation, ())
+    def tuples_of(self, relation: str) -> set[tuple]:
+        return self._tuples.setdefault(relation, set())
+
+    def add(self, facts: tuple[Fact, ...]) -> None:
+        counts = self.counts
+        for g in facts:
+            self.tuples_of(g.relation).add(g.args)
+            for e in g.args:
+                counts[e] = counts.get(e, 0) + 1
+
+    def remove(self, facts: tuple[Fact, ...]) -> None:
+        counts, tuples = self.counts, self._tuples
+        for g in facts:
+            tuples[g.relation].remove(g.args)
+            for e in g.args:
+                if counts[e] == 1:
+                    del counts[e]
+                else:
+                    counts[e] -= 1
 
 
 def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
@@ -163,41 +184,54 @@ def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe
     in which each block branches over "no outcome", weighted 1 minus the
     mass it keeps, then over each kept outcome.  A grounded open query
     ``exists y. R(c, y)`` thus walks only the worlds of the ``R(c, .)``
-    facts.
+    facts.  A block whose one branch is an outcome of probability exactly
+    1 is no branch at all: its facts join every world of the walk from the
+    start, and its factor 1.0 leaves every weight as it was, so the walk
+    nests one call deeper only per block that branches.
 
-    A walk analyses and compiles its sentences once and takes their
-    generic elements once, outside every element of its kept outcomes and
-    every constant (:func:`fo.walk_pool`).  On each world, a relation index
-    of its facts, the quantifiers range over the world's elements, the
-    constants and that pool: an element no fact of the world holds and no
-    constant of the sentence names is one more generic there, and a pool
-    larger than the rank changes no truth value.
+    A walk analyses its sentences once, takes their generic elements once,
+    outside every element of its kept outcomes and every constant
+    (:func:`fo.walk_pool`), and keeps one :class:`_Index` of the world it
+    stands in: depth first, it adds an outcome's facts on entering it and
+    removes them on leaving, and each sentence's closures are bound to
+    that index once.  On each world the quantifiers range over the world's
+    elements, the constants and that pool: an element no fact of the world
+    holds and no constant of the sentence names is one more generic there,
+    and a pool larger than the rank changes no truth value.
     """
     groups: dict[tuple, list[int]] = {}
     for j, f in enumerate(sentences):
         groups.setdefault(_cut(blocks, atom_patterns(f)), []).append(j)
     values = [0.0] * len(sentences)
-
-    def descend(kept, group, pool, i: int, chosen: tuple[Fact, ...], weight: float) -> None:
-        if i == len(kept):
-            world = _World(chosen)
-            consts, generics = pool
-            # a quantifier-free sentence never reads the domain
-            domain = [*(world.elements | consts), *generics] if generics else []
-            for f, compiled, acc in group:
-                if eval_boolean(world, f, universe, domain=domain, compiled=compiled):
-                    acc.add(weight)
-            return
-        outcomes, none = kept[i]
-        if none > 0.0:
-            descend(kept, group, pool, i + 1, chosen, weight * none)
-        for facts, p in outcomes:
-            descend(kept, group, pool, i + 1, chosen + facts, weight * p)
-
     for kept, members in groups.items():
-        group = [(sentences[j], compile_sentence(sentences[j]), CompensatedAccumulator()) for j in members]
         elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
-        descend(kept, group, walk_pool([f for f, _, _ in group], elements, universe), 0, (), 1.0)
+        consts, generics = walk_pool([sentences[j] for j in members], elements, universe)
+        index = _Index(consts)
+        branching = []
+        for outcomes, none in kept:
+            if len(outcomes) == 1 and outcomes[0][1] == 1.0:
+                index.add(outcomes[0][0])
+            else:
+                branching.append((outcomes, none))
+        group = [(sentences[j], compile_sentence(sentences[j])(index), CompensatedAccumulator()) for j in members]
+
+        def descend(i: int, weight: float) -> None:
+            if i == len(branching):
+                # a quantifier-free sentence never reads the domain
+                domain = [*index.counts, *generics] if generics else []
+                for f, run, acc in group:
+                    if eval_boolean(index, f, universe, domain=domain, compiled=run):
+                        acc.add(weight)
+                return
+            outcomes, none = branching[i]
+            if none > 0.0:
+                descend(i + 1, weight * none)
+            for facts, p in outcomes:
+                index.add(facts)
+                descend(i + 1, weight * p)
+                index.remove(facts)
+
+        descend(0, 1.0)
         for j, (_, _, acc) in zip(members, group):
             values[j] = min(max(acc.value, 0.0), 1.0)
     return values

@@ -24,8 +24,9 @@ elements.  Generic elements are real universe elements, taken
 deterministically as the first enumeration indices outside the active
 domains.
 
-A sentence is compiled once into nested closures (:func:`compile_sentence`);
-a caller that evaluates it on many worlds passes those closures to
+A sentence is compiled once into nested closures (:func:`compile_sentence`),
+which are bound once to a world that may change in place; a caller that
+evaluates it on many worlds passes the bound closures to
 :func:`eval_boolean` with every world.
 
 Open formulas are grounded in one place, :func:`groundings`: on every
@@ -441,14 +442,19 @@ def walk_pool(sentences: Iterable[Formula], elements: set[Element], u: Universe)
     return consts, u.fresh_elements(elements | consts, rank)
 
 
-def compile_sentence(f: Formula) -> Callable[[Any, list[Element]], bool]:
-    """``f`` as nested closures: ``run(d, domain)`` is its truth on the
-    world ``d`` (any object with a ``tuples_of`` method) with quantifiers
-    over ``domain``.
+def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bool]]:
+    """``f`` as nested closures, bound to a world by ``bind(d)``, where
+    ``bind = compile_sentence(f)`` and ``d`` is any object with a
+    ``tuples_of`` method: ``bind(d)(domain)`` is the truth of ``f`` on
+    ``d`` with quantifiers over ``domain``.
 
-    The closures read one list per call: the domain, the tuple set of each
-    relation the sentence names, each constant, then one slot per level of
-    quantifier nesting.  A quantifier writes its level's slot, so an inner
+    The closures read one list: the domain, the tuple set of each relation
+    the sentence names, each constant, then one slot per level of
+    quantifier nesting.  ``bind`` builds that list once and reads each
+    tuple set from ``d`` then, so a world that changes its sets in place
+    (and returns the same set for a relation every time) is evaluated
+    again by calling the bound closure again; each call writes only the
+    domain slot.  A quantifier writes its level's slot, so an inner
     quantifier that binds a variable again leaves the outer binding in
     place; every term reads a slot, so an atom of arity 1 or 2 builds its
     key directly.  ``=`` between two constants folds to its truth value.
@@ -509,27 +515,37 @@ def compile_sentence(f: Formula) -> Callable[[Any, list[Element]], bool]:
         return quantifier
 
     node, rest = build(f, {}, 0), (*const_slot, *[None] * rank)
-    return lambda d, domain: node([domain, *map(d.tuples_of, relations), *rest])
+
+    def bind(d: Any) -> Callable[[list[Element]], bool]:
+        env = [None, *map(d.tuples_of, relations), *rest]
+
+        def run(domain: list[Element]) -> bool:
+            env[0] = domain
+            return node(env)
+
+        return run
+
+    return bind
 
 
 def eval_boolean(
     d: Instance, f: Formula, u: Universe, pool_size: int | None = None, *,
-    domain: list[Element] | None = None, compiled: Callable[[Any, list[Element]], bool] | None = None,
+    domain: list[Element] | None = None, compiled: Callable[[list[Element]], bool] | None = None,
 ) -> bool:
     """Truth of a sentence on a finite instance over an infinite universe.
 
     ``pool_size`` overrides the number of generic elements (default: the
     quantifier rank); enlarging it must not change the result.  A caller
     that evaluates sentences on many worlds analyses and compiles them once
-    (:func:`walk_pool`, :func:`compile_sentence`) and passes each world's
-    quantifier domain as ``domain`` and the sentence's closures as
-    ``compiled``; ``d`` may then be any world with a ``tuples_of`` method.
+    (:func:`walk_pool`, :func:`compile_sentence`), binds each to a world
+    whose tuple sets change in place, and passes that world as ``d``, its
+    quantifier domain as ``domain`` and the bound closures as ``compiled``.
     """
     if domain is None:
         rank, consts, _, _ = _analysis(f)
         # a quantifier-free sentence never reads the domain
         domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
-    return (compiled or compile_sentence(f))(d, domain)
+    return (compiled or compile_sentence(f)(d))(domain)
 
 
 def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:

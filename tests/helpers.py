@@ -94,6 +94,24 @@ def requantify(node, names):
     return node
 
 
+def count_walk(monkeypatch, approx) -> tuple[list[Formula], list[list]]:
+    """Lists that fill as ``approx``'s walks run: each sentence evaluated, one
+    per world and sentence, and one entry per world walked.  A walk builds
+    one quantifier domain per world and passes it to every evaluation on
+    that world, so a new domain list marks a new world."""
+    calls, worlds = [], []
+    evaluate = approx.eval_boolean
+
+    def counting(d, f, u, **kw):
+        if not worlds or kw["domain"] is not worlds[-1]:
+            worlds.append(kw["domain"])
+        calls.append(f)
+        return evaluate(d, f, u, **kw)
+
+    monkeypatch.setattr(approx, "eval_boolean", counting)
+    return calls, worlds
+
+
 def random_instance(rng: random.Random, schema, elements: tuple, max_facts: int = 5) -> Instance:
     n = rng.randint(0, max_facts)
     facts = []

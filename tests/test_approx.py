@@ -40,7 +40,7 @@ from infpdb.record import Record
 from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import naive_eval, random_sentence, reference_boolean_enclosure, requantify
+from helpers import count_walk, naive_eval, random_sentence, reference_boolean_enclosure, requantify
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -191,9 +191,7 @@ class TestConditionalQueryProb:
     def test_enumerates_only_mentioned_facts(self, monkeypatch):
         head = ((fact("S", 0), 0.3),) + tuple((fact("R", i), 0.5) for i in range(1, 21))
         t = ti_construct(FactProbabilityAssignment(head))
-        walked = []
-        world = approx._World
-        monkeypatch.setattr(approx, "_World", lambda facts: walked.append(facts) or world(facts))
+        _, walked = count_walk(monkeypatch, approx)
         p = conditional_query_prob(t, parse("exists x. S(x)", RS), 21, NAT, cap=21)
         assert p == pytest.approx(0.3, abs=1e-12)
         assert len(walked) <= 2
@@ -208,6 +206,12 @@ class TestApproxBoolean:
             p, cert = approx_boolean(t, q, eps, NAT)
             assert p == pytest.approx(0.88, abs=1e-12)
             assert cert.alpha_n == 0.0
+
+    def test_sure_facts_past_the_recursion_limit(self):
+        # 1,200 facts of probability 1 are one world, however deep the blocks go
+        t = ti_construct(FactProbabilityAssignment(tuple((fact("S", i), 1.0) for i in range(1_200))))
+        p, cert = approx_boolean(t, parse("exists x. S(x)", S1), 0.1, NAT, cap=2_000)
+        assert p == 1.0 and cert.n == 1_200
 
     def test_contradiction_is_zero(self):
         t = pure_tail_space()
@@ -639,11 +643,7 @@ class TestPatternCut:
 
     def _counting(self, monkeypatch):
         """The sentences evaluated, one per world and sentence, and the worlds walked."""
-        calls, walked = [], []
-        evaluate, world = approx.eval_boolean, approx._World
-        monkeypatch.setattr(approx, "eval_boolean", lambda d, f, u, **kw: calls.append(f) or evaluate(d, f, u, **kw))
-        monkeypatch.setattr(approx, "_World", lambda facts: walked.append(facts) or world(facts))
-        return calls, walked
+        return count_walk(monkeypatch, approx)
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)
     HEAD = ((fact("R", 1, 2), 0.5), (fact("R", 1, 3), 0.4), (fact("R", 2, 3), 0.7), (fact("S", 1), 0.6))
@@ -731,8 +731,8 @@ def _per_world_walk(blocks, sentences, u):
 
 class TestSharedPoolWalk:
     """A walk that analyses its sentences and takes their generics once, and
-    reads each world through a relation index, gives every value that an
-    Instance per world gives."""
+    reads every world through one relation index changed in place, gives
+    every value that an Instance per world gives."""
 
     @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "table"]))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -749,3 +749,45 @@ class TestSharedPoolWalk:
         # a negation and a disjunction share their operands' atoms, so their walks
         sentences += [Not(sentences[0]), Or(sentences[0], sentences[1])]
         assert approx.world_walk(blocks, sentences, NAT) == _per_world_walk(blocks, sentences, NAT)
+
+    R12, R13, R21, R34, S1, S2, S3 = (
+        fact("R", 1, 2), fact("R", 1, 3), fact("R", 2, 1), fact("R", 3, 4), fact("S", 1), fact("S", 2), fact("S", 3),
+    )
+    # the walk adds and removes facts in place; each case leaves a world
+    # right after a fact that shares an element, a set or a constant with it
+    CASES = {
+        # element 1 is held by S(1) in one block and by R(1, .) in the next
+        "element in two blocks": [[((S1,), 0.6)], [((R12,), 0.3), ((R34,), 0.5)], [((S3,), 0.5)]],
+        "element in two blocks, reversed": [[((R12,), 0.3), ((R13,), 0.4)], [((S1,), 0.2), ((S3,), 0.3)]],
+        # worlds of one table that share R(1, 2) and S(1)
+        "table": list(table_space(FiniteDiscretePDB(RS2, NAT, {
+            Instance([R12]): 0.2, Instance([R12, S1]): 0.3, Instance([S1, R34]): 0.1, Instance([R12, S1, R21]): 0.25,
+            Instance([]): 0.15,
+        })).blocks.values()),
+        # no S fact at all, so every sentence's S set stays empty
+        "no fact of a named relation": [[((R12,), 0.5)], [((R21,), 0.25), ((R34,), 0.5)]],
+        # the constants 1 and 2 are also elements of the facts
+        "constant is a fact element": [[((R12,), 0.5), ((R21,), 0.4)], [((S1,), 0.7)], [((S2,), 0.1)]],
+        # S(1) and R(3, 4) are sure: they join every world from the start
+        "sure blocks": [[((S1,), 1.0)], [((R12,), 0.3), ((R13,), 0.6)], [((R34,), 1.0)], [((S3,), 0.5)],
+                        [((R21,), 0.5), ((S2,), 0.5)]],
+    }
+    SENTENCES = [
+        "exists x. S(x)",
+        "exists x. exists y. R(x, y) & !S(x)",
+        "forall x. (S(x) -> exists y. R(x, y))",
+        "forall x. (x = 5 -> S(x))",
+        "exists x. (x = 1 & !S(x))",
+        "exists x. (!(x = 2) & forall y. !R(y, x))",
+        "forall x. forall y. (R(x, y) -> S(x) | S(y))",
+        "S(1) | R(1, 2)",
+        "exists x. R(x, 1) & !R(1, x)",
+    ]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_index_cases_match_per_world_evaluation_bit_for_bit(self, case):
+        sentences = [parse(text, RS2) for text in self.SENTENCES]
+        blocks = self.CASES[case]
+        values = approx.world_walk(blocks, sentences, NAT)
+        assert values == _per_world_walk(blocks, sentences, NAT)
+        assert any(0.0 < v < 1.0 for v in values)

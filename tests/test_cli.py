@@ -862,7 +862,8 @@ class TestComplete:
 
 class TestDeepNesting:
     """Input nested past the recursion limit is a capability limit: exit 3
-    and one ``NestingTooDeep`` line, not a traceback."""
+    and one ``NestingTooDeep`` line, not a traceback.  Blocks sure to take
+    their one outcome do not nest the world walk."""
 
     def _one_line(self, capsys, where):
         err = capsys.readouterr().err
@@ -886,6 +887,15 @@ class TestDeepNesting:
         qpath.write_text(" & ".join(["R(1, 2)"] * 1_200))
         assert main(["query", str(GOLDEN / "ti_head.json"), "--query", str(qpath), "--epsilon", "0.1"]) == 3
         self._one_line(capsys, "query or its world walk nests too deeply to evaluate")
+
+    def test_sure_facts_past_the_recursion_limit(self, tmp_path, capsys, monkeypatch):
+        spath, qpath = tmp_path / "sure.json", tmp_path / "q.txt"
+        facts = [{"relation": "S", "args": [i], "p": "1"} for i in range(1, 1_201)]
+        spath.write_text(json.dumps({"kind": "ti", "schema": {"S": 1}, "head_facts": facts}))
+        qpath.write_text("exists x. S(x)")
+        monkeypatch.setenv("PDB_WORLD_CAP", "2000")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "probability = 1.000000 (additive error <= 0.1)"
 
 
 class TestOracleCompare:

@@ -15,6 +15,8 @@ import infpdb
 import infpdb.cli  # noqa: F401  (loads every module the tracer hooks)
 from infpdb.independence import GeometricTail
 
+from helpers import count_walk
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -59,18 +61,19 @@ def test_traced_boolean_query_on_ti_and_bid():
 
 
 def test_traced_open_query_walks_each_tuple_on_its_own_facts(monkeypatch):
-    walked, world = [], infpdb.approx._World
-    monkeypatch.setattr(infpdb.approx, "_World", lambda facts: walked.append(facts) or world(facts))
     tracer = _tracer()
     tracer.install(infpdb)
     try:
-        spec, query = str(GOLDEN / "bid.json"), str(GOLDEN / "open_query.txt")
-        tracer.begin_op("bid")
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert infpdb.cli.main(["query", spec, "--query", query, "--epsilon", "0.1"]) == 0
-        finally:
-            tracer.end_op()
+        # counts through the tracer's wrapper, and is undone before uninstalling
+        with monkeypatch.context() as patch:
+            _, walked = count_walk(patch, infpdb.approx)
+            spec, query = str(GOLDEN / "bid.json"), str(GOLDEN / "open_query.txt")
+            tracer.begin_op("bid")
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert infpdb.cli.main(["query", spec, "--query", query, "--epsilon", "0.1"]) == 0
+            finally:
+                tracer.end_op()
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(1)
