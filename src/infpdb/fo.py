@@ -22,7 +22,9 @@ outside every stored tuple) and is equal only to itself, and formulas of
 quantifier rank r cannot tell two such pools apart once the pool has r
 elements.  Generic elements are real universe elements, taken
 deterministically as the first enumeration indices outside the active
-domains.
+domains.  Every quantifier domain lists them last; ``forall`` reads the
+domain from the end and ``exists`` from the front, so ``forall`` tries a
+generic first.  No truth value depends on the order.
 
 A sentence is compiled once into nested closures (:func:`compile_sentence`),
 which are bound once to a world that may change in place; a caller that
@@ -421,7 +423,8 @@ def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
 def _quantifier_domain(
     d: Instance, consts: set[Element], u: Universe, pool_size: int
 ) -> list[Element]:
-    # in any order: no truth value depends on the order a quantifier tries
+    # generics last, where forall starts (compile_sentence); no truth value
+    # depends on the order a quantifier tries the elements in
     adom = active_domain(d) | consts
     return [*adom, *u.fresh_elements(adom, pool_size)]
 
@@ -458,6 +461,12 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
     quantifier that binds a variable again leaves the outer binding in
     place; every term reads a slot, so an atom of arity 1 or 2 builds its
     key directly.  ``=`` between two constants folds to its truth value.
+
+    The domain lists the generic elements last (:func:`_quantifier_domain`,
+    :func:`approx.world_walk`).  ``exists`` reads it from the front and
+    ``forall`` from the end, so ``forall`` meets a generic first, which
+    refutes at once a body that needs a fact about its variable.  The order
+    changes how soon a quantifier stops, never its truth value.
     """
     rank, consts, free, atoms = _analysis(f)
     if free:
@@ -501,12 +510,14 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
                 return lambda env: left(env) or right(env)
             return lambda env: not left(env) or right(env)
         # a quantifier looks for a witness (exists) or a counterexample (forall);
-        # every closure returns a bool, so ``is`` compares truth values
+        # every closure returns a bool, so ``is`` compares truth values; forall
+        # reads the domain from the end, where the generics are
         k, witness = first_level + depth, isinstance(g, Exists)
         body = build(g.body, {**scope, g.var: k}, depth + 1)
+        scan = iter if witness else reversed
 
         def quantifier(env: list) -> bool:
-            for e in env[0]:
+            for e in scan(env[0]):
                 env[k] = e
                 if body(env) is witness:
                     return witness

@@ -610,8 +610,8 @@ def _construct(partition: BlockPartition, assignment: FactProbabilityAssignment)
         for r, _ in partition.key_attributes:
             if r in tail_relations:
                 raise ValidationError(
-                    f"key-attribute blocks over tail relation {r!r} would have infinite "
-                    "support; only singleton tail blocks are supported"
+                    f"key-attribute blocks over tail relation {r!r} are not supported; "
+                    "only singleton tail blocks are supported"
                 )
         for f, _ in partition.explicit:
             if tail.generates(f):
@@ -743,8 +743,10 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
 def ti_instance_prob(t: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Probability of drawing exactly the instance ``d``.
 
-    Exact (a point interval) when the tail is absent; with a tail the
-    infinite absent-fact product is enclosed.
+    Without a tail, a point interval at the product computed in floating
+    point, as the exp of a sum of logs, which rounding may put a few ulps
+    off the exact product; with a tail the infinite absent-fact product is
+    enclosed.
     """
     return _instance_prob(t, d)
 

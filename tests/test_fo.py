@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -370,16 +371,23 @@ class TestCompiledSlots:
     naive evaluator, which binds each variable in a fresh dict."""
 
     def test_match_naive_evaluation(self):
-        rng = random.Random(19)
+        """Also on the domain reversed and shuffled: no truth value depends
+        on the order in which a quantifier tries the elements."""
+        rng, shuffler = random.Random(19), random.Random(23)
         sentences, seen = [], set()
         for _ in range(110):
             d = random_instance(rng, S123, elements=(1, 2, 3, "a"), max_facts=7)
             for f in _slot_layout_sentences(rng):
                 rank, consts, _ = analyze(f)
-                domain = active_domain(d) | consts
-                truth = eval_boolean(d, f, NAT)
-                assert naive_eval(f, d, [*domain, *NAT.fresh_elements(domain, rank)]) == truth, (f, d)
+                adom = active_domain(d) | consts
+                domain = [*adom, *NAT.fresh_elements(adom, rank)]
+                truth = naive_eval(f, d, domain)
+                assert eval_boolean(d, f, NAT) == truth, (f, d)
                 assert eval_boolean(d, f, NAT, pool_size=rank + 2) == truth, (f, d)
+                run = fo.compile_sentence(f)(d)
+                shuffled = shuffler.sample(domain, len(domain))
+                for order in (domain, domain[::-1], shuffled):
+                    assert run(order) == truth, (f, d, order)
                 sentences.append(f)
                 seen |= _features(f)
         assert len(sentences) >= 300
@@ -387,6 +395,24 @@ class TestCompiledSlots:
             "requantified", "atom/1", "atom/2", "atom/3", "mixed atom/2", "mixed atom/3",
             "const = const", "const = var", "Implies", "Not",
         } <= seen
+
+    def test_forall_meets_a_generic_first(self):
+        """``forall`` reads the domain from the end, where the generics are,
+        so a body that needs a fact about its variable fails at once."""
+
+        class CountingSet(set):
+            lookups = 0
+
+            def __contains__(self, item):
+                CountingSet.lookups += 1
+                return super().__contains__(item)
+
+        cycle = CountingSet((i, (i + 1) % 10) for i in range(10))
+        world = SimpleNamespace(tuples_of={"R": cycle, "S": CountingSet()}.__getitem__)
+        domain = [*range(10), *NAT.fresh_elements(set(range(10)), 2)]
+        f = parse("forall x. exists y. R(x, y) | S(x)", Schema.of(R=2, S=1))
+        assert eval_boolean(world, f, NAT, domain=domain) is False
+        assert CountingSet.lookups <= 2 * len(domain), CountingSet.lookups
 
 
 class TestViews:

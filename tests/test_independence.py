@@ -639,7 +639,7 @@ class TestBid:
 
     def test_key_blocks_over_tail_relation_rejected(self):
         part = BlockPartition.by_keys(R=1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="key-attribute blocks over tail relation 'R' are not supported"):
             bid_construct(part, FactProbabilityAssignment((), geometric_tail()))
 
 
