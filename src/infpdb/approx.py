@@ -16,11 +16,11 @@ block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
 with it there; a block sure to take its one outcome is no branch, only
-facts of every world.  Each walk analyses its sentences, takes one pool
-of generic elements, which generic-pool invariance makes exact, and keeps
-one relation index of the world it stands in, all once, not per world:
-depth first, the index gains an outcome's facts on entering it and loses
-them on leaving, and each sentence's closures
+facts of every world.  Each sentence has its own walk.  It takes the
+sentence's generic elements, which generic-pool invariance makes exact,
+and one relation index of the world it stands in, both once, not per
+world: depth first, the index gains an outcome's facts on entering it and
+loses them on leaving, and the sentence's closures
 (:func:`fo.compile_sentence`) are bound to it once (:func:`world_walk`).
 The cap, with an environment override, still applies to n.
 
@@ -173,68 +173,58 @@ class _Index:
                     counts[e] -= 1
 
 
-def world_walk(blocks: list[Block], sentences: list[Formula], universe: Universe) -> list[float]:
-    """Exact probability of each sentence on the finite space of ``blocks``.
+def world_walk(blocks: list[Block], f: Formula, universe: Universe) -> float:
+    """Exact probability of the sentence ``f`` on the finite space of ``blocks``.
 
-    For each sentence, outcomes are cut down to the facts that one of its
-    atoms can match (:func:`fo.atom_patterns`), and equal cuts merged.  A
-    fact that matches no atom makes no atom true under any assignment, so
-    the elements that occur only in the facts cut away, and are not
-    constants, act as generics.  Sentences with equal cuts share one walk,
-    in which each block branches over "no outcome", weighted 1 minus the
-    mass it keeps, then over each kept outcome.  A grounded open query
-    ``exists y. R(c, y)`` thus walks only the worlds of the ``R(c, .)``
-    facts.  A block whose one branch is an outcome of probability exactly
-    1 is no branch at all: its facts join every world of the walk from the
-    start, and its factor 1.0 leaves every weight as it was, so the walk
-    nests one call deeper only per block that branches.
+    Outcomes are cut down to the facts that one of its atoms can match
+    (:func:`fo.atom_patterns`), and equal cuts merged.  A fact that matches
+    no atom makes no atom true under any assignment, so the elements that
+    occur only in the facts cut away, and are not constants, act as
+    generics.  The walk branches each block over "no outcome", weighted 1
+    minus the mass it keeps, then over each kept outcome.  A grounded open
+    query ``exists y. R(c, y)`` thus walks only the worlds of the
+    ``R(c, .)`` facts.  A block whose one branch is an outcome of
+    probability exactly 1 is no branch at all: its facts join every world
+    of the walk from the start, and its factor 1.0 leaves every weight as
+    it was, so the walk nests one call deeper only per block that branches.
 
-    A walk analyses its sentences once, takes their generic elements once,
-    outside every element of its kept outcomes and every constant
-    (:func:`fo.walk_pool`), and keeps one :class:`_Index` of the world it
-    stands in: depth first, it adds an outcome's facts on entering it and
-    removes them on leaving, and each sentence's closures are bound to
-    that index once.  On each world the quantifiers range over the world's
-    elements, the constants and that pool: an element no fact of the world
-    holds and no constant of the sentence names is one more generic there,
-    and a pool larger than the rank changes no truth value.
+    The walk takes the sentence's generic elements once, outside every
+    element of its kept outcomes and every constant (:func:`fo.walk_pool`),
+    and keeps one :class:`_Index` of the world it stands in: depth first,
+    it adds an outcome's facts on entering it and removes them on leaving,
+    and the sentence's closures are bound to that index once.  On each
+    world the quantifiers range over the world's elements, the constants
+    and the generics.
     """
-    groups: dict[tuple, list[int]] = {}
-    for j, f in enumerate(sentences):
-        groups.setdefault(_cut(blocks, atom_patterns(f)), []).append(j)
-    values = [0.0] * len(sentences)
-    for kept, members in groups.items():
-        elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
-        consts, generics = walk_pool([sentences[j] for j in members], elements, universe)
-        index = _Index(consts)
-        branching = []
-        for outcomes, none in kept:
-            if len(outcomes) == 1 and outcomes[0][1] == 1.0:
-                index.add(outcomes[0][0])
-            else:
-                branching.append((outcomes, none))
-        group = [(sentences[j], compile_sentence(sentences[j])(index), CompensatedAccumulator()) for j in members]
+    kept = _cut(blocks, atom_patterns(f))
+    elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
+    consts, generics = walk_pool(f, elements, universe)
+    index = _Index(consts)
+    branching = []
+    for outcomes, none in kept:
+        if len(outcomes) == 1 and outcomes[0][1] == 1.0:
+            index.add(outcomes[0][0])
+        else:
+            branching.append((outcomes, none))
+    run, acc = compile_sentence(f)(index), CompensatedAccumulator()
 
-        def descend(i: int, weight: float) -> None:
-            if i == len(branching):
-                # a quantifier-free sentence never reads the domain
-                domain = [*index.counts, *generics] if generics else []
-                for f, run, acc in group:
-                    if eval_boolean(index, f, universe, domain=domain, compiled=run):
-                        acc.add(weight)
-                return
-            outcomes, none = branching[i]
-            if none > 0.0:
-                descend(i + 1, weight * none)
-            for facts, p in outcomes:
-                index.add(facts)
-                descend(i + 1, weight * p)
-                index.remove(facts)
+    def descend(i: int, weight: float) -> None:
+        if i == len(branching):
+            # a quantifier-free sentence never reads the domain
+            domain = [*index.counts, *generics] if generics else []
+            if eval_boolean(index, f, universe, domain=domain, compiled=run):
+                acc.add(weight)
+            return
+        outcomes, none = branching[i]
+        if none > 0.0:
+            descend(i + 1, weight * none)
+        for facts, p in outcomes:
+            index.add(facts)
+            descend(i + 1, weight * p)
+            index.remove(facts)
 
-        descend(0, 1.0)
-        for j, (_, _, acc) in zip(members, group):
-            values[j] = min(max(acc.value, 0.0), 1.0)
-    return values
+    descend(0, 1.0)
+    return min(max(acc.value, 0.0), 1.0)
 
 
 def conditional_query_prob(
@@ -247,10 +237,7 @@ def conditional_query_prob(
     original outcome probabilities; its worlds are enumerated exactly.
     ``n`` must cover the ``h`` head facts.
     """
-    free = free_variables(f)
-    if free:
-        raise ValueError(f"sentence expected, found free variables {free}")
-    return world_walk(_truncated_blocks(t, n, cap), [f], universe)[0]
+    return world_walk(_truncated_blocks(t, n, cap), f, universe)
 
 
 def approx_boolean(
@@ -288,9 +275,9 @@ def approx_nonboolean(
     cert = choose_truncation(t, epsilon)
     blocks = _truncated_blocks(t, cert.n, cap)
     elements = {e for block in blocks for facts, _ in block for fact in facts for e in fact.args}
-    keys, grounded = zip(*groundings(f, elements, universe))
-    return {
-        key: p
-        for key, p in zip(keys, world_walk(blocks, list(grounded), universe))
-        if p > 0.0 or not any(isinstance(e, Fresh) for e in key)
-    }
+    table = {}
+    for key, sentence in groundings(f, elements, universe):
+        p = world_walk(blocks, sentence, universe)
+        if p > 0.0 or not any(isinstance(e, Fresh) for e in key):
+            table[key] = p
+    return table

@@ -71,12 +71,9 @@ def _report_error(exc: Exception) -> int:
 
 
 _VALIDATE_LINE = {
-    "ti": lambda doc, s: (
-        f"TI, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
-    ),
-    "bid": lambda doc, s: (
-        f"BID, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
-    ),
+    **dict.fromkeys(("ti", "bid"), lambda doc, s: (
+        f"{doc.kind.upper()}, total mass {s.total_mass:.3f}, convergent, expected size {s.expected_size:.3f}"
+    )),
     "finite": lambda doc, s: f"finite, {len(doc.worlds)} worlds, expected size {s.expected_size:.3f}",
     "completion": lambda doc, s: (
         f"completion, {len(doc.worlds)} base worlds, "
@@ -203,13 +200,14 @@ def cmd_oracle_compare(args) -> int:
     blocks = list(space.blocks.values())
     worlds = oracle.enumerate_block_worlds(blocks)
     facts = list(dict.fromkeys(g for block in blocks for outcome, _ in block for g in outcome))
-    atoms = [fo.Atom(g.relation, tuple(map(fo.Const, g.args))) for g in facts]
-    *engine, engine_q = approx.world_walk(blocks, [*atoms, formula], doc.universe)
     diffs = []
-    for f, engine_marginal in zip(facts, engine):
+    for f in facts:
+        atom = fo.Atom(f.relation, tuple(map(fo.Const, f.args)))
+        engine_marginal = approx.world_walk(blocks, atom, doc.universe)
         oracle_marginal = oracle.exact_event_prob(worlds, lambda d: f in d)
         diffs.append(abs(engine_marginal - oracle_marginal))
         print(f"marginal {f}: engine={engine_marginal!r} oracle={oracle_marginal!r}")
+    engine_q = approx.world_walk(blocks, formula, doc.universe)
     oracle_q = oracle.exact_event_prob(
         worlds, lambda d: fo.eval_boolean(d, formula, doc.universe)
     )

@@ -168,7 +168,7 @@ def complete(p: FiniteDiscretePDB, tail: FactProbabilityAssignment) -> BIDPdb:
                     f"tail rule generates original fact {f}; exclude it explicitly"
                 )
         if isinstance(generator, GeometricTail):
-            first_value = generator.c * generator.q**generator.supply.first_index
+            first_value = generator.rule_value(generator.supply.first_index)
             if first_value >= 1.0:
                 raise UnitTailProbability(
                     f"tail rule value {first_value} at the first index is not below 1"
@@ -240,7 +240,7 @@ def bounded_tail_validate(
     h = len(tail.head)
     m = generator.supply.multiplicity
     first = generator.supply.first_index
-    effective_c = generator.c * generator.q ** (first - 1)
+    effective_c = generator.rule_value(first - 1)
     bound_at = lambda k: bound_c * bound_q ** (k + h)
     if effective_c * generator.q > bound_at(1) + 1e-15:
         return False

@@ -22,14 +22,15 @@ outside every stored tuple) and is equal only to itself, and formulas of
 quantifier rank r cannot tell two such pools apart once the pool has r
 elements.  Generic elements are real universe elements, taken
 deterministically as the first enumeration indices outside the active
-domains.  Every quantifier domain lists them last; ``forall`` reads the
-domain from the end and ``exists`` from the front, so ``forall`` tries a
-generic first.  No truth value depends on the order.
+domains, by :func:`walk_pool` alone.  Every quantifier domain lists them
+last; ``forall`` reads the domain from the end and ``exists`` from the
+front, so ``forall`` tries a generic first.  No truth value depends on
+the order.
 
 A sentence is compiled once into nested closures (:func:`compile_sentence`),
 which are bound once to a world that may change in place; a caller that
 evaluates it on many worlds passes the bound closures to
-:func:`eval_boolean` with every world.
+:func:`eval_boolean` with every world, and each world's domain.
 
 Open formulas are grounded in one place, :func:`groundings`: on every
 tuple of candidates, and on one representative per pattern of generic
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import re
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .core import Fact, FiniteDiscretePDB, Instance, Schema, _element_key, active_domain
 from .errors import InfiniteAnswerError, NestingTooDeep, QuerySyntaxError
@@ -420,28 +421,16 @@ def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
 # --- evaluation --------------------------------------------------------
 
 
-def _quantifier_domain(
-    d: Instance, consts: set[Element], u: Universe, pool_size: int
-) -> list[Element]:
-    # generics last, where forall starts (compile_sentence); no truth value
-    # depends on the order a quantifier tries the elements in
-    adom = active_domain(d) | consts
-    return [*adom, *u.fresh_elements(adom, pool_size)]
-
-
-def walk_pool(sentences: Iterable[Formula], elements: set[Element], u: Universe) -> tuple[set[Element], list[Element]]:
-    """The sentences' constants, and as many generic elements outside them
-    and ``elements`` as the largest quantifier rank.  On a world whose
-    elements lie in ``elements``, its elements, the constants and the
-    generics form a quantifier domain exact for each sentence: a constant
-    of another sentence is one more generic there, and a pool larger than
-    a sentence's rank changes none of its truth values."""
-    rank, consts = 0, set()
-    for f in sentences:
-        r, c, free, _ = _analysis(f)
-        if free:
-            raise ValueError(f"sentence expected, found free variables {free}")
-        rank, consts = max(rank, r), consts | c
+def walk_pool(f: Formula, elements: set[Element], u: Universe) -> tuple[set[Element], list[Element]]:
+    """The sentence's constants, and as many generic elements outside them
+    and ``elements`` as its quantifier rank: the one place generics are
+    picked.  On a world whose elements lie in ``elements``, its elements,
+    the constants and the generics form a quantifier domain exact for the
+    sentence.  A quantifier-free sentence gets no generics and never reads
+    the domain."""
+    rank, consts, free, _ = _analysis(f)
+    if free:
+        raise ValueError(f"sentence expected, found free variables {free}")
     return consts, u.fresh_elements(elements | consts, rank)
 
 
@@ -462,7 +451,7 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
     place; every term reads a slot, so an atom of arity 1 or 2 builds its
     key directly.  ``=`` between two constants folds to its truth value.
 
-    The domain lists the generic elements last (:func:`_quantifier_domain`,
+    The domain lists the generic elements last (:func:`eval_boolean`,
     :func:`approx.world_walk`).  ``exists`` reads it from the front and
     ``forall`` from the end, so ``forall`` meets a generic first, which
     refutes at once a body that needs a fact about its variable.  The order
@@ -540,22 +529,22 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
 
 
 def eval_boolean(
-    d: Instance, f: Formula, u: Universe, pool_size: int | None = None, *,
+    d: Instance, f: Formula, u: Universe, *,
     domain: list[Element] | None = None, compiled: Callable[[list[Element]], bool] | None = None,
 ) -> bool:
     """Truth of a sentence on a finite instance over an infinite universe.
 
-    ``pool_size`` overrides the number of generic elements (default: the
-    quantifier rank); enlarging it must not change the result.  A caller
-    that evaluates sentences on many worlds analyses and compiles them once
-    (:func:`walk_pool`, :func:`compile_sentence`), binds each to a world
-    whose tuple sets change in place, and passes that world as ``d``, its
-    quantifier domain as ``domain`` and the bound closures as ``compiled``.
+    Quantifiers range over the active domain of ``d`` and the sentence,
+    then the generic elements of :func:`walk_pool`.  A caller that
+    evaluates a sentence on many worlds compiles it once
+    (:func:`compile_sentence`), binds it to a world whose tuple sets change
+    in place, and passes that world as ``d``, its quantifier domain as
+    ``domain`` and the bound closures as ``compiled``.
     """
     if domain is None:
-        rank, consts, _, _ = _analysis(f)
-        # a quantifier-free sentence never reads the domain
-        domain = _quantifier_domain(d, consts, u, rank if pool_size is None else pool_size) if rank else []
+        adom = active_domain(d)
+        consts, generics = walk_pool(f, adom, u)
+        domain = [*(adom | consts), *generics] if generics else []
     return (compiled or compile_sentence(f)(d))(domain)
 
 

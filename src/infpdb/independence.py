@@ -55,6 +55,8 @@ from .universe import Element, FactEnumeration
 
 ENCLOSURE_MASS_TARGET = 1e-12
 ENCLOSURE_FACT_CAP = 200_000
+# every float q < 1 is at most 1 - 2**-53, so q**i is 0.0 from this index on
+ZERO_RULE_INDEX = 2**64
 
 
 # --- tail supplies -----------------------------------------------------
@@ -91,13 +93,18 @@ class EnumerationSupply(Record):
         return (self.enumeration.relation_fact_at(self.relation, i),)
 
     def intrinsic_index(self, f: Fact) -> int | None:
+        """The fact's index, or ``None`` if not supplied.  An index past the
+        offset by more than :data:`ZERO_RULE_INDEX` stops being computed
+        once it passes that: any such index is supplied and gets 0.0 from
+        every geometric rule."""
+        limit = self.offset + ZERO_RULE_INDEX
         try:
             if self.relation is None:
-                i = self.enumeration.fact_index(f)
+                i = self.enumeration.fact_index(f, limit)
             else:
                 if f.relation != self.relation:
                     return None
-                i = self.enumeration.relation_fact_index(f)
+                i = self.enumeration.relation_fact_index(f, limit)
         except (ValueError, KeyError):
             return None
         return i if i > self.offset else None
@@ -230,7 +237,7 @@ class GeometricTail(Record):
             raise DivergentAssignment(
                 f"geometric ratio must lie in (0, 1) for a convergent tail, got {self.q}"
             )
-        if self.c * self.q**self.supply.first_index > 1.0 + 1e-12:
+        if self.rule_value(self.supply.first_index) > 1.0 + 1e-12:
             raise ValueError(
                 f"rule value exceeds 1 at the first supplied index: "
                 f"{self.c} * {self.q}**{self.supply.first_index}"
@@ -238,7 +245,8 @@ class GeometricTail(Record):
         object.__setattr__(self, "_plans", {})  # skip_plan's, per tolerance
 
     def rule_value(self, i: int) -> float:
-        return self.c * self.q**i
+        """``c * q**i``, also for an index past the float range."""
+        return self.c * self.q**i if i < ZERO_RULE_INDEX else 0.0
 
     def generates(self, f: Fact) -> bool:
         if f in self.exclude:
@@ -252,7 +260,7 @@ class GeometricTail(Record):
         return 0.0 if i is None else self.rule_value(i)
 
     def total_mass(self) -> float:
-        first = self.supply.first_index
+        first = min(self.supply.first_index, ZERO_RULE_INDEX)
         gross = self.supply.multiplicity * self.c * self.q**first / (1.0 - self.q)
         removed = math.fsum(
             self.rule_value(i)

@@ -50,21 +50,30 @@ def tuple_at(k: int, arity: int) -> tuple[int, ...]:
         raise ValueError(f"tuple index must be >= 1, got {k}")
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    if arity == 1:
-        return (k,)
-    x, rest = cantor_unpair(k)
-    return (x,) + tuple_at(rest, arity - 1)
+    out = []
+    for _ in range(arity - 1):
+        x, k = cantor_unpair(k)
+        out.append(x)
+    return (*out, k)
 
 
-def tuple_index(t: tuple[int, ...]) -> int:
-    """Inverse of :func:`tuple_at` for the tuple's own arity."""
+def tuple_index(t: tuple[int, ...], limit: int | None = None) -> int:
+    """Inverse of :func:`tuple_at` for the tuple's own arity.
+
+    Each pairing roughly squares the index, so a few dozen positions give
+    it millions of digits.  Given ``limit``, the pairing stops once the
+    index passes it and returns that partial index: a pairing never lowers
+    it, so the result is exact up to ``limit`` and past it otherwise."""
     if len(t) == 0:
         raise ValueError("empty tuple has no diagonal index")
     if any(x < 1 for x in t):
         raise ValueError(f"tuple components must be >= 1, got {t}")
-    if len(t) == 1:
-        return t[0]
-    return cantor_pair(t[0], tuple_index(t[1:]))
+    k = t[-1]
+    for x in reversed(t[:-1]):
+        if limit is not None and k > limit:
+            break
+        k = cantor_pair(x, k)
+    return k
 
 
 class Universe(Record):
@@ -178,7 +187,9 @@ class FactEnumeration(Record):
         args = tuple(self.universe.element_at(i) for i in tuple_at(t, arity))
         return Fact(name, args)
 
-    def fact_index(self, f: Fact) -> int:
+    def fact_index(self, f: Fact, limit: int | None = None) -> int:
+        """Inverse of :meth:`fact_at`; exact up to ``limit``, past it otherwise
+        (:func:`tuple_index`)."""
         rels = self.schema.relations
         names = [name for name, _ in rels]
         if f.relation not in names:
@@ -188,7 +199,7 @@ class FactEnumeration(Record):
         if len(f.args) != arity:
             raise ValueError(f"fact {f} has arity {len(f.args)}, schema says {arity}")
         indices = tuple(self.universe.element_index(e) for e in f.args)
-        t = tuple_index(indices)
+        t = tuple_index(indices, limit)
         return (t - 1) * len(rels) + pos + 1
 
     def relation_fact_at(self, relation: str, k: int) -> Fact:
@@ -199,8 +210,8 @@ class FactEnumeration(Record):
         args = tuple(self.universe.element_at(i) for i in tuple_at(k, arity))
         return Fact(relation, args)
 
-    def relation_fact_index(self, f: Fact) -> int:
+    def relation_fact_index(self, f: Fact, limit: int | None = None) -> int:
         arity = self.schema.arity_of(f.relation)
         if len(f.args) != arity:
             raise ValueError(f"fact {f} has arity {len(f.args)}, schema says {arity}")
-        return tuple_index(tuple(self.universe.element_index(e) for e in f.args))
+        return tuple_index(tuple(self.universe.element_index(e) for e in f.args), limit)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from infpdb.core import Fact, Instance
+from infpdb.core import Fact, Instance, active_domain
 from infpdb.fo import (
     And,
     Atom,
@@ -29,6 +29,7 @@ from infpdb.fo import (
     Not,
     Or,
     Var,
+    compile_sentence,
     constants,
     eval_boolean,
     free_variables,
@@ -94,22 +95,27 @@ def requantify(node, names):
     return node
 
 
-def count_walk(monkeypatch, approx) -> tuple[list[Formula], list[list]]:
-    """Lists that fill as ``approx``'s walks run: each sentence evaluated, one
-    per world and sentence, and one entry per world walked.  A walk builds
-    one quantifier domain per world and passes it to every evaluation on
-    that world, so a new domain list marks a new world."""
-    calls, worlds = [], []
+def count_walk(monkeypatch, approx) -> list[Formula]:
+    """A list that fills as ``approx``'s walks run: the sentence evaluated on
+    each world walked.  A walk evaluates its one sentence once per world, so
+    every entry is one world."""
+    calls = []
     evaluate = approx.eval_boolean
 
     def counting(d, f, u, **kw):
-        if not worlds or kw["domain"] is not worlds[-1]:
-            worlds.append(kw["domain"])
         calls.append(f)
         return evaluate(d, f, u, **kw)
 
     monkeypatch.setattr(approx, "eval_boolean", counting)
-    return calls, worlds
+    return calls
+
+
+def eval_on_pool(d: Instance, f: Formula, u: Universe, pool_size: int) -> bool:
+    """Truth of the sentence ``f`` on ``d`` with quantifiers over the active
+    domain of both and ``pool_size`` generic elements, where
+    :func:`fo.eval_boolean` takes as many as the sentence's rank."""
+    adom = active_domain(d) | constants(f)
+    return compile_sentence(f)(d)([*adom, *u.fresh_elements(adom, pool_size)])
 
 
 def random_instance(rng: random.Random, schema, elements: tuple, max_facts: int = 5) -> Instance:
@@ -231,6 +237,9 @@ def reference_boolean_enclosure(
     # representatives far outside the constant pool and listed elements
     rep_base = 10_000_000
     truth_memo: dict[tuple, bool] = {}
+    # compiled once, bound to each structure; eval_boolean takes the domain
+    # from fo.walk_pool
+    bind = compile_sentence(formula)
 
     def truth(const_bits: tuple[tuple[bool, bool], ...], profile: tuple[int, int, int]) -> bool:
         key = (const_bits, profile)
@@ -253,7 +262,8 @@ def reference_boolean_enclosure(
             e = next(rep)
             facts.append(Fact("R", (e,)))
             facts.append(Fact("S", (e,)))
-        result = eval_boolean(Instance(facts), formula, universe)
+        d = Instance(facts)
+        result = eval_boolean(d, formula, universe, compiled=bind(d))
         truth_memo[key] = result
         return result
 

@@ -48,7 +48,7 @@ from infpdb.numerics import euler_tail_lower_bound, subset_expansion_check
 from infpdb.oracle import enumerate_worlds, exact_event_prob
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import random_sentence, reference_boolean_enclosure
+from helpers import eval_on_pool, random_sentence, reference_boolean_enclosure
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -424,7 +424,7 @@ def test_criterion_11_infinite_universe_semantics():
             ]
             d = Instance(facts)
             rank = quantifier_rank(f)
-            assert eval_boolean(d, f, NAT) == eval_boolean(d, f, NAT, pool_size=rank + 2)
+            assert eval_boolean(d, f, NAT) == eval_on_pool(d, f, NAT, rank + 2)
         d = Instance([rfact(4)])
         assert eval_query(d, parse("!R(x)", R1), NAT) is INFINITE_ANSWER
         for _ in range(50):

@@ -191,7 +191,7 @@ class TestConditionalQueryProb:
     def test_enumerates_only_mentioned_facts(self, monkeypatch):
         head = ((fact("S", 0), 0.3),) + tuple((fact("R", i), 0.5) for i in range(1, 21))
         t = ti_construct(FactProbabilityAssignment(head))
-        _, walked = count_walk(monkeypatch, approx)
+        walked = count_walk(monkeypatch, approx)
         p = conditional_query_prob(t, parse("exists x. S(x)", RS), 21, NAT, cap=21)
         assert p == pytest.approx(0.3, abs=1e-12)
         assert len(walked) <= 2
@@ -635,15 +635,9 @@ class TestPatternCut:
         open_query = And(_lift(sentences[0], c), Atom("S", (Var("x"),)))
         sentences += [substitute(open_query, {"x": e}) for e in (1, 2, 3, 4, 7, 8)]
         worlds = enumerate_block_worlds(blocks)
-        values = approx.world_walk(blocks, sentences, NAT)
-        for f, value in zip(sentences, values):
+        for f in sentences:
             want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT))
-            assert abs(value - want) <= 1e-12, (kind, f)
-            assert approx.world_walk(blocks, [f], NAT) == [value]
-
-    def _counting(self, monkeypatch):
-        """The sentences evaluated, one per world and sentence, and the worlds walked."""
-        return count_walk(monkeypatch, approx)
+            assert abs(approx.world_walk(blocks, f, NAT) - want) <= 1e-12, (kind, f)
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)
     HEAD = ((fact("R", 1, 2), 0.5), (fact("R", 1, 3), 0.4), (fact("R", 2, 3), 0.7), (fact("S", 1), 0.6))
@@ -651,14 +645,13 @@ class TestPatternCut:
     def test_open_query_walks_only_the_facts_each_tuple_matches(self, monkeypatch):
         schema = Schema.of(R=2, S=1)
         t = ti_construct(FactProbabilityAssignment(self.HEAD))
-        calls, walked = self._counting(monkeypatch)
+        walked = count_walk(monkeypatch, approx)
         table = approx_nonboolean(t, parse("exists y. R(x, y)", schema), 0.1, NAT)
         assert table == pytest.approx({(1,): 0.7, (2,): 0.7, (3,): 0.0})
         # x = 1 walks R(1, 2) and R(1, 3), x = 2 walks R(2, 3), and x = 3 and
-        # the pattern (*1) share the one empty world: 4 + 2 + 1 worlds, where
-        # every tuple and the pattern walked all 2**3 R worlds before
-        assert len(calls) == 4 + 2 + 1 + 1
-        assert len(walked) == 4 + 2 + 1
+        # the pattern (*1) walk one empty world each: 4 + 2 + 1 + 1 worlds,
+        # where every tuple and the pattern walked all 2**3 R worlds before
+        assert len(walked) == 4 + 2 + 1 + 1
 
     def test_oracle_compare_walks_each_ground_atom_on_two_worlds(self, monkeypatch, tmp_path, capsys):
         from infpdb import cli
@@ -671,7 +664,7 @@ class TestPatternCut:
         }
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         (tmp_path / "query.txt").write_text((GOLDEN / "query.txt").read_text())
-        calls, _ = self._counting(monkeypatch)
+        calls = count_walk(monkeypatch, approx)
         assert cli.main(["oracle-compare", str(tmp_path / "spec.json"), "--query", str(tmp_path / "query.txt")]) == 0
         capsys.readouterr()
         ground = [f for f in calls if isinstance(f, Atom)]
@@ -730,9 +723,9 @@ def _per_world_walk(blocks, sentences, u):
 
 
 class TestSharedPoolWalk:
-    """A walk that analyses its sentences and takes their generics once, and
+    """A walk that analyses its sentence and takes its generics once, and
     reads every world through one relation index changed in place, gives
-    every value that an Instance per world gives."""
+    the value that an Instance per world gives."""
 
     @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "table"]))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -746,9 +739,9 @@ class TestSharedPoolWalk:
         # x is read after a subformula that may quantify x again
         connective, quantifier = rng.choice([And, Or, Implies]), rng.choice([Exists, Forall])
         sentences.append(quantifier("x", connective(sentences[0], Atom("S", (Var("x"),)))))
-        # a negation and a disjunction share their operands' atoms, so their walks
+        # a negation and a disjunction cut the blocks as their operands do
         sentences += [Not(sentences[0]), Or(sentences[0], sentences[1])]
-        assert approx.world_walk(blocks, sentences, NAT) == _per_world_walk(blocks, sentences, NAT)
+        assert [approx.world_walk(blocks, f, NAT) for f in sentences] == _per_world_walk(blocks, sentences, NAT)
 
     R12, R13, R21, R34, S1, S2, S3 = (
         fact("R", 1, 2), fact("R", 1, 3), fact("R", 2, 1), fact("R", 3, 4), fact("S", 1), fact("S", 2), fact("S", 3),
@@ -788,6 +781,6 @@ class TestSharedPoolWalk:
     def test_index_cases_match_per_world_evaluation_bit_for_bit(self, case):
         sentences = [parse(text, RS2) for text in self.SENTENCES]
         blocks = self.CASES[case]
-        values = approx.world_walk(blocks, sentences, NAT)
+        values = [approx.world_walk(blocks, f, NAT) for f in sentences]
         assert values == _per_world_walk(blocks, sentences, NAT)
         assert any(0.0 < v < 1.0 for v in values)

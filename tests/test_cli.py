@@ -898,6 +898,48 @@ class TestDeepNesting:
         assert capsys.readouterr().out.splitlines()[0] == "probability = 1.000000 (additive error <= 0.1)"
 
 
+class TestTailIndicesPastTheFloatRange:
+    """Iterated Cantor pairing roughly squares a fact's index per position,
+    so ``R(5, ..., 5)`` of arity 12 already has an index past the float
+    range, and arity 30 one of over a billion bits.  Such a fact gets
+    probability 0.0 without its whole index, as ``c * q**i`` is 0.0 there."""
+
+    def _spec(self, tmp_path, arity, head=(), **tail):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "kind": "ti", "schema": {"R": arity}, "universe": {"kind": "naturals"}, "head_facts": list(head),
+            "tail": {"rule": "geometric", "c": "0.5", "q": "0.5", **tail},
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("arity", [8, 12, 16, 20, 24, 30])
+    def test_instance_fact_past_the_float_range(self, arity, tmp_path, capsys):
+        ipath = tmp_path / "instance.json"
+        ipath.write_text(json.dumps({"facts": [_fact(args=[5] * arity)]}))
+        assert main(["prob", self._spec(tmp_path, arity), "--instance", str(ipath)]) == 0
+        assert capsys.readouterr().out == "probability = 0.0\n"
+
+    def test_head_fact_past_the_float_range_is_generated_by_the_tail(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, 30, [_head(args=[5] * 30)])
+        assert main(["validate", spec]) == 2
+        assert capsys.readouterr().err.startswith("DuplicateFact: fact R(5, 5,")
+
+    def test_offset_past_the_float_range(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, 1, supply={"type": "enumeration", "offset": "1" + "0" * 400})
+        assert main(["validate", spec]) == 0
+        assert capsys.readouterr().out == "TI, total mass 0.000, convergent, expected size 0.000\n"
+
+    def test_sample_of_a_wide_relation(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "kind": "ti", "schema": {"R": 3_000}, "universe": {"kind": "naturals"},
+            "tail": {"rule": "geometric", "c": "1", "q": "0.9"},
+        }))
+        assert main(["sample", str(path), "--n", "1"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert all(len(f["args"]) == 3_000 for f in json.loads(line)["facts"])
+
+
 class TestOracleCompare:
     def test_agreement(self, example_spec, query_file, capsys):
         assert main(["oracle-compare", example_spec, "--query", query_file]) == 0
@@ -908,8 +950,7 @@ class TestOracleCompare:
         walk = approx.world_walk
 
         def shifted(*args):
-            first, *rest = walk(*args)
-            return [first + 1e-6, *rest]
+            return walk(*args) + 1e-6
 
         monkeypatch.setattr(approx, "world_walk", shifted)
         assert main(["oracle-compare", example_spec, "--query", query_file]) == 2

@@ -53,7 +53,7 @@ def cli_cases() -> dict[str, list[str]]:
     cases["ti_product.prob"] = [
         "prob", _g("ti_product.json"), "--instance", _g("ti_product.instance.json")
     ]
-    for space, query in itertools.product(("ti_head", "bid"), ("query", "open_query")):
+    for space, query in itertools.product(("ti_head", "bid"), ("query", "open_query", "two_var_query")):
         cases[f"{space}.{query}"] = [
             "query", _g(f"{space}.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"
         ]

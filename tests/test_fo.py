@@ -37,7 +37,7 @@ from infpdb.fo import (
 from infpdb.record import Record
 from infpdb.universe import Universe
 
-from helpers import naive_eval, random_instance, random_sentence, requantify
+from helpers import eval_on_pool, naive_eval, random_instance, random_sentence, requantify
 
 S1 = Schema.of(R=1)
 S2 = Schema.of(R=1, S=1)
@@ -149,21 +149,24 @@ class TestEvalBoolean:
             eval_boolean(Instance.empty(), parse("R(x)", S1), NAT)
 
     def test_ground_sentence_builds_no_domain(self, monkeypatch):
-        def no_domain(*args):
-            raise AssertionError("a quantifier-free sentence built a quantifier domain")
+        domains, compile_sentence = [], fo.compile_sentence
 
-        monkeypatch.setattr("infpdb.fo._quantifier_domain", no_domain)
+        def recording(f):
+            bind = compile_sentence(f)
+            return lambda d: lambda domain, run=bind(d): domains.append(domain) or run(domain)
+
+        monkeypatch.setattr(fo, "compile_sentence", recording)
         d = Instance([fact("R", 1), fact("S", 2)])
         assert eval_boolean(d, parse("R(1) & !S(1) & !(1 = 2)", S2), NAT)
         assert not eval_boolean(d, parse("S(1) | R(2)", S2), NAT)
+        assert domains == [[], []]
 
     def test_walk_pool_takes_generics_outside_the_walk(self):
-        sentences = [parse("exists x. R(x) & !(x = 7)", S2), parse("forall x. exists y. S(y) | x = 2", S2)]
-        consts, generics = fo.walk_pool(sentences, {1, 3}, NAT)
+        consts, generics = fo.walk_pool(parse("forall x. exists y. S(y) & !(y = 7) | x = 2", S2), {1, 3}, NAT)
         assert consts == {7, 2} and generics == [4, 5]
-        assert fo.walk_pool([parse("R(1) | S(2)", S2)], {1, 3}, NAT) == ({1, 2}, [])
+        assert fo.walk_pool(parse("R(1) | S(2)", S2), {1, 3}, NAT) == ({1, 2}, [])
         with pytest.raises(ValueError):
-            fo.walk_pool([parse("R(x)", S1)], set(), NAT)
+            fo.walk_pool(parse("R(x)", S1), set(), NAT)
 
     def test_generic_equal_only_to_itself(self):
         # exactly one generic is available at rank 1, and it is not in R
@@ -186,7 +189,7 @@ class TestEvalBoolean:
         d = random_instance(rng, S2, elements=(1, 2, 3, 4, 5))
         rank = analyze(f)[0]
         base = eval_boolean(d, f, NAT)
-        assert eval_boolean(d, f, NAT, pool_size=rank + 2) == base
+        assert eval_on_pool(d, f, NAT, rank + 2) == base
 
     @pytest.mark.parametrize("seed", range(60))
     def test_guarded_quantifiers_match_naive_finite_evaluation(self, seed):
@@ -383,8 +386,8 @@ class TestCompiledSlots:
                 domain = [*adom, *NAT.fresh_elements(adom, rank)]
                 truth = naive_eval(f, d, domain)
                 assert eval_boolean(d, f, NAT) == truth, (f, d)
-                assert eval_boolean(d, f, NAT, pool_size=rank + 2) == truth, (f, d)
                 run = fo.compile_sentence(f)(d)
+                assert run([*adom, *NAT.fresh_elements(adom, rank + 2)]) == truth, (f, d)
                 shuffled = shuffler.sample(domain, len(domain))
                 for order in (domain, domain[::-1], shuffled):
                     assert run(order) == truth, (f, d, order)

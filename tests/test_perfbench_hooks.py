@@ -66,7 +66,7 @@ def test_traced_open_query_walks_each_tuple_on_its_own_facts(monkeypatch):
     try:
         # counts through the tracer's wrapper, and is undone before uninstalling
         with monkeypatch.context() as patch:
-            _, walked = count_walk(patch, infpdb.approx)
+            walked = count_walk(patch, infpdb.approx)
             spec, query = str(GOLDEN / "bid.json"), str(GOLDEN / "open_query.txt")
             tracer.begin_op("bid")
             try:
@@ -80,9 +80,9 @@ def test_traced_open_query_walks_each_tuple_on_its_own_facts(monkeypatch):
     assert [span[1] for span in tracer.spans].count("approx.approx_nonboolean") == 1
     # exists y. R(x, y) & !(y = '1') on the blocks R(1, .), R(2, .), R(3, .):
     # x = 1 walks 3 worlds, x = 2 and x = 3 walk 2 each, and the other five
-    # candidates and the pattern (*1) share the one world with no R fact
+    # candidates and the pattern (*1) walk one world with no R fact each
     assert tracer.counts["fo.eval_boolean.calls"] == 3 + 2 + 2 + 6
-    assert len(walked) == 3 + 2 + 2 + 1
+    assert len(walked) == 3 + 2 + 2 + 6
     # a walked world is a relation index, not an Instance
     assert tracer.counts["core.instances_built"] == 0
     assert all(value == 0 for name, (value, _) in metrics.items() if name.endswith(".errors"))

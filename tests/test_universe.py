@@ -102,6 +102,21 @@ class TestTupleOrder:
         for arity in range(1, 5):
             assert tuple_at(1, arity) == (1,) * arity
 
+    def test_arity_past_the_recursion_limit(self):
+        assert tuple_at(1, 3_000) == (1,) * 3_000
+        assert tuple_index((1,) * 3_000) == 1
+
+    @given(st.integers(min_value=1, max_value=10**5), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=10**5))
+    @settings(max_examples=200)
+    def test_limit_keeps_every_index_up_to_it(self, k, arity, limit):
+        got = tuple_index(tuple_at(k, arity), limit)
+        assert got == k if k <= limit else got > limit
+
+    def test_limit_stops_the_pairing(self):
+        # the whole index of (5,) * 30 has over a billion bits
+        assert 10**6 < tuple_index((5,) * 30, 10**6) < 10**13
+
 
 class TestFactEnumeration:
     def test_single_unary_relation_is_identity(self):
