@@ -208,8 +208,9 @@ def cmd_oracle_compare(args) -> int:
         diffs.append(abs(engine_marginal - oracle_marginal))
         print(f"marginal {f}: engine={engine_marginal!r} oracle={oracle_marginal!r}")
     engine_q = approx.world_walk(blocks, formula, doc.universe)
+    bind = fo.compile_sentence(formula)
     oracle_q = oracle.exact_event_prob(
-        worlds, lambda d: fo.eval_boolean(d, formula, doc.universe)
+        worlds, lambda d: fo.eval_boolean(d, formula, doc.universe, compiled=bind(d))
     )
     diffs.append(abs(engine_q - oracle_q))
     print(f"query: engine={engine_q!r} oracle={oracle_q!r}")

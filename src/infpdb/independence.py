@@ -65,48 +65,50 @@ ZERO_RULE_INDEX = 2**64
 class EnumerationSupply(Record):
     """Facts in canonical enumeration order, optionally one relation only.
 
-    The intrinsic index of a fact is its position in the (relation-)
-    enumeration; indices at or below ``offset`` are not supplied.
+    Supply index ``i`` is canonical index ``start + stride * (i - 1)``:
+    stride 1 from 1 over every relation; for one relation, stride m (the
+    number of relations) from its schema position + 1, since the canonical
+    listing interleaves the relations round-robin.  Indices at or below
+    ``offset`` are not supplied.
     """
 
     enumeration: FactEnumeration
     relation: str | None = None
     offset: int = 0
+    multiplicity = 1
 
     def __post_init__(self):
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
-        if self.relation is not None and self.relation not in self.enumeration.schema:
+        schema = self.enumeration.schema
+        if self.relation is None:
+            stride, start = 1, 1
+        elif self.relation in schema:
+            stride, start = len(schema.relations), schema.names.index(self.relation) + 1
+        else:
             raise ValueError(f"relation {self.relation!r} not in schema")
+        object.__setattr__(self, "_stride", stride)
+        object.__setattr__(self, "_start", start)
 
     @property
     def first_index(self) -> int:
         return self.offset + 1
 
-    @property
-    def multiplicity(self) -> int:
-        return 1
-
     def facts_at(self, i: int) -> tuple[Fact, ...]:
-        if self.relation is None:
-            return (self.enumeration.fact_at(i),)
-        return (self.enumeration.relation_fact_at(self.relation, i),)
+        return (self.enumeration.fact_at(self._start + self._stride * (i - 1)),)
 
     def intrinsic_index(self, f: Fact) -> int | None:
         """The fact's index, or ``None`` if not supplied.  An index past the
         offset by more than :data:`ZERO_RULE_INDEX` stops being computed
         once it passes that: any such index is supplied and gets 0.0 from
         every geometric rule."""
-        limit = self.offset + ZERO_RULE_INDEX
+        if self.relation not in (None, f.relation):
+            return None
         try:
-            if self.relation is None:
-                i = self.enumeration.fact_index(f, limit)
-            else:
-                if f.relation != self.relation:
-                    return None
-                i = self.enumeration.relation_fact_index(f, limit)
+            k = self.enumeration.fact_index(f, self.offset + ZERO_RULE_INDEX)
         except (ValueError, KeyError):
             return None
+        i = (k - self._start) // self._stride + 1
         return i if i > self.offset else None
 
     def relations(self) -> frozenset[str]:
@@ -153,17 +155,15 @@ class ProductSupply(Record):
             digits = set("0123456789")
             if not digits <= set(universe.alphabet):
                 raise ValueError("decimal index attribute needs digits 0-9 in the alphabet")
+        # the fixed positions' value lists in position order
+        by_pos = dict(self.fixed)
+        value_lists = tuple(by_pos[p] for p in expected)
+        object.__setattr__(self, "_value_lists", value_lists)
+        object.__setattr__(self, "multiplicity", math.prod(map(len, value_lists)))
 
     @property
     def first_index(self) -> int:
         return 1
-
-    @property
-    def multiplicity(self) -> int:
-        m = 1
-        for _, values in self.fixed:
-            m *= len(values)
-        return m
 
     def _index_element(self, i: int) -> Element:
         if self.enumeration.universe.kind == "naturals":
@@ -179,33 +179,21 @@ class ProductSupply(Record):
         return int(e)
 
     def facts_at(self, i: int) -> tuple[Fact, ...]:
-        arity = self.enumeration.schema.arity_of(self.relation)
-        by_pos = dict(self.fixed)
-        value_lists = [by_pos[p] for p in range(1, arity + 1) if p != self.index_position]
-        idx_elem = self._index_element(i)
-        out = []
-        for combo in itertools.product(*value_lists):
-            args: list[Element] = []
-            it = iter(combo)
-            for p in range(1, arity + 1):
-                args.append(idx_elem if p == self.index_position else next(it))
-            out.append(Fact(self.relation, tuple(args)))
-        return tuple(out)
+        relation, elem, cut = self.relation, self._index_element(i), self.index_position - 1
+        return tuple(
+            Fact(relation, (*combo[:cut], elem, *combo[cut:]))
+            for combo in itertools.product(*self._value_lists)
+        )
 
     def intrinsic_index(self, f: Fact) -> int | None:
-        if f.relation != self.relation:
+        value_lists, cut = self._value_lists, self.index_position - 1
+        if f.relation != self.relation or len(f.args) != len(value_lists) + 1:
             return None
-        arity = self.enumeration.schema.arity_of(self.relation)
-        if len(f.args) != arity:
-            return None
-        by_pos = dict(self.fixed)
-        i = self._element_to_index(f.args[self.index_position - 1])
+        i = self._element_to_index(f.args[cut])
         if i is None:
             return None
-        for p in range(1, arity + 1):
-            if p != self.index_position and f.args[p - 1] not in by_pos[p]:
-                return None
-        return i
+        rest = f.args[:cut] + f.args[cut + 1:]
+        return i if all(v in values for v, values in zip(rest, value_lists)) else None
 
     def relations(self) -> frozenset[str]:
         return frozenset({self.relation})
@@ -257,7 +245,8 @@ class GeometricTail(Record):
         if f in self.exclude:
             return 0.0
         i = self.supply.intrinsic_index(f)
-        return 0.0 if i is None else self.rule_value(i)
+        # a first rule value may round past 1 within __post_init__'s slack
+        return 0.0 if i is None else min(self.rule_value(i), 1.0)
 
     def total_mass(self) -> float:
         first = min(self.supply.first_index, ZERO_RULE_INDEX)
@@ -549,7 +538,8 @@ class BIDPdb:
             for facts, p in block:
                 for f in facts:
                     marginals.setdefault(f, []).append(p)
-        return tuple((f, math.fsum(ps)) for f, ps in marginals.items())
+        # a block's mass may round past 1 within the tolerance of its check
+        return tuple((f, min(math.fsum(ps), 1.0)) for f, ps in marginals.items())
 
     @cached_property
     def _head_probs(self) -> dict[Fact, float]:

@@ -17,7 +17,10 @@ would make it, at a fraction of the class-creation cost:
 
 The methods live on :class:`Record` and read the layout that
 ``__init_subclass__`` records, so defining a record class compiles no
-code.  Instances keep a ``__dict__``, so ``functools.cached_property``,
+code.  That layout is the class attributes ``_fields``, ``_defaults``,
+``_values``, ``_post_init`` and ``_bind``: a field or derived attribute
+of one of these names would shadow it and break ``==``, ``hash`` or
+construction.  Instances keep a ``__dict__``, so ``functools.cached_property``,
 pickle and copy work as they do on a dataclass.  The price is paid per
 object instead: one generic ``__init__`` builds a record more slowly than
 a generated one would, most of all from keyword arguments.

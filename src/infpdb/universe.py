@@ -12,7 +12,10 @@ are supported:
 
 Tuples are enumerated diagonally via iterated Cantor pairing and relation
 symbols interleave round-robin in schema declaration order, so the fact
-listing is a bijection with a computable inverse.
+listing is a bijection with a computable inverse.  With m relations, the
+k-th fact of the relation at schema position pos (from 0) is canonical
+fact ``(k - 1) * m + pos + 1``, so a supply of one relation's facts
+strides through this listing instead of keeping a second one.
 """
 
 from __future__ import annotations
@@ -201,17 +204,3 @@ class FactEnumeration(Record):
         indices = tuple(self.universe.element_index(e) for e in f.args)
         t = tuple_index(indices, limit)
         return (t - 1) * len(rels) + pos + 1
-
-    def relation_fact_at(self, relation: str, k: int) -> Fact:
-        """The k-th fact of one relation only (sub-enumeration by tuple order)."""
-        if k < 1:
-            raise ValueError(f"fact index must be >= 1, got {k}")
-        arity = self.schema.arity_of(relation)
-        args = tuple(self.universe.element_at(i) for i in tuple_at(k, arity))
-        return Fact(relation, args)
-
-    def relation_fact_index(self, f: Fact, limit: int | None = None) -> int:
-        arity = self.schema.arity_of(f.relation)
-        if len(f.args) != arity:
-            raise ValueError(f"fact {f} has arity {len(f.args)}, schema says {arity}")
-        return tuple_index(tuple(self.universe.element_index(e) for e in f.args), limit)

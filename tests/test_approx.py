@@ -21,8 +21,8 @@ from infpdb.completion import complete
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain, facts_of
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
-    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, constants, eval_boolean,
-    free_variables, groundings, parse, quantifier_rank, substitute,
+    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, compile_sentence, constants,
+    eval_boolean, free_variables, groundings, parse, quantifier_rank, substitute,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -636,7 +636,8 @@ class TestPatternCut:
         sentences += [substitute(open_query, {"x": e}) for e in (1, 2, 3, 4, 7, 8)]
         worlds = enumerate_block_worlds(blocks)
         for f in sentences:
-            want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT))
+            bind = compile_sentence(f)
+            want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT, compiled=bind(d)))
             assert abs(approx.world_walk(blocks, f, NAT) - want) <= 1e-12, (kind, f)
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)

@@ -37,7 +37,7 @@ from infpdb.independence import (
     ti_sample,
 )
 from infpdb.oracle import enumerate_worlds, exact_event_prob
-from infpdb.universe import FactEnumeration, Universe
+from infpdb.universe import FactEnumeration, Universe, tuple_at
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -325,6 +325,62 @@ class TestTailPrimitive:
         t = ti_construct(FactProbabilityAssignment((), tail))
         with pytest.raises(WorldCapExceeded, match=f"needs {needed} facts"):
             ti_sample(t, random.Random(0), 0.01)
+
+
+class TestSupplyLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arities=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        strings=st.booleans(),
+        data=st.data(),
+    )
+    def test_enumeration_supply_lists_each_relation_by_tuple_order(self, arities, strings, data):
+        names = ("R", "S", "T")[: len(arities)]
+        schema = Schema(tuple(zip(names, arities)))
+        u = Universe.strings("ab") if strings else NAT
+        relation = data.draw(st.sampled_from((None, *names)))
+        offset = data.draw(st.integers(0, 4))
+        supply = EnumerationSupply(FactEnumeration(schema, u), relation, offset)
+
+        def expected(i):
+            r, t = (relation, i) if relation else (names[(i - 1) % len(names)], (i - 1) // len(names) + 1)
+            return Fact(r, tuple(u.element_at(x) for x in tuple_at(t, schema.arity_of(r))))
+
+        for i in range(1, 40):
+            (f,) = supply.facts_at(i)
+            assert f == expected(i)
+            assert supply.intrinsic_index(f) == (i if i > offset else None)
+        if relation is not None:
+            for r in names:
+                if r != relation:
+                    other = Fact(r, tuple(u.element_at(1) for _ in range(schema.arity_of(r))))
+                    assert supply.intrinsic_index(other) is None
+
+    def test_product_supply_with_two_fixed_positions(self):
+        e = FactEnumeration(Schema.of(R=3), Universe.strings("0123456789abcxy"))
+        supply = ProductSupply(e, "R", index_position=2, fixed=((3, ("x", "y")), (1, ("a", "b", "c"))))
+        assert supply.multiplicity == 6
+        assert supply.facts_at(4) == tuple(Fact("R", (a, "4", z)) for a in "abc" for z in "xy")
+        assert supply.intrinsic_index(Fact("R", ("b", "12", "y"))) == 12
+        assert supply.intrinsic_index(Fact("R", ("x", "4", "y"))) is None
+        assert supply.intrinsic_index(Fact("R", ("a", "4", "c"))) is None
+
+
+class TestMarginalsAtMostOne:
+    def test_geometric_first_rule_value_past_one(self):
+        tail = GeometricTail(EnumerationSupply(FactEnumeration(R1, NAT)), c=7.0, q=0.14285714285714288)
+        assert tail.rule_value(1) > 1.0
+        t = ti_construct(FactProbabilityAssignment((), tail))
+        assert t.probability_of(fact("R", 1)) == 1.0
+        assert ti_event_probs(t, [fact("R", 1)]) == (1.0, 1.0)
+
+    def test_table_marginal_past_one(self):
+        table = FiniteDiscretePDB(
+            R1, NAT, {Instance(rfacts(1)): 0.5, Instance(rfacts(1, 2)): 0.50000000000001}
+        )
+        b = table_space(table)
+        assert b.probability_of(fact("R", 1)) == 1.0
+        assert dict(b.head)[fact("R", 1)] == 1.0
 
 
 def reference_enclosure(tail, skip, cap=ENCLOSURE_FACT_CAP, terms=3000):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infpdb.core import Fact, Schema
+from infpdb.independence import EnumerationSupply
 from infpdb.universe import (
     FactEnumeration,
     Universe,
@@ -173,6 +174,6 @@ class TestFactEnumeration:
             e.fact_index(Fact("T", (1,)))  # unknown relation
 
     def test_relation_subenumeration(self):
-        e = FactEnumeration(Schema.of(R=1, S=1), Universe.naturals())
-        assert e.relation_fact_at("S", 3) == Fact("S", (3,))
-        assert e.relation_fact_index(Fact("S", (3,))) == 3
+        s = EnumerationSupply(FactEnumeration(Schema.of(R=1, S=1), Universe.naturals()), "S")
+        assert s.facts_at(3) == (Fact("S", (3,)),)
+        assert s.intrinsic_index(Fact("S", (3,))) == 3
