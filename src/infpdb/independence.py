@@ -313,8 +313,8 @@ class GeometricTail(Record):
         later = m * self.rule_value(i + 1) / (1.0 - self.q) - math.fsum(map(self.rule_value, beyond))
         return rest_of_group + later, p
 
-    def position(self, bound: float, start: int = 0, p_max: float = 1.0) -> int:
-        """Smallest ``k >= start`` whose mass after k facts is at most ``bound``
+    def position(self, bound: float, p_max: float = 1.0) -> int:
+        """Smallest ``k`` whose mass after k facts is at most ``bound``
         and whose fact k + 1 has probability at most ``p_max``.  Both are
         monotone in k: the step doubles until they hold, then bisects."""
         if not bound >= 0.0:
@@ -324,7 +324,7 @@ class GeometricTail(Record):
             mass, p = self.mass_after(k)
             return mass <= bound and p <= p_max
 
-        failing, step = start - 1, 1
+        failing, step = -1, 1
         while not holds(failing + step):
             failing, step = failing + step, 2 * step
         candidates = range(failing + 1, failing + step + 1)
@@ -550,15 +550,19 @@ class BIDPdb:
         """What instance probabilities read, built on the first one: each head
         fact's block slot, and per block slot its outcomes by fact set; the
         exhaustive blocks' P(empty outcome); each block's log P(no outcome),
-        0.0 for the exhaustive ones."""
+        0.0 for the exhaustive ones and for the ``full`` ones, of mass 1; and
+        the exact sum of these terms as non-overlapping partials (Shewchuk,
+        *Discrete Comput. Geom.* 18, 1997), each the rounded rest of the sum."""
         slot = {f: j for j, block in enumerate(self.blocks.values()) for facts, _ in block for f in facts}
         outcomes = [{frozenset(facts): p for facts, p in block} for block in self.blocks.values()]
         exhaustive = {j: o[frozenset()] for j, o in enumerate(outcomes) if frozenset() in o}
-        log_none = [
-            0.0 if j in exhaustive else math.log1p(-m) if m < 1.0 else -math.inf
-            for j, m in enumerate(self.masses.values())
-        ]
-        return slot, outcomes, exhaustive, log_none
+        masses = list(self.masses.values())
+        log_none = [0.0 if j in exhaustive or m >= 1.0 else math.log1p(-m) for j, m in enumerate(masses)]
+        full = frozenset(j for j, m in enumerate(masses) if m >= 1.0 and j not in exhaustive)
+        rests: list[float] = []  # negated partials
+        while rest := math.fsum(log_none + rests):
+            rests.append(-rest)
+        return slot, outcomes, exhaustive, log_none, [-x for x in rests], full
 
     @cached_property
     def _draw_ends(self) -> list[tuple[tuple[tuple[Fact, ...], ...], list[float]]]:
@@ -653,29 +657,25 @@ def table_space(p: FiniteDiscretePDB) -> BIDPdb:
 # --- instance probabilities ----------------------------------------------
 
 
-def _tail_one_minus_enclosure(
-    tail: GeometricTail | None, skip: frozenset[Fact] = frozenset()
-) -> ProbabilityInterval:
+def _tail_one_minus_enclosure(tail: GeometricTail, skip: frozenset[Fact] = frozenset()) -> ProbabilityInterval:
     """Enclose ``prod (1 - p)`` over all tail facts not in ``skip``.
 
-    The first n facts are expanded, where n is the smallest count past
-    every skipped fact whose closed-form unseen mass is at most the
-    target and whose next probability is at most 1/2, so the exponential
-    lower bound applies to the unseen remainder.
+    The first n facts are expanded, where n, whatever ``skip`` holds, is the
+    smallest count whose closed-form unseen mass is at most the target and
+    whose next probability is at most 1/2.  The rest, skipped facts past n
+    left out, lies in ``[exp(-1.5 * mass after n), 1]``: leaving out factors
+    at most 1 only raises the product, and every p there is at most 1/2.
 
     The expansion is summed per index group and lists no fact: the facts
     of group i share the probability ``c * q**i``, so the group adds
     ``log1p(-c * q**i)`` once for each of its facts among the first n that
     is not skipped, and one ``fsum`` adds all these terms exactly.  Only a
     group that the expansion ends inside and that holds a skipped fact is
-    listed, to tell which of its facts come first; past the skip horizon,
-    only the fact cap can end the expansion there.
+    listed, to tell which of its facts come first.  A tail whose n passes
+    :data:`ENCLOSURE_FACT_CAP` is expanded to the cap and gets ``[0, hi]``.
     """
-    if tail is None:
-        return ProbabilityInterval.point(1.0)
     skipped = sorted(i for f in skip - tail.exclude if (i := tail.supply.intrinsic_index(f)))
-    start = tail.listed_through(skipped[-1] if skipped else 0)
-    n = tail.position(ENCLOSURE_MASS_TARGET, start=start, p_max=0.5)
+    n = tail.position(ENCLOSURE_MASS_TARGET, p_max=0.5)
     k = min(n, ENCLOSURE_FACT_CAP)
     # the facts to count are all m of each group first..last, less one of
     # group i for each fact of it dropped: not among the first k, or skipped
@@ -709,13 +709,14 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     over the untouched blocks, and of the enclosed absent-tail factors.  The
     facts of ``d`` in one block must form one of its outcomes, else the
     probability is zero.  Exhaustive blocks give their factors exactly, in
-    the linear domain, after the enclosure; the others sum in the log domain.
+    the linear domain, after the enclosure; the others sum in the log
+    domain, the untouched ones from the stored partials of :attr:`BIDPdb._index`.
     """
-    slot, outcomes, exhaustive, log_none = b._index
+    slot, outcomes, exhaustive, log_none, partials, full = b._index
     touched: dict[int | Fact, list[Fact]] = {}  # block slot, or tail fact: its facts in d
     for f in d:
         touched.setdefault(slot.get(f, f), []).append(f)
-    log_present, log_none, exact = 0.0, log_none.copy(), exhaustive.copy()
+    log_present, log_absent, exact = 0.0, partials.copy(), exhaustive.copy()
     tail_skip: list[Fact] = []
     for key, facts in touched.items():
         if isinstance(key, Fact):
@@ -723,18 +724,19 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
             tail_skip.append(key)
         else:
             p = outcomes[key].get(frozenset(facts), 0.0)
-            log_none[key] = 0.0
+            log_absent.append(-log_none[key])
         if p <= 0.0:
             return ProbabilityInterval.point(0.0)
         if key in exact:
             exact[key] = p
         else:
             log_present += math.log(p) if p < 1.0 else 0.0
-    log_absent = math.fsum(log_none)
     factor = math.prod(exact.values())
-    if log_absent == -math.inf or factor == 0.0:
+    if not full <= touched.keys() or factor == 0.0:  # an untouched full block holds an outcome
         return ProbabilityInterval.point(0.0)
-    point = min(math.exp(log_present + log_absent), 1.0)
+    point = min(math.exp(log_present + math.fsum(log_absent)), 1.0)
+    if b.tail is None:
+        return ProbabilityInterval.point(point * factor)
     return _tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point).scale(factor)
 
 
@@ -743,8 +745,12 @@ def ti_instance_prob(t: BIDPdb, d: Instance) -> ProbabilityInterval:
 
     Without a tail, a point interval at the product computed in floating
     point, as the exp of a sum of logs, which rounding may put a few ulps
-    off the exact product; with a tail the infinite absent-fact product is
-    enclosed.
+    off the exact product; the untouched blocks are summed from stored exact
+    partials, so the cost follows ``d``, not the head.  With a tail the
+    absent-fact product is expanded where the tail's own unseen mass meets
+    the target, whatever ``d`` holds, and enclosed past that, present tail
+    facts there included; it is ``[0, hi]`` only for a tail whose own stop
+    passes :data:`ENCLOSURE_FACT_CAP`.
     """
     return _instance_prob(t, d)
 

@@ -278,16 +278,16 @@ class TestTailPrimitive:
     def test_position_is_the_linear_scan(self, name):
         tail = PRIMITIVE_TAILS[name]
 
-        def scan(bound, start, p_max):
-            k = start
+        def scan(bound, p_max):
+            k = 0
             while True:
                 mass, p = tail.mass_after(k)
                 if mass <= bound and p <= p_max:
                     return k
                 k += 1
 
-        for bound, start, p_max in itertools.product((0.3, 1e-3, 1e-9), (0, 5, 17), (1.0, 0.2)):
-            assert tail.position(bound, start, p_max) == scan(bound, start, p_max)
+        for bound, p_max in itertools.product((0.3, 1e-3, 1e-9), (1.0, 0.2)):
+            assert tail.position(bound, p_max) == scan(bound, p_max)
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
     def test_group_listing_matches_indexed_facts(self, name):
@@ -385,12 +385,12 @@ class TestMarginalsAtMostOne:
 
 def reference_enclosure(tail, skip, cap=ENCLOSURE_FACT_CAP, terms=3000):
     """(lo, hi) of the absent-tail enclosure, fact by fact over the listing:
-    n is the first count past every skipped fact whose listed mass after it
-    is at most the target and whose next probability is at most 1/2."""
+    n is the first count whose listed mass after it is at most the target
+    and whose next probability is at most 1/2, whatever is skipped; skipped
+    facts after n lie in the remainder."""
     listed = list(itertools.islice(tail.indexed_facts(), terms))
     probs = [p for _, _, p in listed]
-    horizon = max((i for i, f, _ in listed if f in skip), default=0)
-    n = sum(1 for i, _, _ in listed if i <= horizon)
+    n = 0
     while math.fsum(probs[n:]) > ENCLOSURE_MASS_TARGET or probs[n] > 0.5:
         n += 1
     kept = [p for _, f, p in listed[: min(n, cap)] if f not in skip]
@@ -424,8 +424,9 @@ ENCLOSURE_TAILS = {
                                            fact("R", 3, 135), fact("R", 3, 200)], c=0.9, q=0.8),
 }
 
-# per tail: no skipped fact; skipped facts below and at a horizon before the
-# natural stop; a horizon past it, plus facts the tail does not list
+# per tail: no skipped fact; skipped facts before the stop; skipped facts
+# before, at and after it (those after lie in the remainder), plus facts the
+# tail does not list
 ENCLOSURE_SKIPS = {
     "enumeration-relation-offset": [
         [],
@@ -518,6 +519,141 @@ class TestTailEnclosure:
             assert iv.lo <= ref * (1 + 1e-13) and ref <= iv.hi * (1 + 1e-13), (iv, ref)
             assert iv.width <= 1e-11 * iv.hi
             assert len(calls) <= 1
+
+    def test_deep_tail_fact_costs_the_expansion_of_a_shallow_one(self, monkeypatch):
+        """A present fact far past the tail's stop lies in the remainder: the
+        interval stays tight around the fact-by-fact product, after as many
+        index groups as a fact near the front."""
+        tail = geometric_tail(c=0.001, q=0.999)
+        space = ti_construct(FactProbabilityAssignment((), tail))
+        groups, dropped = [], GeometricTail.dropped
+
+        def counted(self, k):
+            last, counts = dropped(self, k)
+            groups.append(last)
+            return last, counts
+
+        monkeypatch.setattr(GeometricTail, "dropped", counted)
+        expanded = {}
+        for i in (10, 250_000):
+            groups.clear()
+            iv = ti_instance_prob(space, Instance(rfacts(i)))
+            expanded[i] = list(groups)
+            logs = [math.log(tail.rule_value(i)) if j == i else math.log1p(-tail.rule_value(j))
+                    for j in range(1, 300_001)]
+            ref = math.exp(math.fsum(logs))
+            assert 0.0 < iv.lo <= ref <= iv.hi, (i, iv, ref)
+            assert iv.width <= 1e-11 * iv.hi
+        assert expanded[250_000] == expanded[10] != []
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_tails_enclose_the_fact_by_fact_product(self, data):
+        """Enumeration and product tails with exclusions, skip sets drawn from
+        the first three times the stop's count of facts: the product of
+        ``1 - p`` over the unskipped facts of a listing whose remaining mass
+        is below 1e-20 lies in the enclosure."""
+        c, q = data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(0.5, 0.9))
+        if data.draw(st.booleans()):
+            relation = data.draw(st.sampled_from((None, "R", "S")))
+            e = FactEnumeration(Schema.of(R=1, S=2), NAT)
+            supply = EnumerationSupply(e, relation, data.draw(st.integers(0, 5)))
+        else:
+            keys = tuple(range(1, data.draw(st.integers(1, 3)) + 1))
+            supply = ProductSupply(FactEnumeration(Schema.of(R=2), NAT), "R", 2, ((1, keys),))
+        stop = GeometricTail(supply, c, q).position(ENCLOSURE_MASS_TARGET, p_max=0.5)
+        supplied = list(itertools.islice(GeometricTail(supply, c, q).indexed_facts(), 3 * stop + 1))
+        facts = st.sampled_from([f for _, f, _ in supplied])
+        tail = GeometricTail(supply, c, q, frozenset(data.draw(st.sets(facts, max_size=4))))
+        skip = frozenset(data.draw(st.sets(facts, max_size=12)))
+        length = max(tail.position(1e-20), 3 * stop + 1)
+        ref = math.exp(math.fsum(
+            math.log1p(-p) for _, f, p in itertools.islice(tail.indexed_facts(), length) if f not in skip
+        ))
+        iv = independence._tail_one_minus_enclosure(tail, skip)
+        assert iv.lo <= ref <= iv.hi, (iv, ref)
+        assert iv.width <= 1e-11 * iv.hi
+
+
+def list_copy_instance_prob(b, d):
+    """The instance probability as summed from a copy of every block's
+    log P(no outcome), the touched ones zeroed: what the space's stored
+    partials must give bit for bit."""
+    slot, outcomes, exhaustive = b._index[:3]
+    log_none = [
+        0.0 if j in exhaustive else math.log1p(-m) if m < 1.0 else -math.inf
+        for j, m in enumerate(b.masses.values())
+    ]
+    touched = {}
+    for f in d:
+        touched.setdefault(slot.get(f, f), []).append(f)
+    log_present, log_none, exact = 0.0, log_none.copy(), exhaustive.copy()
+    tail_skip = []
+    for key, facts in touched.items():
+        if isinstance(key, Fact):
+            p = b.tail.probability_of(key) if b.tail is not None else 0.0
+            tail_skip.append(key)
+        else:
+            p = outcomes[key].get(frozenset(facts), 0.0)
+            log_none[key] = 0.0
+        if p <= 0.0:
+            return 0.0, 0.0
+        if key in exact:
+            exact[key] = p
+        else:
+            log_present += math.log(p) if p < 1.0 else 0.0
+    log_absent = math.fsum(log_none)
+    factor = math.prod(exact.values())
+    if log_absent == -math.inf or factor == 0.0:
+        return 0.0, 0.0
+    point = min(math.exp(log_present + log_absent), 1.0)
+    if b.tail is None:  # the enclosure of an empty product is the point 1.0
+        return point * factor, point * factor
+    iv = independence._tail_one_minus_enclosure(b.tail, frozenset(tail_skip)).scale(point).scale(factor)
+    return iv.lo, iv.hi
+
+
+# exact-one masses sit beside arbitrary ones, subnormals included
+PROBS = st.one_of(st.sampled_from((1.0, 0.5, 0.25)), st.floats(0.0, 1.0))
+SPLITS_OF_ONE = ((1.0,), (0.5, 0.5), (0.25, 0.75), (0.125, 0.375, 0.5))
+
+
+class TestStoredPartials:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(("ti", "bid", "table", "completion")), data=st.data())
+    def test_match_the_list_copy_sum_bit_for_bit(self, kind, data):
+        if kind == "ti":
+            head = tuple((fact("R", i), p) for i, p in enumerate(data.draw(st.lists(PROBS, max_size=9)), 1))
+            space = ti_construct(FactProbabilityAssignment(head))
+        elif kind == "bid":
+            head = []
+            for key in range(1, data.draw(st.integers(1, 3)) + 1):
+                if data.draw(st.booleans()):
+                    ps = data.draw(st.sampled_from(SPLITS_OF_ONE))
+                else:
+                    ps = [p / 3 for p in data.draw(st.lists(PROBS, min_size=1, max_size=3))]
+                head += [(fact("R", key, j), p) for j, p in enumerate(ps, 1)]
+            space = bid_construct(BlockPartition.by_keys(R=1), FactProbabilityAssignment(tuple(head)))
+        else:
+            facts = rfacts(*range(1, data.draw(st.integers(1, 3)) + 1))
+            subsets = [Instance(c) for r in range(len(facts) + 1) for c in itertools.combinations(facts, r)]
+            if kind == "table":
+                subsets = data.draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+            weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(subsets), max_size=len(subsets)))
+            table = FiniteDiscretePDB(R1, NAT, {d: w / math.fsum(weights) for d, w in zip(subsets, weights)})
+            if kind == "table":
+                space = table_space(table)
+            else:
+                fresh = data.draw(st.lists(st.floats(0.0, 0.99), max_size=5))
+                space = complete(table, FactProbabilityAssignment(
+                    tuple((fact("R", 10 + i), p) for i, p in enumerate(fresh))
+                ))
+        facts = [*dict.fromkeys(f for block in space.blocks.values() for fs, _ in block for f in fs), fact("R", 99)]
+        for r in range(len(facts) + 1):
+            for combo in itertools.combinations(facts, r):
+                d = Instance(combo)
+                iv = bid_instance_prob(space, d)
+                assert (iv.lo, iv.hi) == list_copy_instance_prob(space, d), d
 
 
 class TestTiSample:
