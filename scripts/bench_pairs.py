@@ -18,6 +18,13 @@ each side's median count of attempted ops, against which a rise in
 ``peak_rss_mb`` can be read, since the harness's memory grows with the ops
 it runs. It prints one summary line per metric and one for the op counts.
 
+Each run's wall clock, taken around its subprocess, is kept with the run,
+and each side's median, quartiles and maximum of it under ``wall_s``. A
+run that takes more than half of the child timeout of its checkout's
+``perfbench/run.py`` (``CHILD_TIMEOUT_S``, read from the source) prints a
+warning line, since ops fast enough to stretch the harness's per-op
+calibration past that timeout end the run with no result.
+
 Usage:
     python3 scripts/bench_pairs.py --label L [--workload query] [--pairs 10]
         [--seconds 25] [--base HEAD] [--seed 0]
@@ -29,6 +36,7 @@ stops the script with status 1 and writes no file.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -37,6 +45,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,18 +65,31 @@ def export(rev: str, dest: str) -> None:
     os.remove(archive)
 
 
-def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
-    """One untraced run of the checkout's harness; its final JSON line."""
+def child_timeout(checkout: str) -> float:
+    """``CHILD_TIMEOUT_S`` as assigned in the checkout's ``perfbench/run.py``."""
+    with open(os.path.join(checkout, "perfbench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "CHILD_TIMEOUT_S" for t in node.targets):
+            return float(ast.literal_eval(node.value))
+    raise SystemExit(f"{checkout}: perfbench/run.py assigns no CHILD_TIMEOUT_S")
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int) -> tuple[dict, float]:
+    """One untraced run of the checkout's harness: its final JSON line, and
+    the run's wall-clock seconds."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
            "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr[-5000:])
         raise SystemExit(f"{checkout}: perfbench exited with status {proc.returncode}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{checkout}: perfbench reported correct: false ({result['failed']} failed)")
-    return result
+    return result, wall
 
 
 def spread(values: list[float]) -> dict:
@@ -79,7 +101,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end`` entries):
     each side's median and quartiles, the change's pair wins, and whether
     the change's median is worse than the base's by more than the metric's
-    relative bound; under ``attempted``, each side's median op count."""
+    relative bound; under ``attempted``, each side's median op count; under
+    ``wall_s``, each side's quartiles and maximum of its runs' wall clock."""
     sides = {which: [r for r in runs if r["side"] == which] for which in ("base", "change")}
     out = {}
     for m in metrics:
@@ -103,7 +126,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "over_bound": over,
         }
     out["attempted"] = {which: statistics.median(r["attempted"] for r in sides[which]) for which in sides}
+    out["wall_s"] = {
+        which: {**spread([r["wall_s"] for r in sides[which]]), "max": max(r["wall_s"] for r in sides[which])}
+        for which in sides
+    }
     return out
+
+
+def timeout_warning(pair: int, side: str, wall: float, timeout: float) -> str | None:
+    """A warning line for a run past half of its checkout's child timeout."""
+    if wall <= timeout / 2:
+        return None
+    return (f"warning: pair {pair + 1} {side} took {wall:.1f} s, past half of its child timeout "
+            f"({timeout:g} s); a longer run would end with no result")
 
 
 def main() -> int:
@@ -124,15 +159,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         export(base_rev, tmp)
         checkouts = {"base": os.path.join(tmp, "tree"), "change": ROOT}
+        timeouts = {side: child_timeout(path) for side, path in checkouts.items()}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                result = run_once(checkouts[side], args.workload, args.seconds, args.seed)
+                result, wall = run_once(checkouts[side], args.workload, args.seconds, args.seed)
                 metrics = {k: v["value"] for k, v in result["metrics"].items()}
                 runs.append({"pair": pair, "side": side, "attempted": result["attempted"],
-                             "failed": result["failed"], "metrics": metrics})
-                print(f"pair {pair + 1}/{args.pairs} {side}: "
+                             "failed": result["failed"], "wall_s": wall, "metrics": metrics})
+                print(f"pair {pair + 1}/{args.pairs} {side}: wall {wall:.1f} s, "
                       + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
+                if (warning := timeout_warning(pair, side, wall, timeouts[side])) is not None:
+                    print(warning, flush=True)
     summary = summarize(runs, end_to_end)
     report = {
         "label": args.label,
@@ -160,6 +198,9 @@ def main() -> int:
               f"{over}")
     attempted = summary["attempted"]
     print(f"{args.workload}.attempted: base {attempted['base']:.6g} -> change {attempted['change']:.6g} ops (medians)")
+    wall = summary["wall_s"]
+    print(f"{args.workload}.wall_s: base {wall['base']['median']:.1f} (max {wall['base']['max']:.1f})"
+          f" -> change {wall['change']['median']:.1f} (max {wall['change']['max']:.1f}) s per run")
     print(f"wrote {path}")
     return 0
 

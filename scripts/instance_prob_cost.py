@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Time instance probabilities, in microseconds per call.
 
-Two tables:
+Three tables:
 
 - a one-fact instance ``{R(1)}`` on head-only TI spaces of 10, 1,000 and
   10,000 blocks (facts ``R(i)``, each at probability 0.3);
 - a one-fact instance ``{R(i)}`` on a TI space of one geometric tail
   ``c * q**i`` over ``R/1`` (c = 0.001, q = 0.999), with ``i`` at 0.3x, 1x,
   2x and 8x the tail's stop: the count of facts after which its unseen
-  mass is at most ``independence.ENCLOSURE_MASS_TARGET``.
+  mass is at most ``independence.ENCLOSURE_MASS_TARGET``;
+- a one-fact instance ``{R(10)}`` on a tail space built anew for each call
+  (c = 0.001, q = 0.9, 0.99 and 0.999), as each ``pdb prob`` builds its
+  own: the tail's truncation point and enclosure start from nothing.
 
 Each figure is the best of ``--rounds`` rounds of ``--calls`` calls (the
-tail table makes one hundredth as many calls), after one untimed call that
+tail tables make one hundredth as many calls), after one untimed call that
 builds the space's index. Standard library only; run it with the package
 on the path:
 
@@ -65,6 +68,20 @@ def tail_costs(shares, calls: int, rounds: int, c: float = 0.001, q: float = 0.9
     return stop, out
 
 
+def fresh_costs(qs, calls: int, rounds: int, c: float = 0.001) -> list[tuple[float, float]]:
+    """(q, us per call) of ``{R(10)}`` on a geometric tail space over ``R/1``
+    built anew, tail included, inside each call."""
+    d, supply = Instance([Fact("R", (10,))]), EnumerationSupply(FactEnumeration(R1, Universe.naturals()))
+    out = []
+    for q in qs:
+        def call(q=q):
+            return ti_instance_prob(ti_construct(FactProbabilityAssignment((), GeometricTail(supply, c=c, q=q))), d)
+
+        best = min(timeit.repeat(call, number=calls, repeat=rounds))
+        out.append((q, best / calls * 1e6))
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=2000)
@@ -79,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'depth':>8}  {'fact':>9}  {'us/call':>9}")
     for share, i, us in rows:
         print(f"{share:>7g}x  {i:>9,}  {us:>9.1f}")
+    print("one tail fact on a freshly built c = 0.001 space, as in each pdb prob")
+    print(f"{'q':>8}  {'us/call':>9}")
+    for q, us in fresh_costs((0.9, 0.99, 0.999), max(1, args.calls // 100), args.rounds):
+        print(f"{q:>8g}  {us:>9.1f}")
     return 0
 
 

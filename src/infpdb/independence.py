@@ -38,6 +38,7 @@ import bisect
 import collections
 import itertools
 import math
+import operator
 from functools import cached_property
 from typing import Hashable, Iterator, Sequence
 
@@ -316,7 +317,11 @@ class GeometricTail(Record):
     def position(self, bound: float, p_max: float = 1.0) -> int:
         """Smallest ``k`` whose mass after k facts is at most ``bound``
         and whose fact k + 1 has probability at most ``p_max``.  Both are
-        monotone in k: the step doubles until they hold, then bisects."""
+        monotone in k: the step doubles from a failing k until they hold,
+        then bisects.  Two logarithms give the first group g with
+        ``m * c * q**g / (1 - q) <= bound`` and ``c * q**g <= p_max``; the
+        first step runs to the count listed before g from that before g - 1,
+        less one, if it fails (exclusions may make it hold; else from -1)."""
         if not bound >= 0.0:
             raise ValueError(f"mass bound must be nonnegative, got {bound!r}")
 
@@ -324,7 +329,12 @@ class GeometricTail(Record):
             mass, p = self.mass_after(k)
             return mass <= bound and p <= p_max
 
-        failing, step = -1, 1
+        failing, step, log_q = -1, 1, math.log(self.q)
+        mass_ratio, p_ratio = bound * (1.0 - self.q) / (self.supply.multiplicity * self.c), p_max / self.c
+        if mass_ratio > 0.0 and p_ratio > 0.0:  # else a logarithm is undefined
+            g = math.ceil(max(self.supply.first_index, math.log(mass_ratio) / log_q, math.log(p_ratio) / log_q))
+            if (lower := self.listed_through(g - 2) - 1) < 0 or not holds(lower):
+                failing, step = lower, self.listed_through(g - 1) - lower
         while not holds(failing + step):
             failing, step = failing + step, 2 * step
         candidates = range(failing + 1, failing + step + 1)
@@ -550,11 +560,12 @@ class BIDPdb:
         """What instance probabilities read, built on the first one: each head
         fact's block slot, and per block slot its outcomes by fact set; the
         exhaustive blocks' P(empty outcome); each block's log P(no outcome),
-        0.0 for the exhaustive ones and for the ``full`` ones, of mass 1; and
-        the exact sum of these terms as non-overlapping partials (Shewchuk,
-        *Discrete Comput. Geom.* 18, 1997), each the rounded rest of the sum."""
+        0.0 for the exhaustive and the ``full`` ones (mass 1); their exact sum
+        as non-overlapping partials (Shewchuk, *Discrete Comput. Geom.* 18, 1997),
+        each the rounded rest; and each fact's (slot, p) where its block's outcomes are single facts."""
         slot = {f: j for j, block in enumerate(self.blocks.values()) for facts, _ in block for f in facts}
         outcomes = [{frozenset(facts): p for facts, p in block} for block in self.blocks.values()]
+        single = {f: (j, p) for j, o in enumerate(outcomes) if all(len(fs) == 1 for fs in o) for (f,), p in o.items()}
         exhaustive = {j: o[frozenset()] for j, o in enumerate(outcomes) if frozenset() in o}
         masses = list(self.masses.values())
         log_none = [0.0 if j in exhaustive or m >= 1.0 else math.log1p(-m) for j, m in enumerate(masses)]
@@ -562,7 +573,7 @@ class BIDPdb:
         rests: list[float] = []  # negated partials
         while rest := math.fsum(log_none + rests):
             rests.append(-rest)
-        return slot, outcomes, exhaustive, log_none, [-x for x in rests], full
+        return slot, outcomes, exhaustive, log_none, [-x for x in rests], full, single
 
     @cached_property
     def _draw_ends(self) -> list[tuple[tuple[tuple[Fact, ...], ...], list[float]]]:
@@ -669,7 +680,8 @@ def _tail_one_minus_enclosure(tail: GeometricTail, skip: frozenset[Fact] = froze
     The expansion is summed per index group and lists no fact: the facts
     of group i share the probability ``c * q**i``, so the group adds
     ``log1p(-c * q**i)`` once for each of its facts among the first n that
-    is not skipped, and one ``fsum`` adds all these terms exactly.  Only a
+    is not skipped, and one ``fsum`` adds all these terms exactly, streamed
+    through ``map`` calls into no list, one pass per set bit of m.  Only a
     group that the expansion ends inside and that holds a skipped fact is
     listed, to tell which of its facts come first.  A tail whose n passes
     :data:`ENCLOSURE_FACT_CAP` is expanded to the cap and gets ``[0, hi]``.
@@ -693,10 +705,13 @@ def _tail_one_minus_enclosure(tail: GeometricTail, skip: frozenset[Fact] = froze
         below_one += 1
     # each group's term m times, as one exact multiple per set bit of m, less
     # the dropped facts' terms: fsum then adds every fact's term exactly
-    c, q, weights = tail.c, tail.q, [1 << b for b in range(m.bit_length()) if m >> b & 1]
+    def terms(indices, neg_c=-tail.c, q=tail.q):  # log1p(-c * q**i) per index
+        return map(math.log1p, map(operator.mul, itertools.repeat(neg_c), map(pow, itertools.repeat(q), indices)))
+    groups = range(below_one, last + 1)
     hi = math.exp(math.fsum(itertools.chain(
-        (w * math.log1p(-c * q**i) for w in weights for i in range(below_one, last + 1)),
-        (-math.log1p(-c * q**i) for i in dropped.elements() if i >= below_one),
+        terms(groups) if m & 1 else (),
+        *(map(operator.mul, itertools.repeat(1 << b), terms(groups)) for b in range(1, m.bit_length()) if m >> b & 1),
+        map(operator.neg, terms(i for i in dropped.elements() if i >= below_one)),
     )))
     if n > ENCLOSURE_FACT_CAP:
         return ProbabilityInterval(0.0, hi)
@@ -708,31 +723,36 @@ def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     """Product of the touched blocks' outcome probabilities, of ``1 - mass``
     over the untouched blocks, and of the enclosed absent-tail factors.  The
     facts of ``d`` in one block must form one of its outcomes, else the
-    probability is zero.  Exhaustive blocks give their factors exactly, in
-    the linear domain, after the enclosure; the others sum in the log
-    domain, the untouched ones from the stored partials of :attr:`BIDPdb._index`.
-    """
-    slot, outcomes, exhaustive, log_none, partials, full = b._index
-    touched: dict[int | Fact, list[Fact]] = {}  # block slot, or tail fact: its facts in d
-    for f in d:
-        touched.setdefault(slot.get(f, f), []).append(f)
+    probability is zero; only a block with an outcome of other than one fact
+    collects its facts of ``d``.  Exhaustive blocks give their factors exactly,
+    in the linear domain, after the enclosure; the others sum in the log domain
+    in the order ``d`` touches them, the untouched ones from the stored partials
+    of :attr:`BIDPdb._index`."""
+    slot, outcomes, exhaustive, log_none, partials, full, single = b._index
     log_present, log_absent, exact = 0.0, partials.copy(), exhaustive.copy()
-    tail_skip: list[Fact] = []
-    for key, facts in touched.items():
-        if isinstance(key, Fact):
-            p = b.tail.probability_of(key) if b.tail is not None else 0.0
-            tail_skip.append(key)
+    touched, tail_skip = set(), []  # block slots; tail facts of d
+    for f in d:
+        j, p = single.get(f) or (slot.get(f), None)
+        if j is None:  # a tail fact, or one no block lists
+            p = b.tail.probability_of(f) if b.tail is not None else 0.0
+            tail_skip.append(f)
+        elif j in touched:  # read at its first fact in d; a single-fact block holds one
+            if p is not None:
+                return ProbabilityInterval.point(0.0)
+            continue
         else:
-            p = outcomes[key].get(frozenset(facts), 0.0)
-            log_absent.append(-log_none[key])
+            if p is None:
+                p = outcomes[j].get(frozenset(g for g in d if slot.get(g) == j), 0.0)
+            touched.add(j)
+            log_absent.append(-log_none[j])
         if p <= 0.0:
             return ProbabilityInterval.point(0.0)
-        if key in exact:
-            exact[key] = p
+        if j in exact:
+            exact[j] = p
         else:
             log_present += math.log(p) if p < 1.0 else 0.0
     factor = math.prod(exact.values())
-    if not full <= touched.keys() or factor == 0.0:  # an untouched full block holds an outcome
+    if not full <= touched or factor == 0.0:  # an untouched full block holds an outcome
         return ProbabilityInterval.point(0.0)
     point = min(math.exp(log_present + math.fsum(log_absent)), 1.0)
     if b.tail is None:

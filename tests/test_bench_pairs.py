@@ -1,5 +1,6 @@
 """``scripts/bench_pairs.py`` summarizes alternating base/change runs: pair
-wins, quartiles, the bound check and the op counts, on synthetic runs."""
+wins, quartiles, the bound check, the op counts and the wall clock, on
+synthetic runs; and it warns of runs near the harness's child timeout."""
 
 import importlib.util
 from pathlib import Path
@@ -22,13 +23,14 @@ def _bench_pairs():
 
 
 def _runs(base, change):
-    """Pairs of base and change runs, in ABBA order, from (ops_per_s, peak_rss_mb, attempted) triples."""
+    """Pairs of base and change runs, in ABBA order, from (ops_per_s,
+    peak_rss_mb, attempted) triples, or with wall seconds as a fourth."""
     runs = []
     for pair, (b, c) in enumerate(zip(base, change)):
         sides = [("base", b), ("change", c)] if pair % 2 == 0 else [("change", c), ("base", b)]
-        for side, (ops, rss, attempted) in sides:
+        for side, (ops, rss, attempted, *wall) in sides:
             runs.append({"pair": pair, "side": side, "attempted": attempted, "failed": 0,
-                         "metrics": {"ops_per_s": ops, "peak_rss_mb": rss}})
+                         "wall_s": wall[0] if wall else 40.0, "metrics": {"ops_per_s": ops, "peak_rss_mb": rss}})
     return runs
 
 
@@ -61,3 +63,30 @@ def test_over_bound_only_past_the_bound_in_the_worse_direction(better, base, cha
     metrics = [{"name": "ops_per_s", "better": better, "bound": 0.25}]
     runs = _runs([(base, 0.0, 10)] * 2, [(change, 0.0, 10)] * 2)
     assert _bench_pairs().summarize(runs, metrics)["ops_per_s"]["over_bound"] is over
+
+
+def test_wall_clock_per_side():
+    base = [(100.0, 20.0, 1000, 41.0), (100.0, 20.0, 1000, 40.0), (100.0, 20.0, 1000, 44.0)]
+    change = [(100.0, 20.0, 1000, 50.0), (100.0, 20.0, 1000, 52.0), (100.0, 20.0, 1000, 90.0)]
+    wall = _bench_pairs().summarize(_runs(base, change), METRICS)["wall_s"]
+    assert wall["base"] == {"median": 41.0, "q1": 40.5, "q3": 42.5, "max": 44.0}
+    assert wall["change"] == {"median": 52.0, "q1": 51.0, "q3": 71.0, "max": 90.0}
+
+
+def test_child_timeout_is_read_from_the_checkouts_harness(tmp_path):
+    script = _bench_pairs()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("import os\nCHILD_TIMEOUT_S = 42\nOTHER = 1\n")
+    assert script.child_timeout(str(tmp_path)) == 42.0
+    (tmp_path / "perfbench" / "run.py").write_text("OTHER = 1\n")
+    with pytest.raises(SystemExit):
+        script.child_timeout(str(tmp_path))
+    assert script.child_timeout(script.ROOT) > 0.0
+
+
+@pytest.mark.parametrize("wall, warned", [(84.0, False), (85.0, False), (85.5, True), (169.0, True)])
+def test_warns_past_half_of_the_child_timeout(wall, warned):
+    line = _bench_pairs().timeout_warning(2, "change", wall, 170.0)
+    assert (line is not None) is warned
+    if warned:
+        assert line.startswith("warning: pair 3 change") and "170 s" in line

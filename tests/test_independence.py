@@ -77,6 +77,27 @@ def listed_mass_after(tail, k, terms=4000):
     return math.fsum(ps), ps[0]
 
 
+def linear_position(tail, bound, p_max):
+    """The first k whose mass after k is at most bound and whose fact k + 1
+    has probability at most p_max, by trying every k from 0."""
+    k = 0
+    while True:
+        mass, p = tail.mass_after(k)
+        if mass <= bound and p <= p_max:
+            return k
+        k += 1
+
+
+def random_supply(data, multiplicities=(1, 2, 3, 5)):
+    """An enumeration supply (m = 1, any relation and offset) or a product
+    supply R(key, i) with m keys."""
+    if data.draw(st.booleans()):
+        e = FactEnumeration(Schema.of(R=1, S=2), NAT)
+        return EnumerationSupply(e, data.draw(st.sampled_from((None, "R", "S"))), data.draw(st.integers(0, 5)))
+    keys = tuple(range(1, data.draw(st.sampled_from(multiplicities)) + 1))
+    return ProductSupply(FactEnumeration(Schema.of(R=2), NAT), "R", 2, ((1, keys),))
+
+
 def all_head_instances(head):
     facts = [f for f, _ in head]
     for r in range(len(facts) + 1):
@@ -277,17 +298,48 @@ class TestTailPrimitive:
     @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
     def test_position_is_the_linear_scan(self, name):
         tail = PRIMITIVE_TAILS[name]
-
-        def scan(bound, p_max):
-            k = 0
-            while True:
-                mass, p = tail.mass_after(k)
-                if mass <= bound and p <= p_max:
-                    return k
-                k += 1
-
         for bound, p_max in itertools.product((0.3, 1e-3, 1e-9), (1.0, 0.2)):
-            assert tail.position(bound, p_max) == scan(bound, p_max)
+            assert tail.position(bound, p_max) == linear_position(tail, bound, p_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_position_is_the_linear_scan_on_random_tails(self, data):
+        """Enumeration and product supplies (m in 1, 2, 3, 5), bounds from
+        1e-15 to 10, p_max at 0.2, 0.5, 1 or below the first rule value, and
+        up to 6 exclusions from the group where the closed form puts the
+        answer, the group before it and the first groups; the bound is drawn
+        log-uniformly or is the mass at the bracket's failing end."""
+        supply = random_supply(data)
+        first, m = supply.first_index, supply.multiplicity
+        q = data.draw(st.floats(0.3, 0.95))
+        c = data.draw(st.floats(1e-3, 1.0)) / q**first  # the first rule value in [1e-3, 1]
+        bound = 10.0 ** data.draw(st.floats(-15.0, 1.0))
+        p_max = data.draw(st.sampled_from((0.2, 0.5, 1.0, None))) or 0.5 * c * q**first
+        # the first group from which the closed-form mass and probability hold
+        logs = (math.log(bound * (1.0 - q) / (m * c)), math.log(p_max / c))
+        g = max(first, math.ceil(min(logs) / math.log(q)))
+        groups = sorted({g, g - 1, first, first + 1, first + 2} - set(range(first)))
+        # or all of group g - 1 first, which can end the answer before g - 1
+        whole = g - 1 >= first and data.draw(st.booleans())
+        exclude = set(supply.facts_at(g - 1)) if whole else set()
+        candidates = [f for i in groups for f in supply.facts_at(i)]
+        exclude |= data.draw(st.sets(st.sampled_from(candidates), max_size=6 - len(exclude)))
+        tail = GeometricTail(supply, c, q, frozenset(exclude))
+        # or exactly the mass after the last fact listed before group g - 1,
+        # which a whole group g - 1 excluded may bring within the bound
+        edge = tail.mass_after(max(tail.listed_through(g - 2) - 1, 0))[0]
+        if 1e-15 <= edge <= 10.0 and data.draw(st.booleans()):
+            bound = edge
+        assert tail.position(bound, p_max) == linear_position(tail, bound, p_max)
+
+    def test_position_checks_the_brackets_failing_end(self):
+        """Group 5 wholly excluded: the mass after the last fact of group 4,
+        1/16 + 3/32, is already within 0.16, so the answer lies before the
+        bracket that the closed form gives from group 6 on."""
+        tail = product_tail((1, 2, 3), [fact("R", key, 5) for key in (1, 2, 3)], c=1.0, q=0.5)
+        assert tail.listed_through(4) == tail.listed_through(5) == 12
+        assert tail.mass_after(11)[0] <= 0.16 < tail.mass_after(10)[0]
+        assert tail.position(0.16) == 11 == linear_position(tail, 0.16, 1.0)
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVE_TAILS))
     def test_group_listing_matches_indexed_facts(self, name):
@@ -406,6 +458,36 @@ def assert_matches_reference(tail, skip, cap=ENCLOSURE_FACT_CAP):
     assert math.isclose(iv.hi, ref_hi, rel_tol=1e-14, abs_tol=0.0), (iv, ref_hi)
     assert math.isclose(iv.lo, ref_lo, rel_tol=1e-14, abs_tol=0.0), (iv, ref_lo)
     assert iv.lo <= iv.hi
+
+
+def generator_enclosure(tail, skip):
+    """(lo, hi) of the absent-tail enclosure with its terms taken from one
+    generator per set bit of m and per dropped fact, as the enclosure summed
+    them before it streamed them through ``map``: what the streamed sum must
+    give bit for bit."""
+    skipped = sorted(i for f in skip - tail.exclude if (i := tail.supply.intrinsic_index(f)))
+    n = tail.position(ENCLOSURE_MASS_TARGET, p_max=0.5)
+    k = min(n, independence.ENCLOSURE_FACT_CAP)
+    last, dropped = tail.dropped(k)
+    skipped_in_last = skipped.count(last)
+    if skipped_in_last and k < tail.listed_through(last):
+        skipped_in_last = len(skip.intersection(tail.group(last)[: k - tail.listed_through(last - 1)]))
+    dropped.update(i for i in skipped if i < last)
+    dropped[last] += skipped_in_last
+    m, below_one = tail.supply.multiplicity, tail.supply.first_index
+    while below_one <= last and tail.rule_value(below_one) >= 1.0:
+        if dropped[below_one] < m:
+            return 0.0, 0.0
+        below_one += 1
+    c, q, weights = tail.c, tail.q, [1 << b for b in range(m.bit_length()) if m >> b & 1]
+    hi = math.exp(math.fsum(itertools.chain(
+        (w * math.log1p(-c * q**i) for w in weights for i in range(below_one, last + 1)),
+        (-math.log1p(-c * q**i) for i in dropped.elements() if i >= below_one),
+    )))
+    if n > independence.ENCLOSURE_FACT_CAP:
+        return 0.0, hi
+    lo = hi * math.exp(-1.5 * tail.mass_after(n)[0])
+    return min(lo, hi), hi
 
 
 # with no skipped fact, the expansion stops at the end of group 55 (m = 1)
@@ -545,6 +627,34 @@ class TestTailEnclosure:
             assert 0.0 < iv.lo <= ref <= iv.hi, (i, iv, ref)
             assert iv.width <= 1e-11 * iv.hi
         assert expanded[250_000] == expanded[10] != []
+
+    @pytest.mark.parametrize("name,which", [
+        (name, which) for name in sorted(ENCLOSURE_SKIPS) for which in range(3)
+    ])
+    def test_streamed_sum_matches_the_generator_sum_bit_for_bit(self, name, which, monkeypatch):
+        tail, skip = ENCLOSURE_TAILS[name], frozenset(ENCLOSURE_SKIPS[name][which])
+        for cap in (None, 0, 1, 7, 40):
+            if cap is not None:
+                monkeypatch.setattr(independence, "ENCLOSURE_FACT_CAP", cap)
+            iv = independence._tail_one_minus_enclosure(tail, skip)
+            assert (iv.lo, iv.hi) == generator_enclosure(tail, skip), cap
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_streamed_sum_matches_the_generator_sum_on_random_tails(self, data):
+        """Enumeration and product supplies (m in 1, 2, 3, 5, so one to two
+        passes per group), q up to 0.99, exclusions, and skipped facts
+        drawn from the groups up to twice the stop: inside it and past it."""
+        supply = random_supply(data)
+        first, m = supply.first_index, supply.multiplicity
+        q = data.draw(st.floats(0.3, 0.99))
+        c = data.draw(st.floats(1e-3, 1.0)) / q**first
+        stop = GeometricTail(supply, c, q).group_of(GeometricTail(supply, c, q).position(ENCLOSURE_MASS_TARGET, 0.5))
+        facts = st.builds(lambda i, j: supply.facts_at(i)[j % m], st.integers(first, 2 * stop), st.integers(0, m - 1))
+        tail = GeometricTail(supply, c, q, frozenset(data.draw(st.sets(facts, max_size=4))))
+        skip = frozenset(data.draw(st.sets(facts, max_size=8)))
+        iv = independence._tail_one_minus_enclosure(tail, skip)
+        assert (iv.lo, iv.hi) == generator_enclosure(tail, skip)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

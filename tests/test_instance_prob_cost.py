@@ -1,5 +1,5 @@
 """``scripts/instance_prob_cost.py`` times instance probabilities; a smoke
-run on small spaces and a fast tail."""
+run on small spaces, a fast tail and freshly built fast tails."""
 
 import importlib.util
 from pathlib import Path
@@ -22,3 +22,8 @@ def test_times_head_spaces_and_tail_depths():
     assert stop > 0
     assert [(share, i) for share, i, _ in rows] == [(0.5, round(0.5 * stop)), (2.0, 2 * stop)]
     assert all(us > 0.0 for _, _, us in rows)
+
+
+def test_times_freshly_built_tail_spaces():
+    rows = _script().fresh_costs((0.5, 0.9), calls=2, rounds=1)
+    assert [q for q, _ in rows] == [0.5, 0.9] and all(us > 0.0 for _, us in rows)
