@@ -22,7 +22,8 @@ and one relation index of the world it stands in, both once, not per
 world: depth first, the index gains an outcome's facts on entering it and
 loses them on leaving, and the sentence's closures
 (:func:`fo.compile_sentence`) are bound to it once (:func:`world_walk`).
-The cap, with an environment override, still applies to n.
+The cap, with an environment override, bounds the bits of the count of
+the truncated space's worlds, which is n on a TI space.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -99,18 +100,30 @@ def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
 
 
 def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[Block]:
-    """Every head block whole, then each tail fact up to n as its own block."""
-    limit = world_cap() if cap is None else cap
-    if n > limit:
-        raise WorldCapExceeded(
-            f"enumerating 2**{n} worlds exceeds the cap 2**{limit}; "
-            f"set {WORLD_CAP_ENV} to raise it",
-            required=n,
-            cap=limit,
-        )
+    """Every head block whole, then each tail fact up to n as its own block.
+
+    The cap bounds the walk's worlds before any tail fact is listed: each
+    head block branches over its outcomes, and over "no outcome" unless it
+    is exhaustive, and each tail fact over in or out.  The bits of that
+    count are ``n`` on a TI space and fewer where a table's block holds
+    many facts in few worlds, never more: a block's distinct outcomes are
+    at most 2 to the power of its facts, the empty one included."""
     blocks, h, tail = list(t.blocks.values()), len(t.head), t.tail
     if n < h or tail is None and n > h:
         raise ValueError(f"truncation keeps the {h} head facts whole and then lists tail facts: n = {n}")
+    limit = world_cap() if cap is None else cap
+    if n <= limit:
+        bits = n
+    else:
+        branches = math.prod(len(block) + all(facts for facts, _ in block) for block in blocks)
+        bits = (branches - 1).bit_length() + n - h
+    if bits > limit:
+        raise WorldCapExceeded(
+            f"enumerating 2**{bits} worlds exceeds the cap 2**{limit}; "
+            f"set {WORLD_CAP_ENV} to raise it",
+            required=bits,
+            cap=limit,
+        )
     listed = () if tail is None else itertools.islice(tail.indexed_facts(), n - h)
     return blocks + [(((fact,), p),) for _, fact, p in listed]
 

@@ -191,62 +191,6 @@ def completion_instance_prob(c: BIDPdb, d: Instance) -> ProbabilityInterval:
     return bid_instance_prob(c, d)
 
 
-def completion_condition_check(
-    original: FiniteDiscretePDB, c: BIDPdb, a: Iterable[Instance]
-) -> tuple[float, float]:
-    """(measure of A under the completion ``c`` of ``original``, conditioned
-    on the original space; original measure of A); the two must agree for a
-    valid completion."""
-    event = set(a)
-    unknown = event - set(original.worlds)
-    if unknown:
-        raise ValueError(f"instances outside the original sample space: {unknown}")
-    numerator = math.fsum(
-        completion_instance_prob(c, d).midpoint for d in event
-    )
-    denominator = math.fsum(
-        completion_instance_prob(c, d).midpoint for d in original.worlds
-    )
-    if denominator <= 0.0:
-        raise ValueError("completed measure of the original space is zero")
-    conditioned = numerator / denominator
-    original_prob = math.fsum(original.probability(d) for d in event)
-    return conditioned, original_prob
-
-
-def bounded_tail_validate(
-    tail: FactProbabilityAssignment, bound_c: float, bound_q: float
-) -> bool:
-    """Check the i-th fresh-fact probability against ``bound_c * bound_q**i``.
-
-    The head is checked exhaustively in listed order; a geometric
-    generator is compared rule-to-rule against the bound continuing at
-    the positions after the head.
-    """
-    if not (bound_c > 0.0 and 0.0 < bound_q < 1.0):
-        raise ValueError("bound must be a convergent geometric series")
-    for i, (_, p) in enumerate(tail.head, start=1):
-        if p > bound_c * bound_q**i + 1e-15:
-            return False
-    generator = tail.tail
-    if generator is None:
-        return True
-    if isinstance(generator, ConstantTail):
-        return generator.value == 0.0
-    # facts of the generator occupy positions h+1, h+2, ... against the bound;
-    # the k-th generated fact has probability c * q**ceil(k/m) shifted by the
-    # supply's offset, so domination reduces to the first position and the
-    # per-position decay ratio
-    h = len(tail.head)
-    m = generator.supply.multiplicity
-    first = generator.supply.first_index
-    effective_c = generator.rule_value(first - 1)
-    bound_at = lambda k: bound_c * bound_q ** (k + h)
-    if effective_c * generator.q > bound_at(1) + 1e-15:
-        return False
-    return generator.q <= bound_q**m + 1e-15
-
-
 def completion_sample(c: BIDPdb, rng, delta: float) -> Instance:
     """Draw ``D`` from the original table and fresh facts as in
     :func:`bid_sample`, returning their disjoint union."""

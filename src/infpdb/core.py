@@ -4,10 +4,12 @@ Instances are immutable value objects: their facts are kept in a fixed
 structural order so that equality and hashing are purely structural and
 instances can key probability mappings.  A :class:`FiniteDiscretePDB` is
 a world table -- a finite mapping from worlds to probabilities summing to
-one -- with its size statistics (expected size, size tail) and fact
-marginals.  It is data, not a space: ``independence.table_space`` reads it
-as one exhaustive block of a :class:`~infpdb.independence.BIDPdb`, which
-gives its instance probabilities and draws.
+one -- with its expected size.  It is data, not a space:
+``independence.table_space`` reads it as one exhaustive block of a
+:class:`~infpdb.independence.BIDPdb`, which gives its instance
+probabilities and draws.  :func:`divergent_size_partial_sum` gives the
+expected sizes of the truncations of a space whose expected size
+diverges.
 """
 
 from __future__ import annotations
@@ -176,10 +178,6 @@ def active_domain(d: Instance) -> set:
     return out
 
 
-def instance_size(d: Instance) -> int:
-    return len(d)
-
-
 class FiniteDiscretePDB:
     """An explicit world table over finitely many instances.
 
@@ -226,54 +224,12 @@ def expected_size(p: FiniteDiscretePDB) -> float:
     return math.fsum(prob * len(d) for d, prob in p.worlds.items())
 
 
-def marginal(p: FiniteDiscretePDB, f: Fact) -> float:
-    """Probability that the fact occurs in a drawn instance."""
-    return math.fsum(prob for d, prob in p.worlds.items() if f in d)
-
-
-def positive_facts(p: FiniteDiscretePDB) -> set[Fact]:
-    """All facts with strictly positive marginal probability."""
-    out: set[Fact] = set()
-    for d, prob in p.worlds.items():
-        if prob > 0.0:
-            out.update(d)
-    return out
-
-
-def size_tail(p: FiniteDiscretePDB, n: int) -> float:
-    """Probability that an instance has at least ``n`` facts."""
-    return math.fsum(prob for d, prob in p.worlds.items() if len(d) >= n)
-
-
 def facts_of(p: FiniteDiscretePDB) -> set[Fact]:
     """Facts appearing in any instance of the sample space (including null worlds)."""
     out: set[Fact] = set()
     for d in p.worlds:
         out.update(d)
     return out
-
-
-def power_of_two_size_pdb(n_max: int, universe=None) -> FiniteDiscretePDB:
-    """A truncated space whose n-th world holds the first 2**n unary facts.
-
-    World n (1 <= n <= n_max) has probability ``6 / (pi^2 n^2)``; the
-    leftover mass sits on the empty world so probabilities sum to one.
-    The full (untruncated) space has infinite expected size, which the
-    partial sums of ``expected_size`` over growing ``n_max`` illustrate.
-    """
-    from .universe import Universe  # avoid import cycle at module load
-
-    if universe is None:
-        universe = Universe.naturals()
-    schema = Schema.of(R=1)
-    worlds: dict[Instance, float] = {}
-    assigned = 0.0
-    for n in range(1, n_max + 1):
-        p_n = 6.0 / (math.pi**2 * n**2)
-        worlds[Instance(Fact("R", (i,)) for i in range(1, 2**n + 1))] = p_n
-        assigned += p_n
-    worlds[Instance.empty()] = 1.0 - assigned
-    return FiniteDiscretePDB(schema, universe, worlds)
 
 
 def divergent_size_partial_sum(n_max: int) -> float:

@@ -62,7 +62,3 @@ class QuerySyntaxError(PdbError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class InfiniteAnswerError(PdbError):
-    """A view formula produced an infinite answer relation on some world."""

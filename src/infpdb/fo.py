@@ -34,11 +34,9 @@ evaluates it on many worlds passes the bound closures to
 
 Open formulas are grounded in one place, :func:`groundings`: on every
 tuple of candidates, and on one representative per pattern of generic
-elements, keyed by the :class:`Fresh` sentinel.  On one instance
-(:func:`eval_query`), an answer with a generic element holds for
-infinitely many, so the answer relation is infinite; the
-:data:`INFINITE_ANSWER` sentinel says so rather than an exception, so
-that batch callers can handle it per instance.
+elements, keyed by the :class:`Fresh` sentinel, which stands for every
+tuple that repeats those generic elements at the same positions
+(:func:`approx.approx_nonboolean` reads its marginals per key).
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ import re
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
-from .core import Fact, FiniteDiscretePDB, Instance, Schema, _element_key, active_domain
-from .errors import InfiniteAnswerError, NestingTooDeep, QuerySyntaxError
+from .core import Instance, Schema, _element_key, active_domain
+from .errors import NestingTooDeep, QuerySyntaxError
 from .record import Record
 from .universe import Element, Universe
 
@@ -115,23 +113,6 @@ class Forall(Record):
 
 
 Formula = Atom | Eq | Not | And | Or | Implies | Exists | Forall
-
-
-class _InfiniteAnswer:
-    """Singleton marker: the answer relation is infinite on this instance."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITE_ANSWER"
-
-
-INFINITE_ANSWER = _InfiniteAnswer()
 
 
 class Fresh(Record):
@@ -296,38 +277,6 @@ def parse(text: str, schema: Schema) -> Formula:
         raise NestingTooDeep("query nests too deeply to parse") from None
 
 
-# --- printing ----------------------------------------------------------
-
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
-
-
-def print_formula(f: Formula) -> str:
-    """Concrete syntax for a formula; ``parse(print_formula(f))`` is ``f``."""
-    return _print(f, 0)
-
-
-def _print(f: Formula, parent: int) -> str:
-    if isinstance(f, Atom):
-        return f"{f.relation}({', '.join(str(t) for t in f.terms)})"
-    if isinstance(f, Eq):
-        s = f"{f.left} = {f.right}"
-        return s
-    if isinstance(f, Not):
-        return "!" + _print(f.body, _PREC[Not])
-    if isinstance(f, (Exists, Forall)):
-        word = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{word} {f.var}. {_print(f.body, 0)}"
-        return f"({s})" if parent > 0 else s
-    op, cls = {And: ("&", And), Or: ("|", Or), Implies: ("->", Implies)}[type(f)]
-    prec = _PREC[cls]
-    if isinstance(f, Implies):
-        # right-associative
-        s = f"{_print(f.left, prec + 1)} {op} {_print(f.right, prec)}"
-    else:
-        s = f"{_print(f.left, prec)} {op} {_print(f.right, prec + 1)}"
-    return f"({s})" if prec < parent else s
-
-
 # --- analysis ----------------------------------------------------------
 
 
@@ -361,16 +310,6 @@ def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom]]:
     return rank, consts, free, atoms
 
 
-def quantifier_rank(f: Formula) -> int:
-    """Maximum nesting depth of quantifiers."""
-    return _analysis(f)[0]
-
-
-def constants(f: Formula) -> set[Element]:
-    """The active domain of the formula: all constants occurring in it."""
-    return _analysis(f)[1]
-
-
 def free_variables(f: Formula) -> list[str]:
     """Free variables in order of first occurrence."""
     return _analysis(f)[2]
@@ -383,11 +322,6 @@ def atom_patterns(f: Formula) -> frozenset[Pattern]:
     return frozenset(
         (a.relation, tuple(t.value if isinstance(t, Const) else None for t in a.terms)) for a in _analysis(f)[3]
     )
-
-
-def analyze(f: Formula) -> tuple[int, set[Element], list[str]]:
-    """(quantifier rank, constants, ordered free variables)."""
-    return _analysis(f)[:3]
 
 
 def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
@@ -566,74 +500,3 @@ def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tupl
         used = [e for e in dict.fromkeys(combo) if e in names]
         if used == fresh[: len(used)]:
             yield tuple(names.get(e, e) for e in combo), substitute(f, dict(zip(free, combo)))
-
-
-def eval_query(
-    d: Instance, f: Formula, u: Universe
-) -> frozenset[tuple] | _InfiniteAnswer:
-    """Answer tuples of an open formula, or :data:`INFINITE_ANSWER`.
-
-    Candidate tuples range over the combined active domain of instance
-    and formula (:func:`groundings`); if a pattern with a fresh element
-    satisfies the formula, so does every tuple it stands for, and the true
-    answer relation is infinite.
-    """
-    if not free_variables(f):
-        raise ValueError("open formula expected; use eval_boolean for sentences")
-    answers: set[tuple] = set()
-    for key, sentence in groundings(f, active_domain(d), u):
-        if eval_boolean(d, sentence, u):
-            if any(isinstance(e, Fresh) for e in key):
-                return INFINITE_ANSWER
-            answers.add(key)
-    return frozenset(answers)
-
-
-# --- views -------------------------------------------------------------
-
-
-class View(Record):
-    """One defining formula per target relation; arities must match."""
-
-    target_schema: Schema
-    formulas: tuple[tuple[str, Formula], ...]
-
-    def __post_init__(self):
-        defined = {name for name, _ in self.formulas}
-        if defined != set(self.target_schema.names):
-            raise ValueError(
-                f"view must define exactly the target relations; got {sorted(defined)}"
-            )
-        for name, formula in self.formulas:
-            arity = self.target_schema.arity_of(name)
-            k = len(free_variables(formula))
-            if k != arity:
-                raise ValueError(
-                    f"view formula for {name!r} has {k} free variables, target arity is {arity}"
-                )
-
-
-def apply_view(d: Instance, v: View, u: Universe) -> Instance:
-    """Image of one instance under the view; raises on infinite answers."""
-    out: list[Fact] = []
-    for name, formula in v.formulas:
-        if v.target_schema.arity_of(name) == 0:
-            if eval_boolean(d, formula, u):
-                out.append(Fact(name, ()))
-            continue
-        answers = eval_query(d, formula, u)
-        if answers is INFINITE_ANSWER:
-            raise InfiniteAnswerError(
-                f"view formula for {name!r} has an infinite answer on {d}"
-            )
-        out.extend(Fact(name, args) for args in answers)  # type: ignore[union-attr]
-    return Instance(out)
-
-
-def view_pushforward(p: FiniteDiscretePDB, v: View) -> FiniteDiscretePDB:
-    """Image space of a finite PDB under an FO-view, accumulating collisions."""
-    image: dict[Instance, float] = {}
-    for d, prob in p.worlds.items():
-        d_image = apply_view(d, v, p.universe)
-        image[d_image] = image.get(d_image, 0.0) + prob
-    return FiniteDiscretePDB(v.target_schema, p.universe, image)

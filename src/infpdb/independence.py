@@ -13,9 +13,9 @@ facts are derived structurally (key-attribute projection, explicit
 listing, or singletons); a world table is one *exhaustive* block of all
 its worlds (:func:`table_space`).  Tail facts always form singleton
 blocks.  A finite instance whose facts in each touched block form one of
-its outcomes has the product of those outcomes' probabilities times the
-remainders of the untouched blocks times the product of ``1 - p`` over
-all absent tail facts; the infinite part of that product is never
+its outcomes has the product of those outcomes' probabilities times each
+untouched block's ``1 - mass`` times the product of ``1 - p`` over all
+absent tail facts; the infinite part of that product is never
 evaluated, only enclosed.
 
 Every tail truncation (the sampler's, the enclosure's and ``approx``'s)
@@ -40,7 +40,7 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator
 
 from .core import Fact, FiniteDiscretePDB, Instance
 from .errors import (
@@ -501,17 +501,6 @@ class BlockPartition(Record):
         return ("fact", f)
 
 
-def is_good(partition: BlockPartition, d: Instance) -> bool:
-    """True iff the instance has at most one fact per block."""
-    seen: set[Hashable] = set()
-    for f in d:
-        k = partition.key(f)
-        if k in seen:
-            return False
-        seen.add(k)
-    return True
-
-
 Outcome = tuple[tuple[Fact, ...], float]  # a set of facts, and its probability
 Block = tuple[Outcome, ...]  # disjoint outcomes
 
@@ -584,11 +573,6 @@ class BIDPdb:
             (tuple(facts for facts, _ in block), list(itertools.accumulate(p for _, p in block)))
             for block in self.blocks.values()
         ]
-
-    @property
-    def remainders(self) -> dict[Hashable, float]:
-        """Per block, the probability that none of its outcomes occurs."""
-        return {k: max(0.0, 1.0 - m) for k, m in self.masses.items()}
 
     @property
     def expected_size(self) -> float:
@@ -782,19 +766,6 @@ def bid_instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:
     return _instance_prob(b, d)
 
 
-def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
-    """(probability all facts occur, probability at least one occurs)."""
-    facts = list(fs)
-    if len(set(facts)) != len(facts):
-        raise DuplicateFact("event facts must be distinct")
-    ps = [t.probability_of(f) for f in facts]
-    conj = math.prod(ps, start=1.0)  # partial products only shrink, so none underflows early
-    # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0; the
-    # union is at least its largest term, which rounding may have undercut
-    union = 0.0 - math.expm1(math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in ps))
-    return conj, max([union, *ps])
-
-
 # --- sampling ------------------------------------------------------------
 
 
@@ -831,6 +802,6 @@ def bid_sample(b: BIDPdb, rng, delta: float) -> Instance:
     """Draw an instance: one categorical outcome per block, tail truncated
     and drawn as in :func:`ti_sample`.
 
-    Every sampled instance is good by construction.
+    Every sampled instance holds at most one outcome per block.
     """
     return _draw(b, rng, delta)

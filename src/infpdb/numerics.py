@@ -5,8 +5,8 @@ One rule computes every finite product of factors ``1 - p``: it is
 linear-domain products over hundreds of near-one factors lose precision,
 and ``fsum`` adds the terms exactly, in any order.  In ``independence``
 a space fixes its blocks' terms at construction and an instance sums
-them less its touched blocks' terms, an event union sums its facts'
-terms, and a tail's enclosure sums them per index group.
+them less its touched blocks' terms, and a tail's enclosure sums them
+per index group.
 Infinite tails are never evaluated exactly; they are enclosed between
 the trivial upper bound (every remaining factor is at most one) and the
 lower bound
@@ -20,12 +20,8 @@ after the linear term and absorbing the remainder into an extra ``p/2``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .record import Record
-
-SUBSET_EXPANSION_CAP = 20
-
 
 class CompensatedAccumulator:
     """Incremental Neumaier summation for streaming accumulation."""
@@ -71,10 +67,6 @@ class ProbabilityInterval(Record):
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, p: float) -> bool:
         return self.lo <= p <= self.hi
 
@@ -94,22 +86,3 @@ def euler_tail_lower_bound(tail_sum: float) -> float:
     if math.isnan(tail_sum) or tail_sum < 0.0:
         raise ValueError(f"tail sum must be nonnegative, got {tail_sum!r}")
     return math.exp(-1.5 * tail_sum)
-
-
-def subset_expansion_check(a: Sequence[float]) -> tuple[float, float]:
-    """Both sides of the finite identity ``prod (1+a_i) = sum_J prod_{i in J} a_i``.
-
-    The right-hand side is the literal sum over all ``2**len(a)`` subset
-    products, so this doubles as an independent oracle for product
-    expansions.  Capped at 20 elements.
-    """
-    if len(a) > SUBSET_EXPANSION_CAP:
-        raise ValueError(f"subset expansion capped at {SUBSET_EXPANSION_CAP} elements, got {len(a)}")
-    lhs = 1.0
-    for x in a:
-        lhs *= 1.0 + x
-    subset_products = [1.0]
-    for x in a:
-        subset_products.extend([p * x for p in subset_products])
-    rhs = math.fsum(subset_products)
-    return lhs, rhs

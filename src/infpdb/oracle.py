@@ -1,4 +1,4 @@
-"""Brute-force possible-worlds oracle and Monte Carlo estimation.
+"""Brute-force possible-worlds oracle.
 
 This module is the independent evidence path for every probability the
 engine computes.  It deliberately shares no arithmetic with the engine:
@@ -11,8 +11,6 @@ the tests rely on the two paths being independent.
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from typing import Callable, Sequence
 
 from .core import Fact, Instance
@@ -71,25 +69,3 @@ def exact_event_prob(
 ) -> float:
     """Total probability of the worlds satisfying the predicate."""
     return sum(p for d, p in worlds.items() if predicate(d))
-
-
-def monte_carlo(
-    sampler: Callable[[random.Random], Instance],
-    predicate: Callable[[Instance], bool],
-    n: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Empirical event frequency with a 3-sigma binomial half-width.
-
-    Deterministic for a fixed seed.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(n):
-        if predicate(sampler(rng)):
-            hits += 1
-    estimate = hits / n
-    ci = 3.0 * math.sqrt(estimate * (1.0 - estimate) / n)
-    return estimate, ci

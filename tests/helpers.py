@@ -1,5 +1,6 @@
-"""Shared test utilities: random formulas, independent evaluators, and a
-reference enclosure for query probabilities on spaces with infinite tails.
+"""Shared test utilities: random formulas, independent evaluators, a
+reference enclosure for query probabilities on spaces with infinite tails,
+and the paper's definitions that only the tests use.
 
 The reference in :func:`reference_boolean_enclosure` is deliberately a
 different algorithm from the engine's: instead of enumerating worlds it
@@ -9,14 +10,25 @@ sentence of quantifier rank r cannot distinguish structures whose
 per-type element counts agree up to r once constants are matched), and
 it bounds the unseen tail product with the elementary inequality
 ``prod(1 - p) >= 1 - sum(p)`` rather than the engine's exponential bound.
-"""
 
+The last section holds the paper's definitions as executable checks:
+world-table statistics, formula printing and analysis, open-query answers
+on one instance, FO-views and their image spaces, the completion
+condition, a geometric bound on a fresh-fact tail, the subset-expansion
+identity, the divergent-size example space, event probabilities on a TI
+space and a Monte Carlo estimate.  The package does not use them; the
+tests use them as oracles.
+"""
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Callable, Hashable, Iterable, Sequence
 
-from infpdb.core import Fact, Instance, active_domain
+from infpdb.completion import completion_instance_prob
+from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
+from infpdb.errors import DuplicateFact
 from infpdb.fo import (
     And,
     Atom,
@@ -25,16 +37,18 @@ from infpdb.fo import (
     Exists,
     Forall,
     Formula,
+    Fresh,
     Implies,
     Not,
     Or,
     Var,
+    _analysis,
     compile_sentence,
-    constants,
     eval_boolean,
     free_variables,
+    groundings,
 )
-from infpdb.independence import BIDPdb
+from infpdb.independence import BIDPdb, BlockPartition, ConstantTail, FactProbabilityAssignment
 from infpdb.record import Record
 from infpdb.universe import Universe
 
@@ -316,3 +330,280 @@ def reference_boolean_enclosure(
     lo = sat * t_lo
     hi = sat * t_hi + (1.0 - t_lo)
     return max(0.0, lo), min(1.0, hi)
+
+
+# --- the paper's definitions, as test oracles ----------------------------
+
+
+def instance_size(d: Instance) -> int:
+    return len(d)
+
+
+def marginal(p: FiniteDiscretePDB, f: Fact) -> float:
+    """Probability that the fact occurs in a drawn instance."""
+    return math.fsum(prob for d, prob in p.worlds.items() if f in d)
+
+
+def positive_facts(p: FiniteDiscretePDB) -> set[Fact]:
+    """All facts with strictly positive marginal probability."""
+    out: set[Fact] = set()
+    for d, prob in p.worlds.items():
+        if prob > 0.0:
+            out.update(d)
+    return out
+
+
+def size_tail(p: FiniteDiscretePDB, n: int) -> float:
+    """Probability that an instance has at least ``n`` facts."""
+    return math.fsum(prob for d, prob in p.worlds.items() if len(d) >= n)
+
+
+def power_of_two_size_pdb(n_max: int, universe=None) -> FiniteDiscretePDB:
+    """A truncated space whose n-th world holds the first 2**n unary facts.
+
+    World n (1 <= n <= n_max) has probability ``6 / (pi^2 n^2)``; the
+    leftover mass sits on the empty world so probabilities sum to one.
+    The full (untruncated) space has infinite expected size, which the
+    partial sums of ``expected_size`` over growing ``n_max`` illustrate.
+    """
+    if universe is None:
+        universe = Universe.naturals()
+    schema = Schema.of(R=1)
+    worlds: dict[Instance, float] = {}
+    assigned = 0.0
+    for n in range(1, n_max + 1):
+        p_n = 6.0 / (math.pi**2 * n**2)
+        worlds[Instance(Fact("R", (i,)) for i in range(1, 2**n + 1))] = p_n
+        assigned += p_n
+    worlds[Instance.empty()] = 1.0 - assigned
+    return FiniteDiscretePDB(schema, universe, worlds)
+
+
+_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
+
+
+def print_formula(f: Formula) -> str:
+    """Concrete syntax for a formula; ``parse(print_formula(f))`` is ``f``."""
+    return _print(f, 0)
+
+
+def _print(f: Formula, parent: int) -> str:
+    if isinstance(f, Atom):
+        return f"{f.relation}({', '.join(str(t) for t in f.terms)})"
+    if isinstance(f, Eq):
+        return f"{f.left} = {f.right}"
+    if isinstance(f, Not):
+        return "!" + _print(f.body, _PREC[Not])
+    if isinstance(f, (Exists, Forall)):
+        word = "exists" if isinstance(f, Exists) else "forall"
+        s = f"{word} {f.var}. {_print(f.body, 0)}"
+        return f"({s})" if parent > 0 else s
+    op = {And: "&", Or: "|", Implies: "->"}[type(f)]
+    prec = _PREC[type(f)]
+    if isinstance(f, Implies):
+        # right-associative
+        s = f"{_print(f.left, prec + 1)} {op} {_print(f.right, prec)}"
+    else:
+        s = f"{_print(f.left, prec)} {op} {_print(f.right, prec + 1)}"
+    return f"({s})" if prec < parent else s
+
+
+def quantifier_rank(f: Formula) -> int:
+    """Maximum nesting depth of quantifiers."""
+    return _analysis(f)[0]
+
+
+def constants(f: Formula) -> set:
+    """The active domain of the formula: all constants occurring in it."""
+    return _analysis(f)[1]
+
+
+def analyze(f: Formula) -> tuple[int, set, list[str]]:
+    """(quantifier rank, constants, ordered free variables)."""
+    return _analysis(f)[:3]
+
+
+INFINITE_ANSWER = object()  # eval_query's answer when the answer relation is infinite
+
+
+def eval_query(d: Instance, f: Formula, u: Universe) -> frozenset[tuple] | object:
+    """Answer tuples of an open formula, or :data:`INFINITE_ANSWER`.
+
+    Candidate tuples range over the combined active domain of instance
+    and formula (:func:`fo.groundings`); if a pattern with a fresh element
+    satisfies the formula, so does every tuple it stands for, and the true
+    answer relation is infinite.
+    """
+    if not free_variables(f):
+        raise ValueError("open formula expected; use eval_boolean for sentences")
+    answers: set[tuple] = set()
+    for key, sentence in groundings(f, active_domain(d), u):
+        if eval_boolean(d, sentence, u):
+            if any(isinstance(e, Fresh) for e in key):
+                return INFINITE_ANSWER
+            answers.add(key)
+    return frozenset(answers)
+
+
+class View(Record):
+    """One defining formula per target relation; arities must match."""
+
+    target_schema: Schema
+    formulas: tuple[tuple[str, Formula], ...]
+
+    def __post_init__(self):
+        defined = {name for name, _ in self.formulas}
+        if defined != set(self.target_schema.names):
+            raise ValueError(
+                f"view must define exactly the target relations; got {sorted(defined)}"
+            )
+        for name, formula in self.formulas:
+            arity = self.target_schema.arity_of(name)
+            k = len(free_variables(formula))
+            if k != arity:
+                raise ValueError(
+                    f"view formula for {name!r} has {k} free variables, target arity is {arity}"
+                )
+
+
+def apply_view(d: Instance, v: View, u: Universe) -> Instance:
+    """Image of one instance under the view; ValueError on an infinite answer."""
+    out: list[Fact] = []
+    for name, formula in v.formulas:
+        if v.target_schema.arity_of(name) == 0:
+            if eval_boolean(d, formula, u):
+                out.append(Fact(name, ()))
+            continue
+        answers = eval_query(d, formula, u)
+        if answers is INFINITE_ANSWER:
+            raise ValueError(f"view formula for {name!r} has an infinite answer on {d}")
+        out.extend(Fact(name, args) for args in answers)
+    return Instance(out)
+
+
+def view_pushforward(p: FiniteDiscretePDB, v: View) -> FiniteDiscretePDB:
+    """Image space of a finite PDB under an FO-view, accumulating collisions."""
+    image: dict[Instance, float] = {}
+    for d, prob in p.worlds.items():
+        d_image = apply_view(d, v, p.universe)
+        image[d_image] = image.get(d_image, 0.0) + prob
+    return FiniteDiscretePDB(v.target_schema, p.universe, image)
+
+
+def completion_condition_check(
+    original: FiniteDiscretePDB, c: BIDPdb, a: Iterable[Instance]
+) -> tuple[float, float]:
+    """(measure of A under the completion ``c`` of ``original``, conditioned
+    on the original space; original measure of A); the two must agree for a
+    valid completion.  Each instance's measure is its interval's midpoint."""
+    event = set(a)
+    unknown = event - set(original.worlds)
+    if unknown:
+        raise ValueError(f"instances outside the original sample space: {unknown}")
+
+    def measure(instances) -> float:
+        intervals = [completion_instance_prob(c, d) for d in instances]
+        return math.fsum(0.5 * (iv.lo + iv.hi) for iv in intervals)
+
+    denominator = measure(original.worlds)
+    if denominator <= 0.0:
+        raise ValueError("completed measure of the original space is zero")
+    conditioned = measure(event) / denominator
+    original_prob = math.fsum(original.probability(d) for d in event)
+    return conditioned, original_prob
+
+
+def bounded_tail_validate(
+    tail: FactProbabilityAssignment, bound_c: float, bound_q: float
+) -> bool:
+    """Check the i-th fresh-fact probability against ``bound_c * bound_q**i``.
+
+    The head is checked exhaustively in listed order; a geometric
+    generator is compared rule-to-rule against the bound continuing at
+    the positions after the head.
+    """
+    if not (bound_c > 0.0 and 0.0 < bound_q < 1.0):
+        raise ValueError("bound must be a convergent geometric series")
+    for i, (_, p) in enumerate(tail.head, start=1):
+        if p > bound_c * bound_q**i + 1e-15:
+            return False
+    generator = tail.tail
+    if generator is None:
+        return True
+    if isinstance(generator, ConstantTail):
+        return generator.value == 0.0
+    # facts of the generator occupy positions h+1, h+2, ... against the bound;
+    # the k-th generated fact has probability c * q**ceil(k/m) shifted by the
+    # supply's offset, so domination reduces to the first position and the
+    # per-position decay ratio
+    h = len(tail.head)
+    m = generator.supply.multiplicity
+    effective_c = generator.rule_value(generator.supply.first_index - 1)
+    if effective_c * generator.q > bound_c * bound_q ** (1 + h) + 1e-15:
+        return False
+    return generator.q <= bound_q**m + 1e-15
+
+
+SUBSET_EXPANSION_CAP = 20
+
+
+def subset_expansion_check(a: Sequence[float]) -> tuple[float, float]:
+    """Both sides of the finite identity ``prod (1+a_i) = sum_J prod_{i in J} a_i``.
+
+    The right-hand side is the literal sum over all ``2**len(a)`` subset
+    products, so this doubles as an independent oracle for product
+    expansions.  Capped at 20 elements.
+    """
+    if len(a) > SUBSET_EXPANSION_CAP:
+        raise ValueError(f"subset expansion capped at {SUBSET_EXPANSION_CAP} elements, got {len(a)}")
+    lhs = 1.0
+    for x in a:
+        lhs *= 1.0 + x
+    subset_products = [1.0]
+    for x in a:
+        subset_products.extend([p * x for p in subset_products])
+    rhs = math.fsum(subset_products)
+    return lhs, rhs
+
+
+def is_good(partition: BlockPartition, d: Instance) -> bool:
+    """True iff the instance has at most one fact per block."""
+    seen: set[Hashable] = set()
+    for f in d:
+        k = partition.key(f)
+        if k in seen:
+            return False
+        seen.add(k)
+    return True
+
+
+def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
+    """(probability all facts occur, probability at least one occurs)."""
+    facts = list(fs)
+    if len(set(facts)) != len(facts):
+        raise DuplicateFact("event facts must be distinct")
+    ps = [t.probability_of(f) for f in facts]
+    conj = math.prod(ps, start=1.0)  # partial products only shrink, so none underflows early
+    # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0; the
+    # union is at least its largest term, which rounding may have undercut
+    union = 0.0 - math.expm1(math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in ps))
+    return conj, max([union, *ps])
+
+
+def monte_carlo(
+    sampler: Callable[[random.Random], Instance],
+    predicate: Callable[[Instance], bool],
+    n: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Empirical event frequency with a 3-sigma binomial half-width.
+
+    Deterministic for a fixed seed.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    rng = random.Random(seed)
+    hits = sum(bool(predicate(sampler(rng))) for _ in range(n))
+    estimate = hits / n
+    ci = 3.0 * math.sqrt(estimate * (1.0 - estimate) / n)
+    return estimate, ci

@@ -17,7 +17,6 @@ from infpdb.approx import approx_boolean, choose_truncation
 from infpdb.completion import (
     closure_extend,
     complete,
-    completion_condition_check,
     completion_instance_prob,
 )
 from infpdb.core import (
@@ -29,7 +28,7 @@ from infpdb.core import (
     expected_size,
 )
 from infpdb.errors import BlockMassExceedsOne, DivergentAssignment
-from infpdb.fo import INFINITE_ANSWER, eval_boolean, eval_query, parse, quantifier_rank, substitute
+from infpdb.fo import eval_boolean, parse, substitute
 from infpdb.independence import (
     BlockPartition,
     ConstantTail,
@@ -39,16 +38,25 @@ from infpdb.independence import (
     ProductSupply,
     bid_construct,
     bid_instance_prob,
-    is_good,
     ti_construct,
     ti_instance_prob,
     ti_sample,
 )
-from infpdb.numerics import euler_tail_lower_bound, subset_expansion_check
+from infpdb.numerics import euler_tail_lower_bound
 from infpdb.oracle import enumerate_worlds, exact_event_prob
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import eval_on_pool, random_sentence, reference_boolean_enclosure
+from helpers import (
+    INFINITE_ANSWER,
+    completion_condition_check,
+    eval_on_pool,
+    eval_query,
+    is_good,
+    quantifier_rank,
+    random_sentence,
+    reference_boolean_enclosure,
+    subset_expansion_check,
+)
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -260,10 +268,11 @@ def test_criterion_5_completion_condition():
             extended = closure_extend(p0, rng.uniform(0.1, 0.9))
             c = complete(extended, FactProbabilityAssignment(((rfact(7), 0.4),)))
             mass = math.fsum(
-                completion_instance_prob(c, d).midpoint for d in p0.worlds
+                0.5 * (iv.lo + iv.hi) for iv in (completion_instance_prob(c, d) for d in p0.worlds)
             )
             for d, prob in p0.worlds.items():
-                conditioned = completion_instance_prob(c, d).midpoint / mass
+                iv = completion_instance_prob(c, d)
+                conditioned = 0.5 * (iv.lo + iv.hi) / mass
                 assert abs(conditioned - prob) <= 1e-10
 
 

@@ -21,8 +21,8 @@ from infpdb.completion import complete
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain, facts_of
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
-    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, compile_sentence, constants,
-    eval_boolean, free_variables, groundings, parse, quantifier_rank, substitute,
+    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, compile_sentence,
+    eval_boolean, free_variables, groundings, parse, substitute,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -40,7 +40,9 @@ from infpdb.record import Record
 from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import count_walk, naive_eval, random_sentence, reference_boolean_enclosure, requantify
+from helpers import (
+    constants, count_walk, naive_eval, quantifier_rank, random_sentence, reference_boolean_enclosure, requantify,
+)
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -162,6 +164,24 @@ class TestConditionalQueryProb:
         with pytest.raises(WorldCapExceeded) as err:
             conditional_query_prob(t, q, 30, NAT, cap=25)
         assert err.value.required == 30
+
+    def test_world_cap_counts_the_walks_branches(self):
+        # a table's one exhaustive block of 2 worlds over 30 facts branches
+        # twice: 1 bit, not 30
+        q = parse("exists x. R(x)", R1)
+        many = Instance(fact("R", i) for i in range(1, 31))
+        table = table_space(FiniteDiscretePDB(R1, NAT, {Instance.empty(): 0.5, many: 0.5}))
+        assert conditional_query_prob(table, q, 30, NAT, cap=1) == 0.5
+        with pytest.raises(WorldCapExceeded) as err:
+            conditional_query_prob(table, q, 30, NAT, cap=0)
+        assert (err.value.required, err.value.cap) == (1, 0)
+        # two BID blocks of 3 facts each branch 4 ways: 16 worlds, 4 bits of n = 6
+        labels = {fact("R", i): i % 2 for i in range(1, 7)}
+        head = tuple((g, 0.25) for g in labels)
+        bid = bid_construct(BlockPartition.explicit_blocks(labels), FactProbabilityAssignment(head))
+        with pytest.raises(WorldCapExceeded) as err:
+            conditional_query_prob(bid, q, 6, NAT, cap=3)
+        assert err.value.required == 4
 
     def test_world_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PDB_WORLD_CAP", "31")

@@ -683,6 +683,23 @@ class TestQuery:
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.05"]) == 3
         assert "required n" in capsys.readouterr().err
 
+    def test_world_cap_counts_worlds_not_table_facts(self, tmp_path, capsys, monkeypatch):
+        # the walk visits 2 worlds over 30 facts, far below the default cap
+        monkeypatch.delenv("PDB_WORLD_CAP", raising=False)
+        many = [{"relation": "R", "args": [i]} for i in range(1, 31)]
+        spec = {
+            "kind": "finite",
+            "schema": {"R": 1},
+            "universe": {"kind": "naturals"},
+            "worlds": [{"facts": [], "p": "0.5"}, {"facts": many, "p": "0.5"}],
+        }
+        spath = tmp_path / "two_worlds.json"
+        spath.write_text(json.dumps(spec))
+        qpath = tmp_path / "q.txt"
+        qpath.write_text("exists x. R(x)")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert "probability = 0.500000" in capsys.readouterr().out
+
     def test_shadowed_quantifier(self, tmp_path, capsys):
         spec = {
             "kind": "ti",

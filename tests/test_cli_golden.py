@@ -2,9 +2,10 @@
 
 Each case runs one ``pdb`` command on the inputs in ``tests/golden/`` and
 compares its stdout (for ``complete``, the written spec file) byte for
-byte with ``tests/golden/<case>.out``.  The one exception is the BID
-``prob`` line, whose interval ends are compared by value with a relative
-tolerance of 1e-14.
+byte with ``tests/golden/<case>.out``, as do the stdout of
+``scripts/openworld_pipeline.py`` and ``scripts/divergence_demo.py``.  The
+one exception is the BID ``prob`` line, whose interval ends are compared
+by value with a relative tolerance of 1e-14.
 
 After a deliberate output change, regenerate the golden files with::
 
@@ -84,13 +85,13 @@ def run_complete() -> str:
             return fh.read()
 
 
-def run_pipeline() -> str:
+def run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "openworld_pipeline.py"), "--seed", "0"],
+        [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     return proc.stdout
@@ -102,7 +103,8 @@ def actual_outputs() -> dict[str, object]:
         name: functools.partial(run_cli, argv) for name, argv in cli_cases().items()
     }
     outputs["complete"] = run_complete
-    outputs["openworld_pipeline"] = run_pipeline
+    outputs["openworld_pipeline"] = functools.partial(run_script, "openworld_pipeline.py", "--seed", "0")
+    outputs["divergence_demo"] = functools.partial(run_script, "divergence_demo.py")
     return outputs
 
 

@@ -14,11 +14,9 @@ from infpdb.approx import choose_truncation
 from infpdb.cli import main
 
 from infpdb.completion import (
-    bounded_tail_validate,
     check_closed,
     closure_extend,
     complete,
-    completion_condition_check,
     completion_instance_prob,
     completion_sample,
 )
@@ -34,6 +32,8 @@ from infpdb.independence import (
 )
 from infpdb.numerics import ProbabilityInterval
 from infpdb.universe import FactEnumeration, Universe
+
+from helpers import bounded_tail_validate, completion_condition_check
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -281,12 +281,11 @@ class TestConditionCheck:
         extended = closure_extend(p0, 0.6)
         c = complete(extended, FactProbabilityAssignment(((fact(7), 0.4),)))
         mass_of_original_space = math.fsum(
-            completion_instance_prob(c, d).midpoint for d in p0.worlds
+            0.5 * (iv.lo + iv.hi) for iv in (completion_instance_prob(c, d) for d in p0.worlds)
         )
         for d, prob in p0.worlds.items():
-            conditioned = (
-                completion_instance_prob(c, d).midpoint / mass_of_original_space
-            )
+            iv = completion_instance_prob(c, d)
+            conditioned = 0.5 * (iv.lo + iv.hi) / mass_of_original_space
             assert abs(conditioned - prob) <= 1e-10
 
 

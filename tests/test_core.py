@@ -19,14 +19,11 @@ from infpdb.core import (
     active_domain,
     divergent_size_partial_sum,
     expected_size,
-    instance_size,
-    marginal,
-    positive_facts,
-    power_of_two_size_pdb,
     _element_key,
-    size_tail,
 )
 from infpdb.universe import Universe
+
+from helpers import instance_size, marginal, positive_facts, power_of_two_size_pdb, size_tail
 
 
 # PYTHONPATH for a child interpreter that imports this checkout's infpdb

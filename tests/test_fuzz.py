@@ -25,8 +25,10 @@ from hypothesis import strategies as st
 
 from infpdb.cli import main
 from infpdb.errors import QuerySyntaxError, ValidationError
-from infpdb.fo import parse, print_formula
+from infpdb.fo import parse
 from infpdb.specio import load_spec, save_spec
+
+from helpers import print_formula
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SPECS = {

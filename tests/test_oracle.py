@@ -5,7 +5,9 @@ import pytest
 
 from infpdb.core import Fact, Instance
 from infpdb.errors import WorldCapExceeded
-from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob, monte_carlo
+from infpdb.oracle import enumerate_block_worlds, enumerate_worlds, exact_event_prob
+
+from helpers import monte_carlo
 
 
 def fact(rel, *args):

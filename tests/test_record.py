@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from infpdb.approx import TruncationCertificate
 from infpdb.core import Fact, Schema
 from infpdb.errors import DivergentAssignment, ValidationError
-from infpdb.fo import And, Atom, Const, Eq, Exists, Forall, Implies, Not, Or, Var, View
+from infpdb.fo import And, Atom, Const, Eq, Exists, Forall, Implies, Not, Or, Var
 from infpdb.independence import (
     BlockPartition,
     ConstantTail,
@@ -38,6 +38,8 @@ from infpdb.numerics import ProbabilityInterval
 from infpdb.record import Record
 from infpdb.specio import SpecDocument
 from infpdb.universe import FactEnumeration, Universe
+
+from helpers import View
 
 SRC = os.pathsep.join(
     p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p

@@ -1,0 +1,72 @@
+"""The package's surface: every module-level function and class in
+``src/infpdb`` has a caller outside the tests, and README's library example
+runs on what ``infpdb`` exports.
+
+A definition that only the tests use belongs in ``tests/helpers.py``.  A
+name counts as used where ``src/`` (other than ``__init__.py``, whose
+exports call nothing), ``scripts/`` or ``perfbench/`` reads it: as a name,
+an attribute or an imported name, anywhere outside its own definition.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "infpdb"
+ALLOWED = {
+    # ROADMAP.md item 11 makes it the engine's one exponential tail bound;
+    # the enclosure and choose_truncation still compute exp(-1.5 * mass) inline
+    "euler_tail_lower_bound",
+}
+
+
+def _references(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Every name the module reads, with the top-level statement it is in."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((node.id, top))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, top))
+            elif isinstance(node, ast.alias):
+                out.append((node.name.rsplit(".", 1)[-1], top))
+    return out
+
+
+def unreferenced_definitions() -> list[str]:
+    """``module.name`` of each module-level function or class in the package
+    that nothing reads outside its own definition."""
+    own = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    readers = own + sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in readers}
+    references = [ref for tree in trees.values() for ref in _references(tree)]
+    unused = []
+    for path in own:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not any(name == node.name and top is not node for name, top in references):
+                    unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_src_defines_nothing_only_the_tests_use():
+    unused = [name for name in unreferenced_definitions() if name.rsplit(".", 1)[-1] not in ALLOWED]
+    assert unused == [], f"move to tests/helpers.py or give a caller: {unused}"
+
+
+def test_the_allowed_names_are_still_defined_and_unused():
+    # an entry that gains a caller, or goes, leaves the list
+    assert {name.rsplit(".", 1)[-1] for name in unreferenced_definitions()} >= ALLOWED
+
+
+def test_readme_library_example_runs_on_the_exports():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(from infpdb import \*\n.*?approx_boolean.*?)```", readme, re.S)
+    assert example, "README has no library example"
+    namespace: dict = {}
+    exec(compile(example.group(1), "README.md", "exec"), namespace)
+    assert abs(namespace["p"] - 0.711212) <= 0.01
