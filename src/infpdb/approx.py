@@ -16,14 +16,12 @@ block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
 with it there; a block sure to take its one outcome is no branch, only
-facts of every world.  Each sentence has its own walk.  It takes the
-sentence's generic elements, which generic-pool invariance makes exact,
-and one relation index of the world it stands in, both once, not per
-world: depth first, the index gains an outcome's facts on entering it and
-loses them on leaving, and the sentence's closures
-(:func:`fo.compile_sentence`) are bound to it once (:func:`world_walk`).
-The cap, with an environment override, bounds the bits of the count of
-the truncated space's worlds, which is n on a TI space.
+facts of every world.  Each sentence has its own walk, which takes the
+sentence's generic elements once, exact by generic-pool invariance
+(:func:`fo.walk_pool`), and keeps one world of tuple sets that it changes
+in place, to which the sentence's closures (:func:`fo.compile_sentence`)
+are bound once (:func:`world_walk`).  The cap bounds the bits of the
+count of the truncated space's worlds, which is n on a TI space.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -34,7 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+from collections import defaultdict
+from operator import attrgetter
 
 from .core import Fact
 from .errors import WorldCapExceeded
@@ -46,18 +45,6 @@ from .record import Record
 from .universe import Element, Universe
 
 DEFAULT_WORLD_CAP = 25
-WORLD_CAP_ENV = "PDB_WORLD_CAP"
-
-
-def world_cap() -> int:
-    """``PDB_WORLD_CAP`` if set (ValueError unless a decimal numeral of
-    ASCII digits), else the default."""
-    raw = os.environ.get(WORLD_CAP_ENV)
-    if not raw:
-        return DEFAULT_WORLD_CAP
-    if raw.isascii() and raw.isdigit():
-        return int(raw)
-    raise ValueError(f"{WORLD_CAP_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 class TruncationCertificate(Record):
@@ -99,7 +86,7 @@ def choose_truncation(t: BIDPdb, epsilon: float) -> TruncationCertificate:
     return TruncationCertificate(n=h + k, alpha_n=1.5 * unseen, tail_sum=unseen, epsilon=epsilon)
 
 
-def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[Block]:
+def _truncated_blocks(t: BIDPdb, n: int, cap: int = DEFAULT_WORLD_CAP) -> list[Block]:
     """Every head block whole, then each tail fact up to n as its own block.
 
     The cap bounds the walk's worlds before any tail fact is listed: each
@@ -111,19 +98,13 @@ def _truncated_blocks(t: BIDPdb, n: int, cap: int | None) -> list[Block]:
     blocks, h, tail = list(t.blocks.values()), len(t.head), t.tail
     if n < h or tail is None and n > h:
         raise ValueError(f"truncation keeps the {h} head facts whole and then lists tail facts: n = {n}")
-    limit = world_cap() if cap is None else cap
-    if n <= limit:
+    if n <= cap:
         bits = n
     else:
         branches = math.prod(len(block) + all(facts for facts, _ in block) for block in blocks)
         bits = (branches - 1).bit_length() + n - h
-    if bits > limit:
-        raise WorldCapExceeded(
-            f"enumerating 2**{bits} worlds exceeds the cap 2**{limit}; "
-            f"set {WORLD_CAP_ENV} to raise it",
-            required=bits,
-            cap=limit,
-        )
+    if bits > cap:
+        raise WorldCapExceeded(f"enumerating 2**{bits} worlds exceeds the cap 2**{cap}", required=bits, cap=cap)
     listed = () if tail is None else itertools.islice(tail.indexed_facts(), n - h)
     return blocks + [(((fact,), p),) for _, fact, p in listed]
 
@@ -151,41 +132,6 @@ def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
     return tuple(kept)
 
 
-class _Index:
-    """The world a walk stands in, changed in place as the walk enters and
-    leaves outcomes: one set of argument tuples per relation, kept for the
-    whole walk (:func:`fo.compile_sentence` binds to it once), and how many
-    of the world's facts hold each element.  Each constant counts once more,
-    so the keys of ``counts`` are the world's elements and the constants.
-    A fact is added at most once at a time, since it lies in one block."""
-
-    __slots__ = ("counts", "_tuples")
-
-    def __init__(self, consts: set[Element]):
-        self.counts: dict[Element, int] = dict.fromkeys(consts, 1)
-        self._tuples: dict[str, set[tuple]] = {}
-
-    def tuples_of(self, relation: str) -> set[tuple]:
-        return self._tuples.setdefault(relation, set())
-
-    def add(self, facts: tuple[Fact, ...]) -> None:
-        counts = self.counts
-        for g in facts:
-            self.tuples_of(g.relation).add(g.args)
-            for e in g.args:
-                counts[e] = counts.get(e, 0) + 1
-
-    def remove(self, facts: tuple[Fact, ...]) -> None:
-        counts, tuples = self.counts, self._tuples
-        for g in facts:
-            tuples[g.relation].remove(g.args)
-            for e in g.args:
-                if counts[e] == 1:
-                    del counts[e]
-                else:
-                    counts[e] -= 1
-
-
 def world_walk(blocks: list[Block], f: Formula, universe: Universe) -> float:
     """Exact probability of the sentence ``f`` on the finite space of ``blocks``.
 
@@ -201,47 +147,57 @@ def world_walk(blocks: list[Block], f: Formula, universe: Universe) -> float:
     of the walk from the start, and its factor 1.0 leaves every weight as
     it was, so the walk nests one call deeper only per block that branches.
 
-    The walk takes the sentence's generic elements once, outside every
-    element of its kept outcomes and every constant (:func:`fo.walk_pool`),
-    and keeps one :class:`_Index` of the world it stands in: depth first,
-    it adds an outcome's facts on entering it and removes them on leaving,
-    and the sentence's closures are bound to that index once.  On each
-    world the quantifiers range over the world's elements, the constants
-    and the generics.
+    One :func:`fo.walk_pool` call on the kept outcomes' elements takes the
+    generics, outside every one of them, for all the walk's worlds.  Each
+    world is evaluated over the constants, its own elements and those
+    generics: the walk hands each branch the elements of the world so
+    far, with the entered outcome's added.  A domain shared by all worlds
+    would save forming one per world, but a quantifier whose body fails
+    scans it whole, and the kept elements can be many times those of one
+    world (a table's worlds, a BID block's rival outcomes).  The world the
+    walk stands in is one set of argument tuples per relation, to which
+    the sentence's closures are bound once: depth first, an outcome's
+    facts join it on entering the outcome and leave on leaving.  A fact is
+    added at most once at a time, since it lies in one block.
     """
     kept = _cut(blocks, atom_patterns(f))
-    elements = {e for outcomes, _ in kept for facts, _ in outcomes for g in facts for e in g.args}
-    consts, generics = walk_pool(f, elements, universe)
-    index = _Index(consts)
+    flat = itertools.chain.from_iterable
+    holds = {facts: dict.fromkeys(flat(map(attrgetter("args"), facts))) for outcomes, _ in kept for facts, _ in outcomes}
+    domain_of = walk_pool(f, flat(holds.values()), universe)
+    tuples: defaultdict[str, set[tuple]] = defaultdict(set)
+    run, acc = compile_sentence(f)(tuples.__getitem__), CompensatedAccumulator()
+    sure: dict[Element, None] = {}
     branching = []
     for outcomes, none in kept:
         if len(outcomes) == 1 and outcomes[0][1] == 1.0:
-            index.add(outcomes[0][0])
+            facts = outcomes[0][0]
+            for g in facts:
+                tuples[g.relation].add(g.args)
+            sure |= holds[facts]
         else:
             branching.append((outcomes, none))
-    run, acc = compile_sentence(f)(index), CompensatedAccumulator()
 
-    def descend(i: int, weight: float) -> None:
+    def descend(i: int, weight: float, held: dict[Element, None]) -> None:
         if i == len(branching):
-            # a quantifier-free sentence never reads the domain
-            domain = [*index.counts, *generics] if generics else []
-            if eval_boolean(index, f, universe, domain=domain, compiled=run):
+            if eval_boolean(tuples, f, universe, domain=domain_of(held), compiled=run):
                 acc.add(weight)
             return
         outcomes, none = branching[i]
         if none > 0.0:
-            descend(i + 1, weight * none)
+            descend(i + 1, weight * none, held)
         for facts, p in outcomes:
-            index.add(facts)
-            descend(i + 1, weight * p)
-            index.remove(facts)
+            for g in facts:
+                tuples[g.relation].add(g.args)
+            descend(i + 1, weight * p, held | holds[facts])
+            for g in facts:
+                tuples[g.relation].remove(g.args)
 
-    descend(0, 1.0)
+    descend(0, 1.0, sure)
     return min(max(acc.value, 0.0), 1.0)
 
 
 def conditional_query_prob(
-    t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int = DEFAULT_WORLD_CAP
 ) -> float:
     """Exact query probability conditioned on seeing only the first n facts.
 
@@ -254,7 +210,7 @@ def conditional_query_prob(
 
 
 def approx_boolean(
-    t: BIDPdb, f: Formula, epsilon: float, universe: Universe, cap: int | None = None
+    t: BIDPdb, f: Formula, epsilon: float, universe: Universe, cap: int = DEFAULT_WORLD_CAP
 ) -> tuple[float, TruncationCertificate]:
     """Additively eps-accurate probability of a Boolean query.
 
@@ -271,7 +227,7 @@ def approx_nonboolean(
     f: Formula,
     epsilon: float,
     universe: Universe,
-    cap: int | None = None,
+    cap: int = DEFAULT_WORLD_CAP,
 ) -> dict[tuple, float]:
     """Per-tuple marginals of an open query, each additively eps-accurate.
 

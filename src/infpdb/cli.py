@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CAPABILITY = 3
+WORLD_CAP_ENV = "PDB_WORLD_CAP"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def world_cap() -> int:
+    """``PDB_WORLD_CAP`` if set (ValueError unless a decimal numeral of
+    ASCII digits), else the library's default."""
+    raw = os.environ.get(WORLD_CAP_ENV)
+    if not raw:
+        return approx.DEFAULT_WORLD_CAP
+    if raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise ValueError(f"{WORLD_CAP_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 def _usage_error(message: str) -> int:
@@ -112,7 +125,7 @@ def cmd_query(args) -> int:
     if not (0.0 < args.epsilon < 0.5):
         return _usage_error(f"--epsilon must lie in (0, 1/2), got {args.epsilon}")
     try:
-        cap = approx.world_cap()
+        cap = world_cap()
     except ValueError as exc:
         return _usage_error(str(exc))
     doc = load_spec(args.spec)
@@ -121,18 +134,23 @@ def cmd_query(args) -> int:
         text = fh.read()
     formula = fo.parse(text, doc.schema)
     free = fo.free_variables(formula)
+    try:
+        answer = (approx.approx_nonboolean if free else approx.approx_boolean)(
+            t, formula, args.epsilon, doc.universe, cap=cap
+        )
+    except WorldCapExceeded as exc:  # the environment sets the cap here
+        raise WorldCapExceeded(f"{exc}; set {WORLD_CAP_ENV} to raise it", exc.required, exc.cap) from None
     if not free:
-        p, cert = approx.approx_boolean(t, formula, args.epsilon, doc.universe, cap=cap)
+        p, cert = answer
         print(f"probability = {p:.6f} (additive error <= {args.epsilon})")
         print(
             f"certificate: n={cert.n} alpha={cert.alpha_n!r} "
             f"tail_sum={cert.tail_sum!r} epsilon={cert.epsilon!r}"
         )
     else:
-        table = approx.approx_nonboolean(t, formula, args.epsilon, doc.universe, cap=cap)
-        for combo, p in table.items():
+        for combo, p in answer.items():
             print(f"({', '.join(map(repr, combo))})\t{p:.6f}")
-        fresh = any(isinstance(e, fo.Fresh) for combo in table for e in combo)
+        fresh = any(isinstance(e, fo.Fresh) for combo in answer for e in combo)
         print(
             f"note: each value carries additive error <= {args.epsilon}; "
             + ("*1, *2, ... stand for distinct elements that occur in no row without a *; " if fresh else "")
@@ -210,7 +228,7 @@ def cmd_oracle_compare(args) -> int:
     engine_q = approx.world_walk(blocks, formula, doc.universe)
     bind = fo.compile_sentence(formula)
     oracle_q = oracle.exact_event_prob(
-        worlds, lambda d: fo.eval_boolean(d, formula, doc.universe, compiled=bind(d))
+        worlds, lambda d: fo.eval_boolean(d, formula, doc.universe, compiled=bind(d.tuples_of))
     )
     diffs.append(abs(engine_q - oracle_q))
     print(f"query: engine={engine_q!r} oracle={oracle_q!r}")

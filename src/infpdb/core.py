@@ -152,14 +152,6 @@ class Instance:
     def union(self, other: "Instance | Iterable[Fact]") -> "Instance":
         return Instance(tuple(self._facts) + tuple(other))
 
-    def difference(self, facts: Iterable[Fact]) -> "Instance":
-        drop = set(facts)
-        return Instance(f for f in self._facts if f not in drop)
-
-    def intersection(self, facts: Iterable[Fact]) -> "Instance":
-        keep = set(facts)
-        return Instance(f for f in self._facts if f in keep)
-
     def tuples_of(self, relation: str) -> set[tuple]:
         """Tuples of one relation, indexed lazily for repeated atom lookups."""
         if self._by_relation is None:

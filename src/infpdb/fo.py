@@ -20,17 +20,17 @@ plus a pool of pairwise-distinct generic elements, one per level of
 quantifier nesting: a generic element satisfies no relation atom (it is
 outside every stored tuple) and is equal only to itself, and formulas of
 quantifier rank r cannot tell two such pools apart once the pool has r
-elements.  Generic elements are real universe elements, taken
-deterministically as the first enumeration indices outside the active
-domains, by :func:`walk_pool` alone.  Every quantifier domain lists them
-last; ``forall`` reads the domain from the end and ``exists`` from the
-front, so ``forall`` tries a generic first.  No truth value depends on
-the order.
+elements.  :func:`walk_pool` alone forms a quantifier domain: the
+constants, a world's elements, then the generic elements, real universe
+elements taken deterministically as the first enumeration indices
+outside the constants and every element of the worlds it serves.
+``forall`` reads the domain from the end and ``exists`` from the front,
+so ``forall`` tries a generic first.  No truth value depends on the order.
 
 A sentence is compiled once into nested closures (:func:`compile_sentence`),
 which are bound once to a world that may change in place; a caller that
 evaluates it on many worlds passes the bound closures to
-:func:`eval_boolean` with every world, and each world's domain.
+:func:`eval_boolean` with every world and its domain.
 
 Open formulas are grounded in one place, :func:`groundings`: on every
 tuple of candidates, and on one representative per pattern of generic
@@ -44,9 +44,9 @@ from __future__ import annotations
 import itertools
 import re
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .core import Instance, Schema, _element_key, active_domain
+from .core import Schema, _element_key, active_domain
 from .errors import NestingTooDeep, QuerySyntaxError
 from .record import Record
 from .universe import Element, Universe
@@ -355,41 +355,50 @@ def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
 # --- evaluation --------------------------------------------------------
 
 
-def walk_pool(f: Formula, elements: set[Element], u: Universe) -> tuple[set[Element], list[Element]]:
-    """The sentence's constants, and as many generic elements outside them
-    and ``elements`` as its quantifier rank: the one place generics are
-    picked.  On a world whose elements lie in ``elements``, its elements,
-    the constants and the generics form a quantifier domain exact for the
-    sentence.  A quantifier-free sentence gets no generics and never reads
-    the domain."""
+def walk_pool(
+    f: Formula, elements: Iterable[Element], u: Universe
+) -> Callable[[dict[Element, Any]], list[Element]]:
+    """The quantifier domains of the sentence ``f`` on worlds whose elements
+    lie in ``elements``: called with a dict whose keys are such a world's
+    elements, the returned function lists the constants, then those keys
+    in their order, each once, then as many generic elements outside the
+    constants and ``elements`` as the sentence's quantifier rank; for a
+    quantifier-free sentence, which never reads the domain, it lists
+    nothing.  The one place a domain is formed and generics are picked,
+    so a walk over many worlds picks them once."""
     rank, consts, free, _ = _analysis(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
-    return consts, u.fresh_elements(elements | consts, rank)
+    if not rank:
+        return lambda world: []
+    generics = u.fresh_elements(consts.union(elements), rank)
+    head = dict.fromkeys(consts)
+    return lambda world: [*(head | world), *generics]
 
 
-def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bool]]:
-    """``f`` as nested closures, bound to a world by ``bind(d)``, where
-    ``bind = compile_sentence(f)`` and ``d`` is any object with a
-    ``tuples_of`` method: ``bind(d)(domain)`` is the truth of ``f`` on
-    ``d`` with quantifiers over ``domain``.
+def compile_sentence(f: Formula) -> Callable[[Callable[[str], set[tuple]]], Callable[[list[Element]], bool]]:
+    """``f`` as nested closures, bound to a world by ``bind(tuples_of)``,
+    where ``bind = compile_sentence(f)`` and ``tuples_of`` maps a relation
+    to the world's set of its argument tuples (``Instance.tuples_of``, or
+    ``__getitem__`` of a dict of sets): ``bind(tuples_of)(domain)`` is the
+    truth of ``f`` on that world with quantifiers over ``domain``.
 
     The closures read one list: the domain, the tuple set of each relation
     the sentence names, each constant, then one slot per level of
     quantifier nesting.  ``bind`` builds that list once and reads each
-    tuple set from ``d`` then, so a world that changes its sets in place
-    (and returns the same set for a relation every time) is evaluated
-    again by calling the bound closure again; each call writes only the
-    domain slot.  A quantifier writes its level's slot, so an inner
-    quantifier that binds a variable again leaves the outer binding in
-    place; every term reads a slot, so an atom of arity 1 or 2 builds its
-    key directly.  ``=`` between two constants folds to its truth value.
+    tuple set then, so a world that changes its sets in place (and returns
+    the same set for a relation every time) is evaluated again by calling
+    the bound closure again; each call writes only the domain slot.  A
+    quantifier writes its level's slot, so an inner quantifier that binds a
+    variable again leaves the outer binding in place; every term reads a
+    slot, so an atom of arity 1 or 2 builds its key directly.  ``=``
+    between two constants folds to its truth value.
 
-    The domain lists the generic elements last (:func:`eval_boolean`,
-    :func:`approx.world_walk`).  ``exists`` reads it from the front and
-    ``forall`` from the end, so ``forall`` meets a generic first, which
-    refutes at once a body that needs a fact about its variable.  The order
-    changes how soon a quantifier stops, never its truth value.
+    The domain lists the generic elements last (:func:`walk_pool`).
+    ``exists`` reads it from the front and ``forall`` from the end, so
+    ``forall`` meets a generic first, which refutes at once a body that
+    needs a fact about its variable.  The order changes how soon a
+    quantifier stops, never its truth value.
     """
     rank, consts, free, atoms = _analysis(f)
     if free:
@@ -450,8 +459,8 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
 
     node, rest = build(f, {}, 0), (*const_slot, *[None] * rank)
 
-    def bind(d: Any) -> Callable[[list[Element]], bool]:
-        env = [None, *map(d.tuples_of, relations), *rest]
+    def bind(tuples_of: Callable[[str], set[tuple]]) -> Callable[[list[Element]], bool]:
+        env = [None, *map(tuples_of, relations), *rest]
 
         def run(domain: list[Element]) -> bool:
             env[0] = domain
@@ -463,23 +472,23 @@ def compile_sentence(f: Formula) -> Callable[[Any], Callable[[list[Element]], bo
 
 
 def eval_boolean(
-    d: Instance, f: Formula, u: Universe, *,
+    d: Any, f: Formula, u: Universe, *,
     domain: list[Element] | None = None, compiled: Callable[[list[Element]], bool] | None = None,
 ) -> bool:
-    """Truth of a sentence on a finite instance over an infinite universe.
+    """Truth of a sentence on a finite instance ``d`` over an infinite universe.
 
-    Quantifiers range over the active domain of ``d`` and the sentence,
-    then the generic elements of :func:`walk_pool`.  A caller that
-    evaluates a sentence on many worlds compiles it once
-    (:func:`compile_sentence`), binds it to a world whose tuple sets change
-    in place, and passes that world as ``d``, its quantifier domain as
-    ``domain`` and the bound closures as ``compiled``.
+    Quantifiers range over the domain that :func:`walk_pool` forms from the
+    active domain of ``d``.  A caller that evaluates a sentence on many
+    worlds compiles it once (:func:`compile_sentence`), binds it to a world
+    whose tuple sets change in place, takes one :func:`walk_pool` for all
+    of them, and passes the world as ``d`` (any object then, since only
+    the closures read it), its domain as ``domain`` and the bound closures
+    as ``compiled``.
     """
     if domain is None:
         adom = active_domain(d)
-        consts, generics = walk_pool(f, adom, u)
-        domain = [*(adom | consts), *generics] if generics else []
-    return (compiled or compile_sentence(f)(d))(domain)
+        domain = walk_pool(f, adom, u)(dict.fromkeys(adom))
+    return (compiled or compile_sentence(f)(d.tuples_of))(domain)
 
 
 def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:

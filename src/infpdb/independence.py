@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
     WorldCapExceeded,
 )
-from .numerics import ProbabilityInterval
+from .numerics import ProbabilityInterval, euler_tail_lower_bound
 from .record import Record
 from .universe import Element, FactEnumeration
 
@@ -541,10 +541,6 @@ class BIDPdb:
         return tuple((f, min(math.fsum(ps), 1.0)) for f, ps in marginals.items())
 
     @cached_property
-    def _head_probs(self) -> dict[Fact, float]:
-        return dict(self.head)
-
-    @cached_property
     def _index(self) -> tuple:
         """What instance probabilities read, built on the first one: each head
         fact's block slot, and per block slot its outcomes by fact set; the
@@ -577,15 +573,6 @@ class BIDPdb:
     @property
     def expected_size(self) -> float:
         return self.total_mass
-
-    def probability_of(self, f: Fact) -> float:
-        """The marginal probability of ``f``."""
-        p = self._head_probs.get(f)
-        if p is not None:
-            return p
-        if self.tail is not None:
-            return self.tail.probability_of(f)
-        return 0.0
 
     def instance_prob(self, d: Instance) -> ProbabilityInterval:
         return bid_instance_prob(self, d)
@@ -658,7 +645,8 @@ def _tail_one_minus_enclosure(tail: GeometricTail, skip: frozenset[Fact] = froze
     The first n facts are expanded, where n, whatever ``skip`` holds, is the
     smallest count whose closed-form unseen mass is at most the target and
     whose next probability is at most 1/2.  The rest, skipped facts past n
-    left out, lies in ``[exp(-1.5 * mass after n), 1]``: leaving out factors
+    left out, lies in ``[exp(-1.5 * mass after n), 1]``
+    (:func:`numerics.euler_tail_lower_bound`): leaving out factors
     at most 1 only raises the product, and every p there is at most 1/2.
 
     The expansion is summed per index group and lists no fact: the facts
@@ -699,8 +687,8 @@ def _tail_one_minus_enclosure(tail: GeometricTail, skip: frozenset[Fact] = froze
     )))
     if n > ENCLOSURE_FACT_CAP:
         return ProbabilityInterval(0.0, hi)
-    lo = hi * math.exp(-1.5 * tail.mass_after(n)[0])
-    return ProbabilityInterval(min(lo, hi), hi)
+    # a mass rounded below 0 bounds nothing more than the empty tail does
+    return ProbabilityInterval(hi * euler_tail_lower_bound(max(tail.mass_after(n)[0], 0.0)), hi)
 
 
 def _instance_prob(b: BIDPdb, d: Instance) -> ProbabilityInterval:

@@ -60,15 +60,8 @@ class ProbabilityInterval(Record):
         return cls(p, p)
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, p: float) -> bool:
-        return self.lo <= p <= self.hi
 
     def scale(self, factor: float) -> "ProbabilityInterval":
         """Multiply both endpoints by a scalar in [0, 1]."""

@@ -15,8 +15,9 @@ The last section holds the paper's definitions as executable checks:
 world-table statistics, formula printing and analysis, open-query answers
 on one instance, FO-views and their image spaces, the completion
 condition, a geometric bound on a fresh-fact tail, the subset-expansion
-identity, the divergent-size example space, event probabilities on a TI
-space and a Monte Carlo estimate.  The package does not use them; the
+identity, the divergent-size example space, instance set operations,
+interval width and membership, a space's marginal, event probabilities
+on a TI space and a Monte Carlo estimate.  The package does not use them; the
 tests use them as oracles.
 """
 from __future__ import annotations
@@ -49,6 +50,7 @@ from infpdb.fo import (
     groundings,
 )
 from infpdb.independence import BIDPdb, BlockPartition, ConstantTail, FactProbabilityAssignment
+from infpdb.numerics import ProbabilityInterval
 from infpdb.record import Record
 from infpdb.universe import Universe
 
@@ -129,7 +131,7 @@ def eval_on_pool(d: Instance, f: Formula, u: Universe, pool_size: int) -> bool:
     domain of both and ``pool_size`` generic elements, where
     :func:`fo.eval_boolean` takes as many as the sentence's rank."""
     adom = active_domain(d) | constants(f)
-    return compile_sentence(f)(d)([*adom, *u.fresh_elements(adom, pool_size)])
+    return compile_sentence(f)(d.tuples_of)([*adom, *u.fresh_elements(adom, pool_size)])
 
 
 def random_instance(rng: random.Random, schema, elements: tuple, max_facts: int = 5) -> Instance:
@@ -277,7 +279,7 @@ def reference_boolean_enclosure(
             facts.append(Fact("R", (e,)))
             facts.append(Fact("S", (e,)))
         d = Instance(facts)
-        result = eval_boolean(d, formula, universe, compiled=bind(d))
+        result = eval_boolean(d, formula, universe, compiled=bind(d.tuples_of))
         truth_memo[key] = result
         return result
 
@@ -566,6 +568,32 @@ def subset_expansion_check(a: Sequence[float]) -> tuple[float, float]:
     return lhs, rhs
 
 
+def difference(d: Instance, facts: Iterable[Fact]) -> Instance:
+    drop = set(facts)
+    return Instance(f for f in d if f not in drop)
+
+
+def intersection(d: Instance, facts: Iterable[Fact]) -> Instance:
+    keep = set(facts)
+    return Instance(f for f in d if f in keep)
+
+
+def width(iv: ProbabilityInterval) -> float:
+    return iv.hi - iv.lo
+
+
+def contains(iv: ProbabilityInterval, p: float) -> bool:
+    return iv.lo <= p <= iv.hi
+
+
+def probability_of(t: BIDPdb, f: Fact) -> float:
+    """The marginal probability of ``f`` on the space ``t``."""
+    p = dict(t.head).get(f)
+    if p is not None:
+        return p
+    return 0.0 if t.tail is None else t.tail.probability_of(f)
+
+
 def is_good(partition: BlockPartition, d: Instance) -> bool:
     """True iff the instance has at most one fact per block."""
     seen: set[Hashable] = set()
@@ -582,7 +610,7 @@ def ti_event_probs(t: BIDPdb, fs: Sequence[Fact]) -> tuple[float, float]:
     facts = list(fs)
     if len(set(facts)) != len(facts):
         raise DuplicateFact("event facts must be distinct")
-    ps = [t.probability_of(f) for f in facts]
+    ps = [probability_of(t, f) for f in facts]
     conj = math.prod(ps, start=1.0)  # partial products only shrink, so none underflows early
     # 0.0 - expm1 keeps small unions that 1 - exp cancels, and no -0.0; the
     # union is at least its largest term, which rounding may have undercut

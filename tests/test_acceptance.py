@@ -52,6 +52,7 @@ from helpers import (
     eval_on_pool,
     eval_query,
     is_good,
+    probability_of,
     quantifier_rank,
     random_sentence,
     reference_boolean_enclosure,
@@ -312,7 +313,7 @@ def test_criterion_6_worked_pipeline():
         assert abs(fresh_space.total_mass - 2.625) <= 1e-12
         assert ti_instance_prob(fresh_space, Instance.empty()).lo > 0.0
         fresh = [Fact("R", ("D", "1")), Fact("R", ("A", "2")), Fact("R", ("C", "5"))]
-        probs = [c.probability_of(f) for f in fresh]
+        probs = [probability_of(c, f) for f in fresh]
         assert probs == [0.5, 0.25, 2.0**-5]
         for pattern in itertools.product([True, False], repeat=3):
             value = 1.0

@@ -183,13 +183,21 @@ class TestConditionalQueryProb:
             conditional_query_prob(bid, q, 6, NAT, cap=3)
         assert err.value.required == 4
 
-    def test_world_cap_env_override(self, monkeypatch):
+    def test_world_cap_env_override(self, monkeypatch, tmp_path, capsys):
+        # only the command line reads the environment; it passes the cap on
+        from infpdb import cli
+
         monkeypatch.setenv("PDB_WORLD_CAP", "31")
-        t = ti_construct(FactProbabilityAssignment(((fact("R", 1), 0.5),)))
-        q = parse("exists x. R(x)", R1)
-        # n above the default cap but below the override; n > available facts
-        # just reuses the available ones
-        assert conditional_query_prob(t, q, 1, NAT) == pytest.approx(0.5, abs=1e-12)
+        caps, boolean = [], approx.approx_boolean
+        monkeypatch.setattr(approx, "approx_boolean", lambda *a, cap: caps.append(cap) or boolean(*a, cap=cap))
+        spec = {"kind": "ti", "schema": {"R": 1}, "universe": {"kind": "naturals"},
+                "head_facts": [{"relation": "R", "args": [1], "p": "0.5"}]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "query.txt").write_text("exists x. R(x)")
+        argv = ["query", str(tmp_path / "spec.json"), "--query", str(tmp_path / "query.txt"), "--epsilon", "0.1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("probability = 0.500000 ")
+        assert caps == [31]
 
     def test_matches_oracle_exactly_without_tail(self):
         # facts of a relation the sentence does not mention are summed out
@@ -555,7 +563,7 @@ class TestOpenQueryPatterns:
             f = _random_open_query(rng, k)
             table = approx_nonboolean(space, f, self.EPS, NAT)
             n = choose_truncation(space, self.EPS).n
-            blocks = approx._truncated_blocks(space, n, None)
+            blocks = approx._truncated_blocks(space, n)
             elements = {e for block in blocks for facts, _ in block for g in facts for e in g.args}
             keys = [
                 key for key, sentence in groundings(f, elements, NAT)
@@ -657,7 +665,7 @@ class TestPatternCut:
         worlds = enumerate_block_worlds(blocks)
         for f in sentences:
             bind = compile_sentence(f)
-            want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT, compiled=bind(d)))
+            want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT, compiled=bind(d.tuples_of)))
             assert abs(approx.world_walk(blocks, f, NAT) - want) <= 1e-12, (kind, f)
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)
@@ -744,9 +752,9 @@ def _per_world_walk(blocks, sentences, u):
 
 
 class TestSharedPoolWalk:
-    """A walk that analyses its sentence and takes its generics once, and
-    reads every world through one relation index changed in place, gives
-    the value that an Instance per world gives."""
+    """A walk that analyses its sentence and picks its generics once, and
+    reads every world through one set of tuples per relation changed in
+    place, gives the value that an Instance per world gives."""
 
     @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "table"]))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -782,6 +790,10 @@ class TestSharedPoolWalk:
         "no fact of a named relation": [[((R12,), 0.5)], [((R21,), 0.25), ((R34,), 0.5)]],
         # the constants 1 and 2 are also elements of the facts
         "constant is a fact element": [[((R12,), 0.5), ((R21,), 0.4)], [((S1,), 0.7)], [((S2,), 0.1)]],
+        # elements 3 and 4 occur only in R(3, 4), which the worlds of S(2) and
+        # of no outcome lack: there they are in the domain, in no fact
+        "element only in an outcome the world lacks": [[((R34,), 0.3), ((S2,), 0.5)], [((S1,), 0.6)],
+                                                       [((R12,), 0.5)]],
         # S(1) and R(3, 4) are sure: they join every world from the start
         "sure blocks": [[((S1,), 1.0)], [((R12,), 0.3), ((R13,), 0.6)], [((R34,), 1.0)], [((S3,), 0.5)],
                         [((R21,), 0.5), ((S2,), 0.5)]],
@@ -797,6 +809,31 @@ class TestSharedPoolWalk:
         "S(1) | R(1, 2)",
         "exists x. R(x, 1) & !R(1, x)",
     ]
+
+    @pytest.mark.parametrize("branching", [0, 1, 5])
+    def test_one_pool_per_walk(self, monkeypatch, branching):
+        # one walk_pool call, whatever the world count; each world's domain
+        # is the constant 1, that world's elements and the one generic
+        pools, domains, pool, evaluate = [], [], approx.walk_pool, approx.eval_boolean
+        monkeypatch.setattr(approx, "walk_pool", lambda *a: pools.append(a) or pool(*a))
+        monkeypatch.setattr(approx, "eval_boolean", lambda *a, **kw: domains.append(kw["domain"]) or evaluate(*a, **kw))
+        blocks = [[((fact("S", i),), 0.5)] for i in range(1, branching + 1)]
+        assert approx.world_walk(blocks, parse("exists x. S(x) & x = 1", RS2), NAT) == (0.5 if branching else 0.0)
+        worlds = [{1, *w} for k in range(branching + 1) for w in itertools.combinations(range(1, branching + 1), k)]
+        assert len(pools) == 1 and sorted(map(sorted, worlds)) == sorted(sorted(d[:-1]) for d in domains)
+        assert all(d[0] == 1 and d[-1] == max(branching, 1) + 1 for d in domains)
+
+    def test_rival_outcomes_give_each_world_its_own_domain(self, monkeypatch):
+        # R(1, 2) and R(3, 4) are rival outcomes of one block, so no world
+        # holds both: each world's domain lists only its own elements
+        pools, domains, pool, evaluate = [], [], approx.walk_pool, approx.eval_boolean
+        monkeypatch.setattr(approx, "walk_pool", lambda *a: pools.append(a) or pool(*a))
+        monkeypatch.setattr(approx, "eval_boolean", lambda *a, **kw: domains.append(kw["domain"]) or evaluate(*a, **kw))
+        blocks = [[((self.S1,), 1.0)], [((self.R12,), 0.3), ((self.R34,), 0.5)]]
+        f = parse("exists x. exists y. R(x, y) & S(x)", RS2)
+        assert approx.world_walk(blocks, f, NAT) == _per_world_walk(blocks, [f], NAT)[0] == 0.3
+        assert len(pools) == 1 and [d[:-2] for d in domains] == [[1], [1, 2], [1, 3, 4]]
+        assert all(not {1, 2, 3, 4} & set(d[-2:]) for d in domains)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_index_cases_match_per_world_evaluation_bit_for_bit(self, case):

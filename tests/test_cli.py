@@ -681,7 +681,10 @@ class TestQuery:
         qpath = tmp_path / "q.txt"
         qpath.write_text("exists x. R(x)")
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.05"]) == 3
-        assert "required n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "required n" in err
+        # the library's message names no environment variable; the command line adds it
+        assert "exceeds the cap 2**10; set PDB_WORLD_CAP to raise it (required n = " in err
 
     def test_world_cap_counts_worlds_not_table_facts(self, tmp_path, capsys, monkeypatch):
         # the walk visits 2 worlds over 30 facts, far below the default cap

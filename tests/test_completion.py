@@ -33,7 +33,7 @@ from infpdb.independence import (
 from infpdb.numerics import ProbabilityInterval
 from infpdb.universe import FactEnumeration, Universe
 
-from helpers import bounded_tail_validate, completion_condition_check
+from helpers import bounded_tail_validate, completion_condition_check, difference, intersection
 
 NAT = Universe.naturals()
 R1 = Schema.of(R=1)
@@ -392,8 +392,8 @@ class TestTableSpace:
         fresh_facts = [f for f, _ in head] + [f for i in range(21, 25) for f in generator.group(i)]
         for d in [*p.worlds, Instance([fact(7)])]:
             d = d.union(f for f in fresh_facts if rng.random() < 0.4)
-            p0 = p.probability(d.intersection(base))
-            old = ti_instance_prob(fresh, d.difference(base)).scale(p0) if p0 else ProbabilityInterval.point(0.0)
+            p0 = p.probability(intersection(d, base))
+            old = ti_instance_prob(fresh, difference(d, base)).scale(p0) if p0 else ProbabilityInterval.point(0.0)
             new = completion_instance_prob(c, d)
             assert (new.lo, new.hi) == (old.lo, old.hi), d
 

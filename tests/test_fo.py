@@ -169,9 +169,15 @@ class TestEvalBoolean:
         assert domains == [[], []]
 
     def test_walk_pool_takes_generics_outside_the_walk(self):
-        consts, generics = fo.walk_pool(parse("forall x. exists y. S(y) & !(y = 7) | x = 2", S2), {1, 3}, NAT)
-        assert consts == {7, 2} and generics == [4, 5]
-        assert fo.walk_pool(parse("R(1) | S(2)", S2), {1, 3}, NAT) == ({1, 2}, [])
+        # the constants, then the world's elements in their order, each once,
+        # then the generics, outside {1, 3} and {7, 2}
+        f = parse("forall x. exists y. S(y) & !(y = 7) | x = 2", S2)
+        domain_of = fo.walk_pool(f, [1, 3], NAT)
+        domain = domain_of(dict.fromkeys([1, 3]))
+        assert set(domain[:2]) == {7, 2} and domain[2:] == [1, 3, 4, 5]
+        assert domain_of(dict.fromkeys([3]))[2:] == [3, 4, 5]
+        assert fo.walk_pool(f, [3, 2, 1], NAT)(dict.fromkeys([3, 2, 1]))[2:] == [3, 1, 4, 5]
+        assert fo.walk_pool(parse("R(1) | S(2)", S2), {1, 3}, NAT)(dict.fromkeys([1, 3])) == []
         with pytest.raises(ValueError):
             fo.walk_pool(parse("R(x)", S1), set(), NAT)
 
@@ -393,7 +399,7 @@ class TestCompiledSlots:
                 domain = [*adom, *NAT.fresh_elements(adom, rank)]
                 truth = naive_eval(f, d, domain)
                 assert eval_boolean(d, f, NAT) == truth, (f, d)
-                run = fo.compile_sentence(f)(d)
+                run = fo.compile_sentence(f)(d.tuples_of)
                 assert run([*adom, *NAT.fresh_elements(adom, rank + 2)]) == truth, (f, d)
                 shuffled = shuffler.sample(domain, len(domain))
                 for order in (domain, domain[::-1], shuffled):

@@ -1,6 +1,7 @@
 """The package's surface: every module-level function and class in
-``src/infpdb`` has a caller outside the tests, and README's library example
-runs on what ``infpdb`` exports.
+``src/infpdb`` has a caller outside the tests, only the command line reads
+the environment, and README's library example runs on what ``infpdb``
+exports.
 
 A definition that only the tests use belongs in ``tests/helpers.py``.  A
 name counts as used where ``src/`` (other than ``__init__.py``, whose
@@ -16,11 +17,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "infpdb"
-ALLOWED = {
-    # ROADMAP.md item 11 makes it the engine's one exponential tail bound;
-    # the enclosure and choose_truncation still compute exp(-1.5 * mass) inline
-    "euler_tail_lower_bound",
-}
+ALLOWED: set[str] = set()  # names defined ahead of their first caller
 
 
 def _references(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
@@ -61,6 +58,27 @@ def test_src_defines_nothing_only_the_tests_use():
 def test_the_allowed_names_are_still_defined_and_unused():
     # an entry that gains a caller, or goes, leaves the list
     assert {name.rsplit(".", 1)[-1] for name in unreferenced_definitions()} >= ALLOWED
+
+
+def environment_readers() -> list[str]:
+    """``module:line`` of each read of ``os.environ`` or ``os.getenv``, or
+    import of either, in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) and node.module == "os" else []
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                names = [node.attr]
+            if {"environ", "getenv"} & set(names):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_only_the_command_line_reads_the_environment():
+    # a library call takes its settings as arguments
+    readers = environment_readers()
+    assert [r for r in readers if not r.startswith("cli:")] == []
+    assert readers, "cli reads PDB_WORLD_CAP"
 
 
 def test_readme_library_example_runs_on_the_exports():
