@@ -9,7 +9,12 @@ its committed files (``git archive``) in a temporary directory, removed
 afterwards; the change runs from the repository root. Each side thus runs
 its own harness on its own engine.
 
-It writes ``BENCH_<label>.json`` at the repository root: every run's
+``--workload`` takes a workload that ``BENCHMARK.json`` declares, or
+``all``, which runs the pairs of each declared workload in turn. An
+unknown name fails before the base is exported.
+
+It writes ``BENCH_<label>.json`` at the repository root, or with ``all``
+one ``BENCH_<label>_<workload>.json`` per workload: every run's
 end-to-end metrics, each side's median and quartiles per metric, the
 number of pairs the change won per metric, and ``over_bound`` where the
 change's median is worse than the base's by more than the metric's bound,
@@ -26,11 +31,11 @@ warning line, since ops fast enough to stretch the harness's per-op
 calibration past that timeout end the run with no result.
 
 Usage:
-    python3 scripts/bench_pairs.py --label L [--workload query] [--pairs 10]
-        [--seconds 25] [--base HEAD] [--seed 0]
+    python3 scripts/bench_pairs.py --label L [--workload query|tail|cli|all]
+        [--pairs 10] [--seconds 25] [--base HEAD] [--seed 0]
 
 Standard library only. A run that fails or reports ``correct: false``
-stops the script with status 1 and writes no file.
+stops the script with status 1 and writes no file for its workload.
 """
 
 from __future__ import annotations
@@ -133,6 +138,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def report_files(label: str, choice: str, declared: list[str]) -> dict[str, str]:
+    """Workload -> the file its report goes to: ``BENCH_<label>.json`` for
+    one declared workload, and ``BENCH_<label>_<workload>.json`` for each
+    with ``all``; ValueError for a name ``BENCHMARK.json`` does not declare."""
+    if choice == "all":
+        return {w: f"BENCH_{label}_{w}.json" for w in declared}
+    if choice not in declared:
+        raise ValueError(f"unknown workload {choice!r}; BENCHMARK.json declares {', '.join(declared)}, or use all")
+    return {choice: f"BENCH_{label}.json"}
+
+
 def timeout_warning(pair: int, side: str, wall: float, timeout: float) -> str | None:
     """A warning line for a run past half of its checkout's child timeout."""
     if wall <= timeout / 2:
@@ -141,40 +157,29 @@ def timeout_warning(pair: int, side: str, wall: float, timeout: float) -> str | 
             f"({timeout:g} s); a longer run would end with no result")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--workload", default="query")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--base", default="HEAD", help="the commit the working tree is measured against")
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    base_rev = git("rev-parse", args.base)
+def run_pairs(checkouts: dict, timeouts: dict, workload: str, args) -> list[dict]:
+    """``args.pairs`` ABBA pairs of runs of one workload."""
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        export(base_rev, tmp)
-        checkouts = {"base": os.path.join(tmp, "tree"), "change": ROOT}
-        timeouts = {side: child_timeout(path) for side, path in checkouts.items()}
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                result, wall = run_once(checkouts[side], args.workload, args.seconds, args.seed)
-                metrics = {k: v["value"] for k, v in result["metrics"].items()}
-                runs.append({"pair": pair, "side": side, "attempted": result["attempted"],
-                             "failed": result["failed"], "wall_s": wall, "metrics": metrics})
-                print(f"pair {pair + 1}/{args.pairs} {side}: wall {wall:.1f} s, "
-                      + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
-                if (warning := timeout_warning(pair, side, wall, timeouts[side])) is not None:
-                    print(warning, flush=True)
+    for pair in range(args.pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            result, wall = run_once(checkouts[side], workload, args.seconds, args.seed)
+            metrics = {k: v["value"] for k, v in result["metrics"].items()}
+            runs.append({"pair": pair, "side": side, "attempted": result["attempted"],
+                         "failed": result["failed"], "wall_s": wall, "metrics": metrics})
+            print(f"{workload} pair {pair + 1}/{args.pairs} {side}: wall {wall:.1f} s, "
+                  + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
+            if (warning := timeout_warning(pair, side, wall, timeouts[side])) is not None:
+                print(warning, flush=True)
+    return runs
+
+
+def write_report(path: str, workload: str, runs: list[dict], end_to_end: list[dict], base_rev: str, args) -> None:
+    """The report file of one workload's runs, and its summary lines."""
     summary = summarize(runs, end_to_end)
     report = {
         "label": args.label,
-        "workload": args.workload,
+        "workload": workload,
         "seconds": args.seconds,
         "seed": args.seed,
         "pairs": args.pairs,
@@ -185,7 +190,6 @@ def main() -> int:
         "runs": runs,
         "summary": summary,
     }
-    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -193,15 +197,42 @@ def main() -> int:
         s = summary[m["name"]]
         change = "" if s["median_change"] is None else f" ({s['median_change']:+.1%})"
         over = f"; over_bound (worse by more than {s['bound']:.0%})" if s["over_bound"] else ""
-        print(f"{args.workload}.{m['name']}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
+        print(f"{workload}.{m['name']}: base {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
               f" -> change {s['change']['median']:.6g}{change}; change better in {s['change_wins']}/{s['pairs']} pairs"
               f"{over}")
     attempted = summary["attempted"]
-    print(f"{args.workload}.attempted: base {attempted['base']:.6g} -> change {attempted['change']:.6g} ops (medians)")
+    print(f"{workload}.attempted: base {attempted['base']:.6g} -> change {attempted['change']:.6g} ops (medians)")
     wall = summary["wall_s"]
-    print(f"{args.workload}.wall_s: base {wall['base']['median']:.1f} (max {wall['base']['max']:.1f})"
+    print(f"{workload}.wall_s: base {wall['base']['median']:.1f} (max {wall['base']['max']:.1f})"
           f" -> change {wall['change']['median']:.1f} (max {wall['change']['max']:.1f}) s per run")
     print(f"wrote {path}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--workload", default="query", help="a workload of BENCHMARK.json, or all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--base", default="HEAD", help="the commit the working tree is measured against")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    try:
+        files = report_files(args.label, args.workload, [w["name"] for w in bench["workloads"]])
+    except ValueError as exc:
+        ap.error(str(exc))
+    base_rev = git("rev-parse", args.base)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        export(base_rev, tmp)
+        checkouts = {"base": os.path.join(tmp, "tree"), "change": ROOT}
+        timeouts = {side: child_timeout(path) for side, path in checkouts.items()}
+        for workload, name in files.items():
+            runs = run_pairs(checkouts, timeouts, workload, args)
+            write_report(os.path.join(ROOT, name), workload, runs, bench["end_to_end"], base_rev, args)
     return 0
 
 

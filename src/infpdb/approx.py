@@ -20,8 +20,10 @@ facts of every world.  Each sentence has its own walk, which takes the
 sentence's generic elements once, exact by generic-pool invariance
 (:func:`fo.walk_pool`), and keeps one world of tuple sets that it changes
 in place, to which the sentence's closures (:func:`fo.compile_sentence`)
-are bound once (:func:`world_walk`).  The cap bounds the bits of the
-count of the truncated space's worlds, which is n on a TI space.
+are bound once (:func:`world_walk`); a monotone or antimonotone sentence
+settles a block's subtree at its first world (:func:`fo.polarity`).  The
+cap bounds the bits of the count of the truncated space's worlds, which
+is n on a TI space.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -38,7 +40,7 @@ from operator import attrgetter
 from .core import Fact
 from .errors import WorldCapExceeded
 from .fo import Formula, Fresh, Pattern, atom_patterns, compile_sentence, eval_boolean, free_variables
-from .fo import groundings, walk_pool
+from .fo import groundings, polarity, walk_pool
 from .independence import BIDPdb, Block
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -112,8 +114,9 @@ def _truncated_blocks(t: BIDPdb, n: int, cap: int = DEFAULT_WORLD_CAP) -> list[B
 def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
     """Each block's outcomes cut down to the facts that match a pattern:
     the same relation, and equal at every position where the pattern holds
-    a constant.  Equal cuts merge; an outcome cut to nothing joins "no
-    outcome", and a block left with no outcome is dropped."""
+    a constant, then the weight of "no outcome" and the kept mass.  Equal
+    cuts merge; an outcome cut to nothing joins "no outcome", and a block
+    left with no outcome is dropped."""
     pins: dict[str, list[tuple[tuple[int, Element], ...]]] = {}
     for relation, args in patterns:
         pins.setdefault(relation, []).append(tuple((i, c) for i, c in enumerate(args) if c is not None))
@@ -128,7 +131,8 @@ def _cut(blocks: list[Block], patterns: frozenset[Pattern]) -> tuple:
             if p > 0.0 and (cut := tuple(filter(matches, facts))):
                 merged[cut] = merged.get(cut, 0.0) + p
         if merged:
-            kept.append((tuple(merged.items()), 1.0 - math.fsum(merged.values())))
+            mass = math.fsum(merged.values())
+            kept.append((tuple(merged.items()), 1.0 - mass, mass))
     return tuple(kept)
 
 
@@ -159,38 +163,51 @@ def world_walk(blocks: list[Block], f: Formula, universe: Universe) -> float:
     the sentence's closures are bound once: depth first, an outcome's
     facts join it on entering the outcome and leave on leaving.  A fact is
     added at most once at a time, since it lies in one block.
+
+    Where a block and every block after it have a "no outcome" branch, the
+    first world under the block is a subset of every world below.  There a
+    true monotone sentence settles the block, which adds its weight times
+    its kept mass, and a false antimonotone one settles it adding nothing;
+    either way it skips its outcomes.  Exact by generic-pool invariance:
+    each world's value is the truth over the infinite universe.
     """
     kept = _cut(blocks, atom_patterns(f))
     flat = itertools.chain.from_iterable
-    holds = {facts: dict.fromkeys(flat(map(attrgetter("args"), facts))) for outcomes, _ in kept for facts, _ in outcomes}
+    holds = {facts: dict.fromkeys(flat(map(attrgetter("args"), facts))) for outcomes, *_ in kept for facts, _ in outcomes}
     domain_of = walk_pool(f, flat(holds.values()), universe)
     tuples: defaultdict[str, set[tuple]] = defaultdict(set)
     run, acc = compile_sentence(f)(tuples.__getitem__), CompensatedAccumulator()
+    monotone, antimonotone = polarity(f)
     sure: dict[Element, None] = {}
     branching = []
-    for outcomes, none in kept:
+    for outcomes, none, mass in kept:
         if len(outcomes) == 1 and outcomes[0][1] == 1.0:
             facts = outcomes[0][0]
             for g in facts:
                 tuples[g.relation].add(g.args)
             sure |= holds[facts]
         else:
-            branching.append((outcomes, none))
+            branching.append((outcomes, none, mass))
 
-    def descend(i: int, weight: float, held: dict[Element, None]) -> None:
+    def descend(i: int, weight: float, held: dict[Element, None]) -> bool | None:
+        # the truth of the first world reached if it settles the subtree
         if i == len(branching):
-            if eval_boolean(tuples, f, universe, domain=domain_of(held), compiled=run):
+            truth = eval_boolean(tuples, f, universe, domain=domain_of(held), compiled=run)
+            if truth:
                 acc.add(weight)
-            return
-        outcomes, none = branching[i]
-        if none > 0.0:
-            descend(i + 1, weight * none, held)
+            return truth if (monotone if truth else antimonotone) else None
+        outcomes, none, mass = branching[i]
+        if none > 0.0 and (settled := descend(i + 1, weight * none, held)) is not None:
+            if settled:
+                acc.add(weight * mass)
+            return settled
         for facts, p in outcomes:
             for g in facts:
                 tuples[g.relation].add(g.args)
             descend(i + 1, weight * p, held | holds[facts])
             for g in facts:
                 tuples[g.relation].remove(g.args)
+        return None
 
     descend(0, 1.0, sure)
     return min(max(acc.value, 0.0), 1.0)

@@ -138,8 +138,10 @@ def cmd_query(args) -> int:
         answer = (approx.approx_nonboolean if free else approx.approx_boolean)(
             t, formula, args.epsilon, doc.universe, cap=cap
         )
-    except WorldCapExceeded as exc:  # the environment sets the cap here
-        raise WorldCapExceeded(f"{exc}; set {WORLD_CAP_ENV} to raise it", exc.required, exc.cap) from None
+    except WorldCapExceeded as exc:  # the environment sets this cap, in bits of the walk's worlds, not n
+        print(f"WorldCapExceeded: {exc}; set {WORLD_CAP_ENV} to raise it (required cap = {exc.required})",
+              file=sys.stderr)
+        return EXIT_CAPABILITY
     if not free:
         p, cert = answer
         print(f"probability = {p:.6f} (additive error <= {args.epsilon})")

@@ -42,8 +42,9 @@ class NotClosed(ValidationError):
 class WorldCapExceeded(PdbError):
     """World enumeration would exceed the configured cap.
 
-    ``required`` carries the number of facts that would have to be
-    enumerated so callers can decide whether to raise the cap.
+    ``required`` carries the cap it would take, so callers can decide
+    whether to raise it: bits of the walk's world count for a query's
+    cap, and facts for every other cap.
     """
 
     def __init__(self, message: str, required: int, cap: int):

@@ -280,17 +280,21 @@ def parse(text: str, schema: Schema) -> Formula:
 # --- analysis ----------------------------------------------------------
 
 
-def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom]]:
-    """(quantifier rank, constants, ordered free variables, relation atoms)
-    in one walk over the formula."""
+def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom], list[bool]]:
+    """(quantifier rank, constants, ordered free variables, relation atoms,
+    their signs) in one walk over the formula.  An atom's sign is True
+    under an even number of negations, the left side of ``->`` counting
+    as one."""
     consts: set[Element] = set()
     free: list[str] = []
     atoms: list[Atom] = []
+    signs: list[bool] = []
 
-    def walk(g: Formula, bound: frozenset[str]) -> int:
+    def walk(g: Formula, bound: frozenset[str], positive: bool = True) -> int:
         if isinstance(g, (Atom, Eq)):
             if isinstance(g, Atom):
                 atoms.append(g)
+                signs.append(positive)
                 terms = g.terms
             else:
                 terms = (g.left, g.right)
@@ -301,18 +305,26 @@ def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom]]:
                     free.append(t.name)
             return 0
         if isinstance(g, Not):
-            return walk(g.body, bound)
+            return walk(g.body, bound, not positive)
         if isinstance(g, (And, Or, Implies)):
-            return max(walk(g.left, bound), walk(g.right, bound))
-        return 1 + walk(g.body, bound | {g.var})
+            return max(walk(g.left, bound, positive != isinstance(g, Implies)), walk(g.right, bound, positive))
+        return 1 + walk(g.body, bound | {g.var}, positive)
 
     rank = walk(f, frozenset())
-    return rank, consts, free, atoms
+    return rank, consts, free, atoms, signs
 
 
 def free_variables(f: Formula) -> list[str]:
     """Free variables in order of first occurrence."""
     return _analysis(f)[2]
+
+
+def polarity(f: Formula) -> tuple[bool, bool]:
+    """``(monotone, antimonotone)``: every relation atom of ``f`` positive,
+    or every one negative (:func:`_analysis`); ``=`` does not count, so a
+    formula with no relation atom is both."""
+    signs = _analysis(f)[4]
+    return all(signs), not any(signs)
 
 
 def atom_patterns(f: Formula) -> frozenset[Pattern]:
@@ -366,7 +378,7 @@ def walk_pool(
     quantifier-free sentence, which never reads the domain, it lists
     nothing.  The one place a domain is formed and generics are picked,
     so a walk over many worlds picks them once."""
-    rank, consts, free, _ = _analysis(f)
+    rank, consts, free, *_ = _analysis(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
     if not rank:
@@ -400,7 +412,7 @@ def compile_sentence(f: Formula) -> Callable[[Callable[[str], set[tuple]]], Call
     needs a fact about its variable.  The order changes how soon a
     quantifier stops, never its truth value.
     """
-    rank, consts, free, atoms = _analysis(f)
+    rank, consts, free, atoms, _ = _analysis(f)
     if free:
         raise ValueError(f"sentence expected, found free variables {free}")
     relations = list(dict.fromkeys(a.relation for a in atoms))
@@ -501,7 +513,7 @@ def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tupl
     first-use order, its key naming the j-th ``Fresh(j)``.  Keys come in
     lexicographic order, candidates before fresh elements.
     """
-    _, consts, free, _ = _analysis(f)
+    _, consts, free, *_ = _analysis(f)
     taken = elements | consts
     fresh = u.fresh_elements(taken, len(free))
     names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}

@@ -111,15 +111,18 @@ def requantify(node, names):
     return node
 
 
-def count_walk(monkeypatch, approx) -> list[Formula]:
+def count_walk(monkeypatch, approx, worlds: list | None = None) -> list[Formula]:
     """A list that fills as ``approx``'s walks run: the sentence evaluated on
     each world walked.  A walk evaluates its one sentence once per world, so
-    every entry is one world."""
+    every entry is one world; ``worlds``, if given, fills in step with each
+    world's facts, a frozenset of ``(relation, args)``."""
     calls = []
     evaluate = approx.eval_boolean
 
     def counting(d, f, u, **kw):
         calls.append(f)
+        if worlds is not None:
+            worlds.append(frozenset((relation, args) for relation, held in d.items() for args in held))
         return evaluate(d, f, u, **kw)
 
     monkeypatch.setattr(approx, "eval_boolean", counting)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
     And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, compile_sentence,
-    eval_boolean, free_variables, groundings, parse, substitute,
+    eval_boolean, free_variables, groundings, parse, polarity, substitute,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -678,8 +679,21 @@ class TestPatternCut:
         table = approx_nonboolean(t, parse("exists y. R(x, y)", schema), 0.1, NAT)
         assert table == pytest.approx({(1,): 0.7, (2,): 0.7, (3,): 0.0})
         # x = 1 walks R(1, 2) and R(1, 3), x = 2 walks R(2, 3), and x = 3 and
-        # the pattern (*1) walk one empty world each: 4 + 2 + 1 + 1 worlds,
-        # where every tuple and the pattern walked all 2**3 R worlds before
+        # the pattern (*1) walk one empty world each; the sentence is
+        # monotone, so x = 1's world {R(1, 2)} settles {R(1, 2), R(1, 3)}:
+        # 3 + 2 + 1 + 1 worlds, where every tuple and the pattern walked all
+        # 2**3 R worlds before the cut
+        assert len(walked) == 3 + 2 + 1 + 1
+
+    def test_open_query_of_mixed_polarity_walks_every_world_of_its_facts(self, monkeypatch):
+        # "exactly one R(x, .)" cuts as exists y. R(x, y) does, and it is
+        # neither monotone nor antimonotone, so no world settles another:
+        # 4 + 2 + 1 + 1 worlds
+        schema = Schema.of(R=2, S=1)
+        t = ti_construct(FactProbabilityAssignment(self.HEAD))
+        walked = count_walk(monkeypatch, approx)
+        table = approx_nonboolean(t, parse("exists y. R(x, y) & forall z. (R(x, z) -> z = y)", schema), 0.1, NAT)
+        assert table == pytest.approx({(1,): 0.5, (2,): 0.7, (3,): 0.0})
         assert len(walked) == 4 + 2 + 1 + 1
 
     def test_oracle_compare_walks_each_ground_atom_on_two_worlds(self, monkeypatch, tmp_path, capsys):
@@ -729,13 +743,13 @@ def _per_world_walk(blocks, sentences, u):
     eval_boolean analyses the sentence and builds its own domain; the naive
     evaluator, which binds each variable in a fresh dict, must agree on
     every world.  The cut of the blocks, the order of the worlds and the
-    order of the products and sums are the walk's, so the values agree with
-    the walk's bit for bit."""
+    order of the products and sums are those of the walk without settling,
+    so the values agree bit for bit with a walk that visits every world."""
     values = []
     for f in sentences:
         acc = CompensatedAccumulator()
         kept = approx._cut(blocks, atom_patterns(f))
-        choices = [[((), none)] * (none > 0.0) + list(outcomes) for outcomes, none in kept]
+        choices = [[((), none)] * (none > 0.0) + list(outcomes) for outcomes, none, _ in kept]
         taken = constants(f)
         for world in itertools.product(*choices):
             weight, chosen = 1.0, ()
@@ -749,6 +763,21 @@ def _per_world_walk(blocks, sentences, u):
                 acc.add(weight)
         values.append(min(max(acc.value, 0.0), 1.0))
     return values
+
+
+def _assert_per_world(blocks, sentences, values):
+    """``values``, the walk's, against :func:`_per_world_walk`: equal for a
+    sentence of mixed polarity, which the walk never settles; within
+    ``(len(blocks) + 1) * 2**-52`` for a monotone or antimonotone one.
+    Settling adds a subtree's weight as one product, its prefix weight
+    times the kept mass, where each world's weight below is a product of
+    at most ``len(blocks)`` rounded factors, and a block's "no outcome"
+    weight plus its kept mass is 1 within half an ulp."""
+    for f, got, want in zip(sentences, values, _per_world_walk(blocks, sentences, NAT), strict=True):
+        if any(polarity(f)):
+            assert abs(got - want) <= (len(blocks) + 1) * 2**-52, f
+        else:
+            assert got == want, f
 
 
 class TestSharedPoolWalk:
@@ -770,7 +799,7 @@ class TestSharedPoolWalk:
         sentences.append(quantifier("x", connective(sentences[0], Atom("S", (Var("x"),)))))
         # a negation and a disjunction cut the blocks as their operands do
         sentences += [Not(sentences[0]), Or(sentences[0], sentences[1])]
-        assert [approx.world_walk(blocks, f, NAT) for f in sentences] == _per_world_walk(blocks, sentences, NAT)
+        _assert_per_world(blocks, sentences, [approx.world_walk(blocks, f, NAT) for f in sentences])
 
     R12, R13, R21, R34, S1, S2, S3 = (
         fact("R", 1, 2), fact("R", 1, 3), fact("R", 2, 1), fact("R", 3, 4), fact("S", 1), fact("S", 2), fact("S", 3),
@@ -819,7 +848,11 @@ class TestSharedPoolWalk:
         monkeypatch.setattr(approx, "eval_boolean", lambda *a, **kw: domains.append(kw["domain"]) or evaluate(*a, **kw))
         blocks = [[((fact("S", i),), 0.5)] for i in range(1, branching + 1)]
         assert approx.world_walk(blocks, parse("exists x. S(x) & x = 1", RS2), NAT) == (0.5 if branching else 0.0)
-        worlds = [{1, *w} for k in range(branching + 1) for w in itertools.combinations(range(1, branching + 1), k)]
+        # the sentence is monotone: the walk visits every world of the facts
+        # after S(1) without S(1), all false, then S(1)'s first world {S(1)},
+        # which is true and settles every world that holds S(1)
+        worlds = [{1, *w} for k in range(branching) for w in itertools.combinations(range(2, branching + 1), k)]
+        worlds.append({1})
         assert len(pools) == 1 and sorted(map(sorted, worlds)) == sorted(sorted(d[:-1]) for d in domains)
         assert all(d[0] == 1 and d[-1] == max(branching, 1) + 1 for d in domains)
 
@@ -840,5 +873,70 @@ class TestSharedPoolWalk:
         sentences = [parse(text, RS2) for text in self.SENTENCES]
         blocks = self.CASES[case]
         values = [approx.world_walk(blocks, f, NAT) for f in sentences]
-        assert values == _per_world_walk(blocks, sentences, NAT)
+        _assert_per_world(blocks, sentences, values)
         assert any(0.0 < v < 1.0 for v in values)
+
+
+def _positive(f):
+    """``f`` with every ``!`` dropped and each ``a -> b`` read as ``a | b``."""
+    if isinstance(f, Not):
+        return _positive(f.body)
+    if isinstance(f, Implies):
+        return Or(_positive(f.left), _positive(f.right))
+    if isinstance(f, (And, Or)):
+        return type(f)(_positive(f.left), _positive(f.right))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _positive(f.body))
+    return f
+
+
+class TestSettledWalk:
+    """A monotone sentence true on the first world under a node is true on
+    every world below it, and an antimonotone one false there is false on
+    every one, since that first world takes "no outcome" in every block
+    below and so is a subset of each; the walk settles such a subtree
+    without visiting the rest of it."""
+
+    # draws that do not shrink toward the smallest space give walks of
+    # several blocks, which settling needs
+    @given(st.randoms(use_true_random=True), st.sampled_from(["ti", "bid", "table"]))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_settled_walk_visits_an_in_order_subsequence(self, rng, kind):
+        blocks = _space_blocks(rng, kind)
+        names = collections.defaultdict(lambda: rng.choice("xy"))
+        f = requantify(random_sentence(rng, RS2, max_rank=rng.randint(0, 3), constant_pool=(1, 2, 5)), names)
+        # a random sentence seldom has one polarity, so its positive form,
+        # which is monotone, joins it
+        for h in (f, _positive(f)):
+            for g in (h, Not(h), Implies(h, Atom("S", (Const(rng.choice((1, 2, 5))),)))):
+                self._check_settled_walk(blocks, g)
+
+    @staticmethod
+    def _check_settled_walk(blocks, g):
+        runs = []
+        for settle in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not settle:
+                    patch.setattr(approx, "polarity", lambda f: (False, False))
+                worlds = []
+                count_walk(patch, approx, worlds)
+                runs.append((approx.world_walk(blocks, g, NAT), worlds))
+        (settled, visited), (full, every) = runs
+        rest = iter(every)
+        assert all(world in rest for world in visited), g
+        if any(polarity(g)):
+            # the bound of _assert_per_world
+            assert abs(settled - full) <= (len(blocks) + 1) * 2**-52, g
+        else:
+            assert visited == every and settled == full, g
+
+    def test_readme_query_settles_each_fact_at_its_first_world(self, monkeypatch):
+        # any one fact makes query.txt true, so the all-absent world is the
+        # only false one, and each fact's branch settles at its first world:
+        # 24 + 1 worlds, where the walk of every world takes 2**24
+        doc = load_spec(str(GOLDEN / "ti_tail.json"))
+        walked = count_walk(monkeypatch, approx)
+        f = parse((GOLDEN / "query.txt").read_text(), doc.schema)
+        p, cert = approx_boolean(doc.space(), f, 0.1, doc.universe)
+        assert cert.n == 24 and len(walked) == 24 + 1
+        assert f"{p:.6f}" == "0.999729"

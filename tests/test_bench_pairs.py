@@ -90,3 +90,27 @@ def test_warns_past_half_of_the_child_timeout(wall, warned):
     assert (line is not None) is warned
     if warned:
         assert line.startswith("warning: pair 3 change") and "170 s" in line
+
+
+def test_report_files_per_workload():
+    script, declared = _bench_pairs(), ["query", "tail", "cli"]
+    assert script.report_files("pr9", "tail", declared) == {"tail": "BENCH_pr9.json"}
+    assert script.report_files("pr9", "all", declared) == {
+        "query": "BENCH_pr9_query.json", "tail": "BENCH_pr9_tail.json", "cli": "BENCH_pr9_cli.json",
+    }
+    with pytest.raises(ValueError, match="unknown workload 'qeury'"):
+        script.report_files("pr9", "qeury", declared)
+
+
+def test_unknown_workload_fails_before_the_base_is_exported(monkeypatch, capsys):
+    script = _bench_pairs()
+
+    def no_run(*args):
+        raise AssertionError("the script went past the workload check")
+
+    for name in ("git", "export", "run_once"):
+        monkeypatch.setattr(script, name, no_run)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--label", "x", "--workload", "qeury"])
+    assert exit_.value.code == 2
+    assert "unknown workload 'qeury'; BENCHMARK.json declares query, tail, cli, or use all" in capsys.readouterr().err

@@ -682,9 +682,9 @@ class TestQuery:
         qpath.write_text("exists x. R(x)")
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.05"]) == 3
         err = capsys.readouterr().err
-        assert "required n" in err
+        assert "required cap" in err
         # the library's message names no environment variable; the command line adds it
-        assert "exceeds the cap 2**10; set PDB_WORLD_CAP to raise it (required n = " in err
+        assert "exceeds the cap 2**10; set PDB_WORLD_CAP to raise it (required cap = " in err
 
     def test_world_cap_counts_worlds_not_table_facts(self, tmp_path, capsys, monkeypatch):
         # the walk visits 2 worlds over 30 facts, far below the default cap
@@ -702,6 +702,13 @@ class TestQuery:
         qpath.write_text("exists x. R(x)")
         assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
         assert "probability = 0.500000" in capsys.readouterr().out
+        # the cap's unit is a bit of the walk's branch count: 1 here, where n = 30
+        monkeypatch.setenv("PDB_WORLD_CAP", "0")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 3
+        assert capsys.readouterr().err == (
+            "WorldCapExceeded: enumerating 2**1 worlds exceeds the cap 2**0; "
+            "set PDB_WORLD_CAP to raise it (required cap = 1)\n"
+        )
 
     def test_shadowed_quantifier(self, tmp_path, capsys):
         spec = {

@@ -58,6 +58,8 @@ def cli_cases() -> dict[str, list[str]]:
         cases[f"{space}.{query}"] = [
             "query", _g(f"{space}.json"), "--query", _g(f"{query}.txt"), "--epsilon", "0.1"
         ]
+    # the README's query on its tail spec (n = 24)
+    cases["ti_tail.query"] = ["query", _g("ti_tail.json"), "--query", _g("query.txt"), "--epsilon", "0.1"]
     # the table and completion specs are over R/1; a coarse epsilon keeps the
     # completion's tail short
     for space, query, eps in (

@@ -138,6 +138,47 @@ class TestAnalyze:
         assert analyze(f) == (0, {7}, ["x"])
 
 
+class TestPolarity:
+    """``(monotone, antimonotone)``: every relation atom under an even, or
+    every one under an odd, number of negations."""
+
+    RS2 = Schema.of(R=2, S=1)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("exists x. S(x)", (True, False)),
+        ("forall x. !S(x)", (False, True)),
+        # the query workload's guarded shape: S(x) on the left of ->
+        ("forall x. S(x) -> exists y. R(x, y)", (False, False)),
+        # the left side of -> is one negation, the right side none
+        ("S(1) -> S(2)", (False, False)),
+        ("!S(1) -> S(2)", (True, False)),
+        ("S(1) -> !S(2)", (False, True)),
+        ("(S(1) -> S(2)) -> S(3)", (False, False)),
+        ("(!S(1) -> S(2)) -> S(3)", (False, False)),
+        ("(S(1) -> !S(2)) -> S(3)", (True, False)),
+        # negations compose: an even count is positive
+        ("!!S(1)", (True, False)),
+        ("!(S(1) & !R(1, 2))", (False, False)),
+        ("!(S(1) | R(1, 2))", (False, True)),
+        # = is no relation atom: it counts on neither side
+        ("exists x. S(x) & !(x = 1)", (True, False)),
+        ("forall x. (x = 1 -> !S(x))", (False, True)),
+        ("exists x. exists y. !(x = y)", (True, True)),
+        ("1 = 2 -> !(1 = 1)", (True, True)),
+        # nested quantifiers keep the sign they sit under
+        ("exists x. forall y. exists z. R(x, y) | R(y, z)", (True, False)),
+        ("!exists x. forall y. (R(x, y) & exists z. S(z))", (False, True)),
+        ("forall x. exists y. !R(x, y) & exists z. R(z, x)", (False, False)),
+    ])
+    def test_signs(self, text, expected):
+        assert fo.polarity(parse(text, self.RS2)) == expected
+
+    def test_open_formula(self):
+        # free variables do not change the signs
+        assert fo.polarity(parse("exists y. R(x, y)", self.RS2)) == (True, False)
+        assert fo.polarity(parse("!S(x) & x = y", self.RS2)) == (False, True)
+
+
 class TestEvalBoolean:
     def test_exists_on_nonempty(self):
         d = Instance([fact("R", 4)])
