@@ -27,16 +27,19 @@ outside the constants and every element of the worlds it serves.
 ``forall`` reads the domain from the end and ``exists`` from the front,
 so ``forall`` tries a generic first.  No truth value depends on the order.
 
-A sentence is compiled once into nested closures (:func:`compile_sentence`),
-which are bound once to a world that may change in place; a caller that
-evaluates it on many worlds passes the bound closures to
-:func:`eval_boolean` with every world and its domain.
+A formula is analysed once (:func:`_analysis`) and compiled once into
+nested closures (:func:`compile_sentence`), which are bound to a world
+that may change in place, and an open formula's free variables to one
+grounding's values; a caller that evaluates it on many worlds passes the
+bound closures to :func:`eval_boolean` with every world and its domain.
+A constant outside the universe names no element, so no domain holds it.
 
-Open formulas are grounded in one place, :func:`groundings`: on every
-tuple of candidates, and on one representative per pattern of generic
-elements, keyed by the :class:`Fresh` sentinel, which stands for every
-tuple that repeats those generic elements at the same positions
-(:func:`approx.approx_nonboolean` reads its marginals per key).
+Open formulas are grounded in one place, :func:`groundings`, which yields
+values, not sentences: on every tuple of candidates, and on one
+representative per pattern of generic elements, keyed by the
+:class:`Fresh` sentinel, which stands for every tuple that repeats those
+generic elements at the same positions (:func:`approx.approx_nonboolean`
+reads its marginals per key).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import itertools
 import re
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import Schema, _element_key, active_domain
 from .errors import NestingTooDeep, QuerySyntaxError
@@ -70,7 +73,6 @@ class Const(Record):
 
 
 Term = Var | Const
-Pattern = tuple[str, tuple[Element | None, ...]]  # relation, then a constant or None per position
 
 
 class Atom(Record):
@@ -280,29 +282,31 @@ def parse(text: str, schema: Schema) -> Formula:
 # --- analysis ----------------------------------------------------------
 
 
-def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[Atom], list[bool]]:
-    """(quantifier rank, constants, ordered free variables, relation atoms,
-    their signs) in one walk over the formula.  An atom's sign is True
-    under an even number of negations, the left side of ``->`` counting
-    as one."""
+def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[tuple[str, tuple]], list[bool]]:
+    """(quantifier rank, constants, ordered free variables, one pattern per
+    relation atom, their signs) in one walk over the formula.  An atom's
+    pattern is its relation and, per position, its constant, ``None`` for a
+    bound variable or the :class:`Var` of a free one.  An atom's sign is
+    True under an even number of negations, the left side of ``->``
+    counting as one."""
     consts: set[Element] = set()
     free: list[str] = []
-    atoms: list[Atom] = []
+    atoms: list[tuple[str, tuple]] = []
     signs: list[bool] = []
 
     def walk(g: Formula, bound: frozenset[str], positive: bool = True) -> int:
         if isinstance(g, (Atom, Eq)):
-            if isinstance(g, Atom):
-                atoms.append(g)
-                signs.append(positive)
-                terms = g.terms
-            else:
-                terms = (g.left, g.right)
+            terms = g.terms if isinstance(g, Atom) else (g.left, g.right)
             for t in terms:
                 if isinstance(t, Const):
                     consts.add(t.value)
                 elif t.name not in bound and t.name not in free:
                     free.append(t.name)
+            if isinstance(g, Atom):
+                atoms.append((g.relation, tuple(
+                    t.value if isinstance(t, Const) else None if t.name in bound else t for t in terms
+                )))
+                signs.append(positive)
             return 0
         if isinstance(g, Not):
             return walk(g.body, bound, not positive)
@@ -319,92 +323,65 @@ def free_variables(f: Formula) -> list[str]:
     return _analysis(f)[2]
 
 
-def polarity(f: Formula) -> tuple[bool, bool]:
+def polarity(f: Formula, analysis: tuple | None = None) -> tuple[bool, bool]:
     """``(monotone, antimonotone)``: every relation atom of ``f`` positive,
-    or every one negative (:func:`_analysis`); ``=`` does not count, so a
-    formula with no relation atom is both."""
-    signs = _analysis(f)[4]
+    or every one negative (:func:`_analysis`, or ``analysis`` where the
+    caller has it); ``=`` does not count, so a formula with no relation
+    atom is both."""
+    signs = (analysis or _analysis(f))[4]
     return all(signs), not any(signs)
-
-
-def atom_patterns(f: Formula) -> frozenset[Pattern]:
-    """One ``(relation, args)`` per distinct atom, each argument its constant
-    or ``None`` where a variable stands; only a fact that matches one of
-    them can make an atom true under some assignment."""
-    return frozenset(
-        (a.relation, tuple(t.value if isinstance(t, Const) else None for t in a.terms)) for a in _analysis(f)[3]
-    )
-
-
-def substitute(f: Formula, assignment: Mapping[str, Element]) -> Formula:
-    """Replace free variables by constants."""
-
-    def sub_term(t: Term, bound: frozenset[str]) -> Term:
-        if isinstance(t, Var) and t.name in assignment and t.name not in bound:
-            return Const(assignment[t.name])
-        return t
-
-    def walk(g: Formula, bound: frozenset[str]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.relation, tuple(sub_term(t, bound) for t in g.terms))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left, bound), sub_term(g.right, bound))
-        if isinstance(g, Not):
-            return Not(walk(g.body, bound))
-        if isinstance(g, And):
-            return And(walk(g.left, bound), walk(g.right, bound))
-        if isinstance(g, Or):
-            return Or(walk(g.left, bound), walk(g.right, bound))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, bound), walk(g.right, bound))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body, bound | {g.var}))
-        return Forall(g.var, walk(g.body, bound | {g.var}))
-
-    return walk(f, frozenset())
 
 
 # --- evaluation --------------------------------------------------------
 
 
 def walk_pool(
-    f: Formula, elements: Iterable[Element], u: Universe
+    f: Formula, elements: Iterable[Element], u: Universe, analysis: tuple | None = None
 ) -> Callable[[dict[Element, Any]], list[Element]]:
-    """The quantifier domains of the sentence ``f`` on worlds whose elements
-    lie in ``elements``: called with a dict whose keys are such a world's
-    elements, the returned function lists the constants, then those keys
-    in their order, each once, then as many generic elements outside the
-    constants and ``elements`` as the sentence's quantifier rank; for a
-    quantifier-free sentence, which never reads the domain, it lists
-    nothing.  The one place a domain is formed and generics are picked,
-    so a walk over many worlds picks them once."""
-    rank, consts, free, *_ = _analysis(f)
-    if free:
-        raise ValueError(f"sentence expected, found free variables {free}")
+    """The quantifier domains of ``f`` on worlds whose elements lie in
+    ``elements``: called with a dict whose keys are such a world's
+    elements, the returned function lists the constants that lie in ``u``,
+    then those keys in their order, each once, then as many generic
+    elements outside the constants and ``elements`` as the formula's
+    quantifier rank; for a quantifier-free formula, which never reads the
+    domain, it lists nothing.  For an open formula the caller lists the
+    values of its free variables first among a world's keys, and
+    ``elements`` holds every value they take.  The one place a domain is
+    formed and generics are picked, so a walk over many worlds, or the
+    walks of every grounding of one formula, pick them once.  ``analysis``
+    is ``_analysis(f)`` where the caller has it."""
+    rank, consts = (analysis or _analysis(f))[:2]
     if not rank:
         return lambda world: []
     generics = u.fresh_elements(consts.union(elements), rank)
-    head = dict.fromkeys(consts)
+    head = dict.fromkeys(c for c in consts if u.contains(c))
     return lambda world: [*(head | world), *generics]
 
 
-def compile_sentence(f: Formula) -> Callable[[Callable[[str], set[tuple]]], Callable[[list[Element]], bool]]:
+def compile_sentence(
+    f: Formula, analysis: tuple | None = None
+) -> Callable[..., Callable[[list[Element]], bool]]:
     """``f`` as nested closures, bound to a world by ``bind(tuples_of)``,
     where ``bind = compile_sentence(f)`` and ``tuples_of`` maps a relation
     to the world's set of its argument tuples (``Instance.tuples_of``, or
     ``__getitem__`` of a dict of sets): ``bind(tuples_of)(domain)`` is the
-    truth of ``f`` on that world with quantifiers over ``domain``.
+    truth of ``f`` on that world with quantifiers over ``domain``.  An open
+    formula is bound to one grounding as well, by
+    ``bind(tuples_of, values)`` with one value per free variable in the
+    order of :func:`free_variables`; a sentence takes none.  ``analysis``
+    is ``_analysis(f)`` where the caller has it.
 
     The closures read one list: the domain, the tuple set of each relation
-    the sentence names, each constant, then one slot per level of
-    quantifier nesting.  ``bind`` builds that list once and reads each
-    tuple set then, so a world that changes its sets in place (and returns
-    the same set for a relation every time) is evaluated again by calling
-    the bound closure again; each call writes only the domain slot.  A
-    quantifier writes its level's slot, so an inner quantifier that binds a
-    variable again leaves the outer binding in place; every term reads a
-    slot, so an atom of arity 1 or 2 builds its key directly.  ``=``
-    between two constants folds to its truth value.
+    the formula names, each constant, each free variable's value, then one
+    slot per level of quantifier nesting.  ``bind`` builds that list once
+    and reads each tuple set then, so a world that changes its sets in
+    place (and returns the same set for a relation every time) is
+    evaluated again by calling the bound closure again; each call writes
+    only the domain slot.  A quantifier writes its level's slot, so an
+    inner quantifier that binds a variable again leaves the outer binding
+    in place; every term reads a slot, so an atom of arity 1 or 2 builds
+    its key directly.  ``=`` between two constants folds to its truth
+    value.
 
     The domain lists the generic elements last (:func:`walk_pool`).
     ``exists`` reads it from the front and ``forall`` from the end, so
@@ -412,12 +389,11 @@ def compile_sentence(f: Formula) -> Callable[[Callable[[str], set[tuple]]], Call
     needs a fact about its variable.  The order changes how soon a
     quantifier stops, never its truth value.
     """
-    rank, consts, free, atoms, _ = _analysis(f)
-    if free:
-        raise ValueError(f"sentence expected, found free variables {free}")
-    relations = list(dict.fromkeys(a.relation for a in atoms))
+    rank, consts, free, atoms, _ = analysis or _analysis(f)
+    relations = list(dict.fromkeys(relation for relation, _ in atoms))
     const_slot = {c: 1 + len(relations) + i for i, c in enumerate(consts)}
-    first_level = 1 + len(relations) + len(const_slot)
+    free_slot = {v: 1 + len(relations) + len(const_slot) + j for j, v in enumerate(free)}
+    first_level = 1 + len(relations) + len(const_slot) + len(free)
 
     def slots(terms, scope: dict[str, int]) -> list[int]:
         return [scope[t.name] if isinstance(t, Var) else const_slot[t.value] for t in terms]
@@ -469,10 +445,12 @@ def compile_sentence(f: Formula) -> Callable[[Callable[[str], set[tuple]]], Call
 
         return quantifier
 
-    node, rest = build(f, {}, 0), (*const_slot, *[None] * rank)
+    node, levels = build(f, free_slot, 0), [None] * rank
 
-    def bind(tuples_of: Callable[[str], set[tuple]]) -> Callable[[list[Element]], bool]:
-        env = [None, *map(tuples_of, relations), *rest]
+    def bind(tuples_of: Callable[[str], set[tuple]], values: tuple = ()) -> Callable[[list[Element]], bool]:
+        if len(values) != len(free):
+            raise ValueError(f"one value per free variable {free} expected, got {len(values)}")
+        env = [None, *map(tuples_of, relations), *const_slot, *values, *levels]
 
         def run(domain: list[Element]) -> bool:
             env[0] = domain
@@ -490,34 +468,46 @@ def eval_boolean(
     """Truth of a sentence on a finite instance ``d`` over an infinite universe.
 
     Quantifiers range over the domain that :func:`walk_pool` forms from the
-    active domain of ``d``.  A caller that evaluates a sentence on many
-    worlds compiles it once (:func:`compile_sentence`), binds it to a world
-    whose tuple sets change in place, takes one :func:`walk_pool` for all
-    of them, and passes the world as ``d`` (any object then, since only
-    the closures read it), its domain as ``domain`` and the bound closures
-    as ``compiled``.
+    active domain of ``d``; the sentence is analysed once for that domain
+    and its closures.  A caller that evaluates a formula on many worlds
+    compiles it once (:func:`compile_sentence`), binds it to a world whose
+    tuple sets change in place (an open formula to one grounding), takes
+    one :func:`walk_pool` for all of them, and passes the world as ``d``
+    (any object then, since only the closures read it), its domain as
+    ``domain`` and the bound closures as ``compiled``.
     """
+    analysis = None
     if domain is None:
+        analysis = _analysis(f)
         adom = active_domain(d)
-        domain = walk_pool(f, adom, u)(dict.fromkeys(adom))
-    return (compiled or compile_sentence(f)(d.tuples_of))(domain)
+        domain = walk_pool(f, adom, u, analysis)(dict.fromkeys(adom))
+    return (compiled or compile_sentence(f, analysis)(d.tuples_of))(domain)
 
 
-def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, Formula]]:
-    """``(key, sentence)`` for each grounding of the open formula ``f``.
+def groundings(
+    f: Formula, elements: set[Element], u: Universe, analysis: tuple | None = None
+) -> Iterator[tuple[tuple, tuple]]:
+    """``(key, values)`` for each grounding of the open formula ``f``: the
+    values of its free variables, in the order of :func:`free_variables`,
+    which ``compile_sentence(f)``'s ``bind`` takes.
 
-    The candidates are ``elements`` and the formula's constants, in
-    ``core``'s element order; any other element is generic.  A tuple with
-    generic elements stands for every tuple that repeats them at the same
-    positions, so each such pattern is grounded once, on fresh elements in
-    first-use order, its key naming the j-th ``Fresh(j)``.  Keys come in
-    lexicographic order, candidates before fresh elements.
+    The candidates are ``elements`` and the formula's constants that lie
+    in ``u``, in ``core``'s element order; any other element of ``u`` is
+    generic.  A tuple with generic elements stands for every tuple that
+    repeats them at the same positions, so each such pattern is grounded
+    once, on fresh elements in first-use order, its key naming the j-th
+    ``Fresh(j)``.  Keys come in lexicographic order, candidates before
+    fresh elements.  ``analysis`` is ``_analysis(f)`` where the caller
+    has it.
     """
-    _, consts, free, *_ = _analysis(f)
-    taken = elements | consts
+    _, consts, free, *_ = analysis or _analysis(f)
+    taken = elements | {c for c in consts if u.contains(c)}
     fresh = u.fresh_elements(taken, len(free))
     names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}
     for combo in itertools.product(sorted(taken, key=_element_key) + fresh, repeat=len(free)):
+        if names.keys().isdisjoint(combo):  # a tuple of candidates is its own key
+            yield combo, combo
+            continue
         used = [e for e in dict.fromkeys(combo) if e in names]
         if used == fresh[: len(used)]:
-            yield tuple(names.get(e, e) for e in combo), substitute(f, dict(zip(free, combo)))
+            yield tuple(map(names.get, combo, combo)), combo

@@ -48,6 +48,7 @@ from infpdb.fo import (
     eval_boolean,
     free_variables,
     groundings,
+    walk_pool,
 )
 from infpdb.independence import BIDPdb, BlockPartition, ConstantTail, FactProbabilityAssignment
 from infpdb.numerics import ProbabilityInterval
@@ -111,10 +112,34 @@ def requantify(node, names):
     return node
 
 
+def substitute(f: Formula, assignment: dict) -> Formula:
+    """``f`` with its free variables replaced by constants: the grounded
+    sentence that ``compile_sentence(f)`` bound to the same values decides."""
+
+    def sub_term(t, bound: frozenset[str]):
+        if isinstance(t, Var) and t.name in assignment and t.name not in bound:
+            return Const(assignment[t.name])
+        return t
+
+    def walk(g: Formula, bound: frozenset[str]) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.relation, tuple(sub_term(t, bound) for t in g.terms))
+        if isinstance(g, Eq):
+            return Eq(sub_term(g.left, bound), sub_term(g.right, bound))
+        if isinstance(g, Not):
+            return Not(walk(g.body, bound))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(walk(g.left, bound), walk(g.right, bound))
+        return type(g)(g.var, walk(g.body, bound | {g.var}))
+
+    return walk(f, frozenset())
+
+
 def count_walk(monkeypatch, approx, worlds: list | None = None) -> list[Formula]:
-    """A list that fills as ``approx``'s walks run: the sentence evaluated on
-    each world walked.  A walk evaluates its one sentence once per world, so
-    every entry is one world; ``worlds``, if given, fills in step with each
+    """A list that fills as ``approx``'s walks run: the formula evaluated on
+    each world walked, an open query's own formula whatever the values its
+    walk binds.  A walk evaluates its formula once per world, so every
+    entry is one world; ``worlds``, if given, fills in step with each
     world's facts, a frozenset of ``(relation, args)``."""
     calls = []
     evaluate = approx.eval_boolean
@@ -413,6 +438,17 @@ def _print(f: Formula, parent: int) -> str:
     return f"({s})" if prec < parent else s
 
 
+def atom_pins(f: Formula) -> dict[str, list[tuple]]:
+    """The patterns of the sentence ``f`` as ``approx._cut`` takes them: per
+    relation, each distinct atom's ``(position, constant)`` pairs.  Only a
+    fact that agrees with one of them there can make an atom true under
+    some assignment."""
+    pins: dict[str, list[tuple]] = {}
+    for relation, args in dict.fromkeys(_analysis(f)[3]):
+        pins.setdefault(relation, []).append(tuple((i, a) for i, a in enumerate(args) if a is not None))
+    return pins
+
+
 def quantifier_rank(f: Formula) -> int:
     """Maximum nesting depth of quantifiers."""
     return _analysis(f)[0]
@@ -437,13 +473,21 @@ def eval_query(d: Instance, f: Formula, u: Universe) -> frozenset[tuple] | objec
     Candidate tuples range over the combined active domain of instance
     and formula (:func:`fo.groundings`); if a pattern with a fresh element
     satisfies the formula, so does every tuple it stands for, and the true
-    answer relation is infinite.
+    answer relation is infinite.  The formula is analysed and compiled
+    once, and each grounding's values are bound to its closures.
     """
-    if not free_variables(f):
+    analysis = _analysis(f)
+    if not analysis[2]:
         raise ValueError("open formula expected; use eval_boolean for sentences")
+    adom = active_domain(d)
+    grounded = list(groundings(f, adom, u, analysis))
+    bind = compile_sentence(f, analysis)
+    domain_of = walk_pool(f, itertools.chain(adom, *(values for _, values in grounded)), u, analysis)
+    world = dict.fromkeys(adom)
     answers: set[tuple] = set()
-    for key, sentence in groundings(f, active_domain(d), u):
-        if eval_boolean(d, sentence, u):
+    for key, values in grounded:
+        domain = domain_of(dict.fromkeys(values) | world)
+        if eval_boolean(d, f, u, domain=domain, compiled=bind(d.tuples_of, values)):
             if any(isinstance(e, Fresh) for e in key):
                 return INFINITE_ANSWER
             answers.add(key)

@@ -28,7 +28,7 @@ from infpdb.core import (
     expected_size,
 )
 from infpdb.errors import BlockMassExceedsOne, DivergentAssignment
-from infpdb.fo import eval_boolean, parse, substitute
+from infpdb.fo import eval_boolean, parse
 from infpdb.independence import (
     BlockPartition,
     ConstantTail,
@@ -57,6 +57,7 @@ from helpers import (
     random_sentence,
     reference_boolean_enclosure,
     subset_expansion_check,
+    substitute,
 )
 
 NAT = Universe.naturals()

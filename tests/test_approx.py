@@ -22,8 +22,8 @@ from infpdb.completion import complete
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain, facts_of
 from infpdb.errors import WorldCapExceeded
 from infpdb.fo import (
-    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, atom_patterns, compile_sentence,
-    eval_boolean, free_variables, groundings, parse, polarity, substitute,
+    And, Atom, Const, Exists, Forall, Fresh, Implies, Not, Or, Var, compile_sentence,
+    eval_boolean, free_variables, groundings, parse, polarity,
 )
 from infpdb.independence import (
     BIDPdb,
@@ -42,7 +42,8 @@ from infpdb.specio import load_spec
 from infpdb.universe import FactEnumeration, Universe
 
 from helpers import (
-    constants, count_walk, naive_eval, quantifier_rank, random_sentence, reference_boolean_enclosure, requantify,
+    atom_pins, constants, count_walk, naive_eval, quantifier_rank, random_sentence, reference_boolean_enclosure,
+    requantify, substitute,
 )
 
 NAT = Universe.naturals()
@@ -566,9 +567,11 @@ class TestOpenQueryPatterns:
             n = choose_truncation(space, self.EPS).n
             blocks = approx._truncated_blocks(space, n)
             elements = {e for block in blocks for facts, _ in block for g in facts for e in g.args}
+            free = free_variables(f)
             keys = [
-                key for key, sentence in groundings(f, elements, NAT)
-                if not any(isinstance(e, Fresh) for e in key) or conditional_query_prob(space, sentence, n, NAT) > 0.0
+                key for key, values in groundings(f, elements, NAT)
+                if not any(isinstance(e, Fresh) for e in key)
+                or conditional_query_prob(space, substitute(f, dict(zip(free, values))), n, NAT) > 0.0
             ]
             assert list(table) == keys, f
 
@@ -653,7 +656,7 @@ def _random_block_list(rng, schema, kind):
 class TestPatternCut:
     """The walk cuts each sentence's blocks down to the facts its atoms can match."""
 
-    @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "finite", "completion"]))
+    @given(st.randoms(use_true_random=True), st.sampled_from(["ti", "bid", "finite", "completion"]))
     @settings(max_examples=120, derandomize=True, deadline=None)
     def test_walk_is_exact_per_sentence(self, rng, kind):
         schema = rng.choice([Schema.of(R=1, S=1), Schema.of(R=2, S=1)])
@@ -717,25 +720,37 @@ class TestPatternCut:
         }
 
 
-def _space_blocks(rng, kind):
-    """The blocks of a head-only space over R/2 and S/1 on elements 1-4: TI,
-    BID keyed by R's first argument, or one world table's exhaustive block."""
+def _space(rng, kind):
+    """A space over R/2 and S/1 on elements 1-4: head-only TI, BID keyed by
+    R's first argument, one world table, or a closed table completed by
+    S(5) at times and a tail of S facts from S(6) on."""
     pool = [fact("R", a, b) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)] + [fact("S", a) for a in (1, 2, 3, 4)]
+    if kind == "completion":
+        facts = rng.sample(pool, rng.randint(1, 3))
+        subsets = [Instance(c) for r in range(len(facts) + 1) for c in itertools.combinations(facts, r)]
+        weights = [rng.random() + 0.01 for _ in subsets]
+        table = FiniteDiscretePDB(RS2, NAT, {d: w / sum(weights) for d, w in zip(subsets, weights)})
+        head = ((fact("S", 5), rng.uniform(0.05, 0.9)),) * rng.randint(0, 1)
+        tail = GeometricTail(EnumerationSupply(FactEnumeration(RS2, NAT), relation="S", offset=5), c=TAIL_C, q=TAIL_Q)
+        return complete(table, FactProbabilityAssignment(head, tail))
     facts = rng.sample(pool, rng.randint(1, 7))
     if kind == "ti":
-        space = ti_construct(FactProbabilityAssignment(tuple((g, rng.uniform(0.05, 0.95)) for g in facts)))
-    elif kind == "bid":
+        return ti_construct(FactProbabilityAssignment(tuple((g, rng.uniform(0.05, 0.95)) for g in facts)))
+    if kind == "bid":
         keys = {g: g.args[0] if g.relation == "R" else g for g in facts}
         head = []
         for key in dict.fromkeys(keys.values()):
             head += _outcomes(rng, [g for g in facts if keys[g] == key])
-        space = bid_construct(BlockPartition.by_keys(R=1), FactProbabilityAssignment(tuple(head)))
-    else:
-        worlds = {frozenset(rng.sample(facts, rng.randint(0, len(facts)))) for _ in range(rng.randint(1, 6))}
-        weights = [rng.random() + 0.01 for _ in worlds]
-        table = {Instance(w): x / sum(weights) for w, x in zip(worlds, weights)}
-        space = table_space(FiniteDiscretePDB(RS2, NAT, table))
-    return list(space.blocks.values())
+        return bid_construct(BlockPartition.by_keys(R=1), FactProbabilityAssignment(tuple(head)))
+    worlds = {frozenset(rng.sample(facts, rng.randint(0, len(facts)))) for _ in range(rng.randint(1, 6))}
+    weights = [rng.random() + 0.01 for _ in worlds]
+    table = {Instance(w): x / sum(weights) for w, x in zip(worlds, weights)}
+    return table_space(FiniteDiscretePDB(RS2, NAT, table))
+
+
+def _space_blocks(rng, kind):
+    """The blocks of a head-only :func:`_space`."""
+    return list(_space(rng, kind).blocks.values())
 
 
 def _per_world_walk(blocks, sentences, u):
@@ -748,7 +763,7 @@ def _per_world_walk(blocks, sentences, u):
     values = []
     for f in sentences:
         acc = CompensatedAccumulator()
-        kept = approx._cut(blocks, atom_patterns(f))
+        kept = approx._cut(blocks, atom_pins(f))
         choices = [[((), none)] * (none > 0.0) + list(outcomes) for outcomes, none, _ in kept]
         taken = constants(f)
         for world in itertools.product(*choices):
@@ -785,11 +800,11 @@ class TestSharedPoolWalk:
     reads every world through one set of tuples per relation changed in
     place, gives the value that an Instance per world gives."""
 
-    @given(st.randoms(use_true_random=False), st.sampled_from(["ti", "bid", "table"]))
+    @given(st.randoms(use_true_random=True), st.sampled_from(["ti", "bid", "table"]))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_per_world_evaluation_bit_for_bit(self, rng, kind):
         blocks = _space_blocks(rng, kind)
-        names = {f"v{k}": rng.choice("xy") for k in range(16)}
+        names = collections.defaultdict(lambda: rng.choice("xy"))
         sentences = [
             requantify(random_sentence(rng, RS2, max_rank=rank, constant_pool=(1, 2, 5)), names)
             for rank in (rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
@@ -917,7 +932,7 @@ class TestSettledWalk:
         for settle in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 if not settle:
-                    patch.setattr(approx, "polarity", lambda f: (False, False))
+                    patch.setattr(approx, "polarity", lambda *a: (False, False))
                 worlds = []
                 count_walk(patch, approx, worlds)
                 runs.append((approx.world_walk(blocks, g, NAT), worlds))
@@ -940,3 +955,79 @@ class TestSettledWalk:
         p, cert = approx_boolean(doc.space(), f, 0.1, doc.universe)
         assert cert.n == 24 and len(walked) == 24 + 1
         assert f"{p:.6f}" == "0.999729"
+
+
+def _walk_each_grounding(t, f, epsilon, u):
+    """The open query's table as one walk per grounded sentence would give
+    it: each key's values substituted into ``f``, and the sentence walked
+    on its own over the truncated blocks."""
+    blocks = approx._truncated_blocks(t, choose_truncation(t, epsilon).n)
+    elements = {e for block in blocks for facts, _ in block for g in facts for e in g.args}
+    free, table = free_variables(f), {}
+    for key, values in groundings(f, elements, u):
+        p = approx.world_walk(blocks, substitute(f, dict(zip(free, values))), u)
+        if p > 0.0 or not any(isinstance(e, Fresh) for e in key):
+            table[key] = p
+    return table
+
+
+class TestOnePreparationPerCall:
+    """An open query is analysed, compiled, indexed and given its generics
+    once per call; each grounding only writes its values and walks the
+    blocks its atoms can match."""
+
+    TEMPLATES = [
+        # x is free in R(x, y) and bound again under exists
+        "R(x, y) | exists x. S(x)",
+        # x is in no atom
+        "exists y. R(y, 2) & x = x",
+        "R(x, 5) | S(y) & !(x = y)",
+        "exists z. R(x, z) & !S(z) & !(z = 2)",
+        "forall z. (R(z, x) -> S(z)) & !(x = 1)",
+    ]
+
+    @given(st.randoms(use_true_random=True), st.sampled_from(["ti", "bid", "table", "completion"]))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_one_walk_per_grounded_sentence_bit_for_bit(self, rng, kind):
+        space = _space(rng, kind)
+        formulas = [parse(rng.choice(self.TEMPLATES), RS2)]
+        # random formulas with constants and =, in x, or in x and y
+        for k in (1, 2):
+            f = _lift(random_sentence(rng, RS2, max_rank=2, constant_pool=(1, 2, 5)), 1, "x")
+            f = _lift(f, 2, "y") if k == 2 else f
+            formulas.append(And(f, Atom("S", (Var("x"),))) if not free_variables(f) else f)
+        for f in formulas:
+            got = approx_nonboolean(space, f, 0.2, NAT)
+            assert list(got.items()) == list(_walk_each_grounding(space, f, 0.2, NAT).items()), (kind, f)
+
+    @pytest.mark.parametrize("text", ["exists z. R(x, z) & !(z = 2)", "R(x, y) | exists x. S(x) & !(x = 'a')"])
+    def test_one_analysis_compile_and_pool_per_call(self, monkeypatch, text):
+        from infpdb import fo
+
+        calls, cuts = collections.Counter(), []
+        for name in ("_analysis", "compile_sentence", "walk_pool"):
+            for module in (fo, approx):
+                # each wrapper calls the original, so a call counts once
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **kw: calls.update([name]) or fn(*a, **kw))
+        cut = approx._cut
+        monkeypatch.setattr(approx, "_cut", lambda blocks, pins, index=None: cuts.append(index) or cut(blocks, pins, index))
+        space = ti_construct(FactProbabilityAssignment(tuple(
+            (fact("R", a, b), 0.1 * (a + b)) for a in (1, 2, 3) for b in (2, 3, 4) if a < b
+        ) + ((fact("S", 3), 0.5),), _tail_s()))
+        f = parse(text, RS2)
+        table = approx_nonboolean(space, f, 0.1, NAT)
+        assert len(table) >= 7
+        assert calls == {"_analysis": 1, "compile_sentence": 1, "walk_pool": 1}
+        # one cut per grounding, each through the blocks' one index
+        assert len(cuts) >= len(table) and all(index is cuts[0] is not None for index in cuts)
+        assert not hasattr(fo, "substitute")
+        calls.clear()
+        cuts.clear()
+        approx_boolean(space, parse("exists x. " + text.replace("y", "x"), RS2), 0.1, NAT)
+        assert calls == {"_analysis": 1, "compile_sentence": 1, "walk_pool": 1} and cuts == [None]
+
+
+def _tail_s():
+    """S(6), S(7), ... at 12.8 * 0.5**i."""
+    return GeometricTail(EnumerationSupply(FactEnumeration(RS2, NAT), relation="S", offset=5), c=TAIL_C, q=TAIL_Q)

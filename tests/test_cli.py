@@ -766,6 +766,19 @@ class TestQuery:
         assert rows[-1] == "(*1)\t1.000000"
         assert "*1, *2, ... stand for distinct elements that occur in no row without a *" in note
 
+    # a constant outside the universe names no element, so no quantifier
+    # ranges over it: 'A' is no natural, and 'Z' is not over ti_head's
+    # alphabet 0-9A-D
+    @pytest.mark.parametrize("spec, text, printed", [
+        ("bid.json", "forall x. !(x = 'A')", "1.000000"),
+        ("ti_head.json", "exists x. x = 'Z'", "0.000000"),
+    ])
+    def test_constant_outside_the_universe_is_no_element(self, spec, text, printed, tmp_path, capsys):
+        qpath = tmp_path / "q.txt"
+        qpath.write_text(text)
+        assert main(["query", str(GOLDEN / spec), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert capsys.readouterr().out.startswith(f"probability = {printed} ")
+
     # int() would read the last four as 3, 7, 10 and 5
     @pytest.mark.parametrize("raw", ["abc", "2.5", "-3", "\u0663", " 7 ", "1_0", "+5"])
     def test_bad_world_cap_is_usage_error(self, raw, example_spec, query_file, capsys, monkeypatch):

@@ -25,7 +25,6 @@ from infpdb.fo import (
     free_variables,
     groundings,
     parse,
-    substitute,
 )
 from infpdb.record import Record
 from infpdb.universe import Universe
@@ -43,6 +42,7 @@ from helpers import (
     random_instance,
     random_sentence,
     requantify,
+    substitute,
     view_pushforward,
 )
 
@@ -199,8 +199,8 @@ class TestEvalBoolean:
     def test_ground_sentence_builds_no_domain(self, monkeypatch):
         domains, compile_sentence = [], fo.compile_sentence
 
-        def recording(f):
-            bind = compile_sentence(f)
+        def recording(f, *analysis):
+            bind = compile_sentence(f, *analysis)
             return lambda d: lambda domain, run=bind(d): domains.append(domain) or run(domain)
 
         monkeypatch.setattr(fo, "compile_sentence", recording)
@@ -219,8 +219,28 @@ class TestEvalBoolean:
         assert domain_of(dict.fromkeys([3]))[2:] == [3, 4, 5]
         assert fo.walk_pool(f, [3, 2, 1], NAT)(dict.fromkeys([3, 2, 1]))[2:] == [3, 1, 4, 5]
         assert fo.walk_pool(parse("R(1) | S(2)", S2), {1, 3}, NAT)(dict.fromkeys([1, 3])) == []
+        # an open formula is refused where it is bound without its values
         with pytest.raises(ValueError):
-            fo.walk_pool(parse("R(x)", S1), set(), NAT)
+            fo.compile_sentence(parse("R(x)", S1))(Instance.empty().tuples_of)
+
+    def test_walk_pool_leaves_out_constants_outside_the_universe(self):
+        # 'A' is no natural, so no quantifier ranges over it
+        f = parse("forall x. !(x = 'A')", S1)
+        assert fo.walk_pool(f, [], NAT)({}) == [1]
+        assert eval_boolean(Instance.empty(), f, NAT)
+
+    def test_default_path_analyses_once(self, monkeypatch):
+        calls, analysis = [], fo._analysis
+        monkeypatch.setattr(fo, "_analysis", lambda f: calls.append(f) or analysis(f))
+        assert eval_boolean(Instance([fact("R", 1)]), parse("exists x. R(x) & !(x = 2)", S1), NAT)
+        assert len(calls) == 1
+
+    def test_open_formula_compiles_once_for_every_grounding(self):
+        # x has a slot that each binding fills; its value joins the domain
+        f = parse("forall y. (S(y) -> y = x) & exists z. z = x", S2)
+        d = Instance([fact("S", 1)])
+        bind, domain_of = fo.compile_sentence(f), fo.walk_pool(f, [1, 2], NAT)
+        assert [bind(d.tuples_of, (x,))(domain_of(dict.fromkeys([x, 1]))) for x in (1, 2)] == [True, False]
 
     def test_generic_equal_only_to_itself(self):
         # exactly one generic is available at rank 1, and it is not in R
@@ -363,19 +383,25 @@ class TestGroundings:
 
     def test_keys_in_element_order_then_fresh_in_first_use_order(self):
         f = parse("R(x, y) | x = 'b'", Schema.of(R=2))
-        keys = [key for key, _ in groundings(f, {"a", 2}, NAT)]
+        # 'b' is no natural, so it is a candidate only as an element
+        keys = [key for key, _ in groundings(f, {"a", 2, "b"}, NAT)]
         fresh = [Fresh(1), Fresh(2)]
         order = [2, "a", "b"]
         want = [(a, b) for a in order + fresh[:1] for b in order + fresh[: 1 + (a == fresh[0])]]
         assert keys == want
         # the fresh elements are the first naturals outside the candidates
-        sentences = dict(groundings(f, {"a", 2}, NAT))
-        assert sentences[(Fresh(1), Fresh(2))] == parse("R(1, 3) | 1 = 'b'", Schema.of(R=2))
+        values = dict(groundings(f, {"a", 2, "b"}, NAT))
+        assert substitute(f, dict(zip("xy", values[(Fresh(1), Fresh(2))]))) == parse("R(1, 3) | 1 = 'b'", Schema.of(R=2))
+
+    def test_constants_outside_the_universe_are_no_candidates(self):
+        # neither 'A' nor 0 is a natural
+        f = parse("R(x) | x = 'A' | x = 0", S1)
+        assert [key for key, _ in groundings(f, {2}, NAT)] == [(2,), (Fresh(1),)]
 
     def test_eval_query_tries_only_first_use_patterns(self, monkeypatch):
         calls = []
         evaluate = helpers.eval_boolean
-        monkeypatch.setattr(helpers, "eval_boolean", lambda d, f, u: calls.append(f) or evaluate(d, f, u))
+        monkeypatch.setattr(helpers, "eval_boolean", lambda d, f, u, **kw: calls.append(f) or evaluate(d, f, u, **kw))
         d = Instance([fact("R", 1, 2), fact("R", 2, 3)])
         assert eval_query(d, parse("R(x, y)", Schema.of(R=2)), NAT) == {(1, 2), (2, 3)}
         # 3 candidates: 9 tuples, 3 + 3 with one fresh element, and (*1, *1), (*1, *2)

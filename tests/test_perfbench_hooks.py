@@ -79,13 +79,41 @@ def test_traced_open_query_walks_each_tuple_on_its_own_facts(monkeypatch):
     metrics = tracer.metrics(1)
     assert [span[1] for span in tracer.spans].count("approx.approx_nonboolean") == 1
     # exists y. R(x, y) & !(y = '1') on the blocks R(1, .), R(2, .), R(3, .):
-    # x = 1 walks 3 worlds, x = 2 and x = 3 walk 2 each, and the other five
-    # candidates and the pattern (*1) walk one world with no R fact each
-    assert tracer.counts["fo.eval_boolean.calls"] == 3 + 2 + 2 + 6
-    assert len(walked) == 3 + 2 + 2 + 6
+    # x = 1 walks 3 worlds, x = 2 and x = 3 walk 2 each, and the other four
+    # candidates and the pattern (*1) walk one world with no R fact each;
+    # the string '1' is no natural, so it is no candidate
+    assert tracer.counts["fo.eval_boolean.calls"] == 3 + 2 + 2 + 5
+    assert len(walked) == 3 + 2 + 2 + 5
     # a walked world is a relation index, not an Instance
     assert tracer.counts["core.instances_built"] == 0
     assert all(value == 0 for name, (value, _) in metrics.items() if name.endswith(".errors"))
+
+
+def test_traced_open_query_counts_one_leaf_per_walked_world(monkeypatch):
+    """``approx_nonboolean`` prepares its formula once and walks every
+    grounding with the open formula's closures, so the tracer's
+    ``fo.eval_boolean`` leaf still counts one call per walked world."""
+    doc = infpdb.specio.load_spec(str(GOLDEN / "ti_head.json"))
+    f = infpdb.fo.parse((GOLDEN / "two_var_query.txt").read_text(), doc.schema)
+    tracer = _tracer()
+    tracer.install(infpdb)
+    try:
+        with monkeypatch.context() as patch:
+            walked = count_walk(patch, infpdb.approx)
+            tracer.begin_op("open")
+            try:
+                table = infpdb.approx.approx_nonboolean(doc.space(), f, 0.1, doc.universe)
+            finally:
+                tracer.end_op()
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("approx.approx_nonboolean") == 1 and "approx.conditional_query_prob" not in names
+    # more worlds than rows: some grounding walks more than one world
+    assert len(walked) > len(table) > 0
+    assert tracer.counts["fo.eval_boolean.calls"] == len(walked)
+    assert all(g is f for g in walked)
+    assert all(value == 0 for name, (value, _) in tracer.metrics(1).items() if name.endswith(".errors"))
 
 
 def test_traced_sample_records_the_tail_truncation_and_the_draws():
