@@ -16,16 +16,16 @@ block, exponentially in the number of blocks with an outcome that holds
 a fact one of the query's atoms can match: an atom with a constant, as in
 each grounded tuple of an open query, matches only the facts that agree
 with it there; a block sure to take its one outcome is no branch, only
-facts of every world.  A query is prepared once per call
-(:func:`_walker`): one analysis, one compile (:func:`fo.compile_sentence`),
-one pool of generic elements, exact by generic-pool invariance
-(:func:`fo.walk_pool`), and for an open query one index of the truncated
-blocks.  Each grounding of an open query then binds its values and walks
-the blocks its atoms can match, keeping one world of tuple sets that it
-changes in place; a monotone or antimonotone formula settles a block's
-subtree at its first world (:func:`fo.polarity`).  The
-cap bounds the bits of the count of the truncated space's worlds, which
-is n on a TI space.
+facts of every world.  A query, which carries its own analysis
+(``Formula.analysis``), is prepared once per call (:func:`_walker`): one
+compile (:func:`fo.compile_sentence`), one pool of generic elements, exact
+by generic-pool invariance (:func:`fo.walk_pool`), and for an open query
+one index of the truncated blocks.  Each grounding of an open query then
+binds its values and walks the blocks its atoms can match, keeping one
+world of tuple sets that it changes in place; a monotone or antimonotone
+formula settles a block's subtree at its first world
+(:func:`fo.polarity`).  The cap bounds the bits of the count of the
+truncated space's worlds, which is n on a TI space.
 
 Guarantees are additive only; no relative-error mode exists, because
 even deciding whether the query probability is zero is undecidable for
@@ -42,7 +42,7 @@ from typing import Callable, Iterable
 
 from .core import Fact
 from .errors import WorldCapExceeded
-from .fo import Formula, Var, _analysis, compile_sentence, eval_boolean, groundings, polarity, walk_pool
+from .fo import Formula, Var, compile_sentence, eval_boolean, groundings, polarity, walk_pool
 from .independence import BIDPdb, Block
 from .numerics import CompensatedAccumulator
 from .record import Record
@@ -178,20 +178,19 @@ def _cut(blocks: list[Block], pins: dict[str, list[tuple[tuple[int, Element], ..
 
 
 def _walker(
-    blocks: list[Block], f: Formula, universe: Universe, analysis: tuple, elements: Iterable[Element],
-    indexed: bool = False,
+    blocks: list[Block], f: Formula, universe: Universe, elements: Iterable[Element]
 ) -> Callable[[tuple], float]:
     """``walk(values)``, the exact probability of ``f`` on the finite space
     of ``blocks`` with its free variables bound to ``values``, in the order
     of :func:`fo.free_variables` (none for a sentence).  What no grounding
-    changes is done once, here: ``f`` is compiled from its ``analysis``
-    (:func:`fo.compile_sentence`), its generics are taken outside its
-    constants and ``elements``, which must hold every element of the blocks
-    and every value a walk is given (:func:`fo.walk_pool`), and its
-    polarity is read (:func:`fo.polarity`).  Where ``indexed``, the blocks
-    are indexed (:func:`_block_index`) by every position that an atom pins
-    with a constant or a free variable, so that each walk's cut reads only
-    the blocks its patterns can match.
+    changes is done once, here: ``f`` is compiled (:func:`fo.compile_sentence`),
+    its generics are taken outside its constants and ``elements``, which
+    must hold every element of the blocks and every value a walk is given
+    (:func:`fo.walk_pool`), and its polarity is read (:func:`fo.polarity`).  Where ``f`` has free
+    variables, and so one walk per grounding, the blocks are indexed
+    (:func:`_block_index`) by every position that an atom pins with a
+    constant or a free variable, so that each walk's cut reads only the
+    blocks its patterns can match.
 
     Each walk cuts the blocks down to the facts that one of the atoms can
     match (:func:`_cut`), the free variables read as their values, and
@@ -225,19 +224,19 @@ def _walker(
     either way it skips its outcomes.  Exact by generic-pool invariance:
     each world's value is the truth over the infinite universe.
     """
-    free = analysis[2]
-    bind = compile_sentence(f, analysis)
-    domain_of = walk_pool(f, elements, universe, analysis)
-    monotone, antimonotone = polarity(f, analysis)
+    _, _, free, atoms, _ = f.analysis
+    bind = compile_sentence(f)
+    domain_of = walk_pool(f, elements, universe)
+    monotone, antimonotone = polarity(f)
     # per relation, each distinct atom's (position, constant) pairs and the
     # positions of its free variables, each with its index among the values
     shapes: dict[str, dict] = {}
-    for relation, args in analysis[3]:
+    for relation, args in atoms:
         fixed = tuple((i, a) for i, a in enumerate(args) if a is not None and not isinstance(a, Var))
         slots = tuple((i, free.index(a.name)) for i, a in enumerate(args) if isinstance(a, Var))
         shapes.setdefault(relation, {})[fixed, slots] = None
     index = None
-    if indexed:
+    if free:
         positions = {relation: {i for pin in shape for i, _ in itertools.chain(*pin)} for relation, shape in shapes.items()}
         index = _block_index(blocks, positions)
     flat, args_of = itertools.chain.from_iterable, attrgetter("args")
@@ -288,15 +287,6 @@ def _walker(
     return walk
 
 
-def world_walk(blocks: list[Block], f: Formula, universe: Universe) -> float:
-    """Exact probability of the sentence ``f`` on the finite space of
-    ``blocks``: one walk of :func:`_walker`, which cuts the blocks to the
-    facts that one of the atoms of ``f`` can match and settles what a
-    monotone or antimonotone sentence allows."""
-    elements = (e for block in blocks for facts, _ in block for g in facts for e in g.args)
-    return _walker(blocks, f, universe, _analysis(f), elements)(())
-
-
 def conditional_query_prob(
     t: BIDPdb, f: Formula, n: int, universe: Universe, cap: int = DEFAULT_WORLD_CAP
 ) -> float:
@@ -304,10 +294,12 @@ def conditional_query_prob(
 
     Conditioned on the truncation event, the head blocks and the first
     ``n - h`` tail facts form a finite block-independent space with the
-    original outcome probabilities; its worlds are enumerated exactly.
-    ``n`` must cover the ``h`` head facts.
+    original outcome probabilities; its worlds are walked exactly, in one
+    walk of :func:`_walker`.  ``n`` must cover the ``h`` head facts.
     """
-    return world_walk(_truncated_blocks(t, n, cap), f, universe)
+    blocks = _truncated_blocks(t, n, cap)
+    elements = (e for block in blocks for facts, _ in block for g in facts for e in g.args)
+    return _walker(blocks, f, universe, elements)(())
 
 
 def approx_boolean(
@@ -341,20 +333,19 @@ def approx_nonboolean(
     Keys come in the order of :func:`fo.groundings`.
 
     The formula is prepared once for every grounding (:func:`_walker`):
-    one analysis, one compile, one index of the truncated blocks and one
-    pool of generics, outside the candidates and the ``Fresh``
-    representatives.  Each grounding then writes its values into the
-    compiled formula and walks only the blocks its atoms can match.
+    one compile, one index of the truncated blocks and one pool of
+    generics, outside the candidates and the ``Fresh`` representatives.
+    Each grounding then writes its values into the compiled formula and
+    walks only the blocks its atoms can match.
     """
-    analysis = _analysis(f)
-    if not analysis[2]:
+    if not f.analysis[2]:
         raise ValueError("open formula expected; use approx_boolean for sentences")
     cert = choose_truncation(t, epsilon)
     blocks = _truncated_blocks(t, cert.n, cap)
     elements = {e for block in blocks for facts, _ in block for fact in facts for e in fact.args}
-    grounded = list(groundings(f, elements, universe, analysis))
+    grounded = list(groundings(f, elements, universe))
     values = itertools.chain(elements, *(combo for _, combo in grounded))
-    walk = _walker(blocks, f, universe, analysis, values, indexed=True)
+    walk = _walker(blocks, f, universe, values)
     table = {}
     for key, combo in grounded:
         # a key differs from its values where it names a fresh element

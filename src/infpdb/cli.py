@@ -220,14 +220,15 @@ def cmd_oracle_compare(args) -> int:
     blocks = list(space.blocks.values())
     worlds = oracle.enumerate_block_worlds(blocks)
     facts = list(dict.fromkeys(g for block in blocks for outcome, _ in block for g in outcome))
-    diffs = []
+    # the oracle refuses more than 20 facts, so the engine's world cap never applies
+    n, diffs = len(space.head), []
     for f in facts:
         atom = fo.Atom(f.relation, tuple(map(fo.Const, f.args)))
-        engine_marginal = approx.world_walk(blocks, atom, doc.universe)
+        engine_marginal = approx.conditional_query_prob(space, atom, n, doc.universe)
         oracle_marginal = oracle.exact_event_prob(worlds, lambda d: f in d)
         diffs.append(abs(engine_marginal - oracle_marginal))
         print(f"marginal {f}: engine={engine_marginal!r} oracle={oracle_marginal!r}")
-    engine_q = approx.world_walk(blocks, formula, doc.universe)
+    engine_q = approx.conditional_query_prob(space, formula, n, doc.universe)
     bind = fo.compile_sentence(formula)
     oracle_q = oracle.exact_event_prob(
         worlds, lambda d: fo.eval_boolean(d, formula, doc.universe, compiled=bind(d.tuples_of))

@@ -6,7 +6,7 @@ right as far as possible)::
     formula  := 'exists' VAR '.' formula
               | 'forall' VAR '.' formula
               | implication
-    atom     := REL '(' term (',' term)* ')'
+    atom     := REL '(' [term (',' term)*] ')'    (no term iff REL is 0-ary)
               | term '=' term
     term     := VAR | INT | STRING
     VAR      := [a-z][A-Za-z0-9_]*
@@ -27,11 +27,12 @@ outside the constants and every element of the worlds it serves.
 ``forall`` reads the domain from the end and ``exists`` from the front,
 so ``forall`` tries a generic first.  No truth value depends on the order.
 
-A formula is analysed once (:func:`_analysis`) and compiled once into
-nested closures (:func:`compile_sentence`), which are bound to a world
-that may change in place, and an open formula's free variables to one
-grounding's values; a caller that evaluates it on many worlds passes the
-bound closures to :func:`eval_boolean` with every world and its domain.
+A formula carries its analysis (:func:`_analysis`), worked out the first
+time ``f.analysis`` is read, and is compiled once into nested closures
+(:func:`compile_sentence`), which are bound to a world that may change in
+place, and an open formula's free variables to one grounding's values; a
+caller that evaluates it on many worlds passes the bound closures to
+:func:`eval_boolean` with every world and its domain.
 A constant outside the universe names no element, so no domain holds it.
 
 Open formulas are grounded in one place, :func:`groundings`, which yields
@@ -44,6 +45,7 @@ reads its marginals per key).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from operator import itemgetter
@@ -75,46 +77,53 @@ class Const(Record):
 Term = Var | Const
 
 
-class Atom(Record):
+class Formula(Record):
+    """Base of the eight formula records below."""
+
+    @functools.cached_property
+    def analysis(self) -> tuple[int, set[Element], list[str], list[tuple[str, tuple]], list[bool]]:
+        """:func:`_analysis` of this formula, worked out when first read;
+        every reader shares its set and lists, so none may change them."""
+        return _analysis(self)
+
+
+class Atom(Formula):
     relation: str
     terms: tuple[Term, ...]
 
 
-class Eq(Record):
+class Eq(Formula):
     left: Term
     right: Term
 
 
-class Not(Record):
+class Not(Formula):
     body: "Formula"
 
 
-class And(Record):
+class And(Formula):
     left: "Formula"
     right: "Formula"
 
 
-class Or(Record):
+class Or(Formula):
     left: "Formula"
     right: "Formula"
 
 
-class Implies(Record):
+class Implies(Formula):
     left: "Formula"
     right: "Formula"
 
 
-class Exists(Record):
+class Exists(Formula):
     var: str
     body: "Formula"
 
 
-class Forall(Record):
+class Forall(Formula):
     var: str
     body: "Formula"
-
-
-Formula = Atom | Eq | Not | And | Or | Implies | Exists | Forall
 
 
 class Fresh(Record):
@@ -239,13 +248,15 @@ class _Parser:
         if relation not in self.schema:
             raise QuerySyntaxError(f"unknown relation {relation!r}", pos)
         self._expect("op", "(")
+        arity = self.schema.arity_of(relation)
+        if not arity and self._accept(")"):
+            return Atom(relation, ())
         terms = [self._term()]
         while not self._accept(")"):
             if not self._accept(","):
                 kind, value, p = self.toks[self.i]
                 raise QuerySyntaxError(f"expected ',' or ')' in argument list, found {value or kind!r}", p)
             terms.append(self._term())
-        arity = self.schema.arity_of(relation)
         if len(terms) != arity:
             raise QuerySyntaxError(
                 f"relation {relation!r} takes {arity} arguments, got {len(terms)}", pos
@@ -320,24 +331,21 @@ def _analysis(f: Formula) -> tuple[int, set[Element], list[str], list[tuple[str,
 
 def free_variables(f: Formula) -> list[str]:
     """Free variables in order of first occurrence."""
-    return _analysis(f)[2]
+    return f.analysis[2]
 
 
-def polarity(f: Formula, analysis: tuple | None = None) -> tuple[bool, bool]:
+def polarity(f: Formula) -> tuple[bool, bool]:
     """``(monotone, antimonotone)``: every relation atom of ``f`` positive,
-    or every one negative (:func:`_analysis`, or ``analysis`` where the
-    caller has it); ``=`` does not count, so a formula with no relation
-    atom is both."""
-    signs = (analysis or _analysis(f))[4]
+    or every one negative (:func:`_analysis`); ``=`` does not count, so a
+    formula with no relation atom is both."""
+    signs = f.analysis[4]
     return all(signs), not any(signs)
 
 
 # --- evaluation --------------------------------------------------------
 
 
-def walk_pool(
-    f: Formula, elements: Iterable[Element], u: Universe, analysis: tuple | None = None
-) -> Callable[[dict[Element, Any]], list[Element]]:
+def walk_pool(f: Formula, elements: Iterable[Element], u: Universe) -> Callable[[dict[Element, Any]], list[Element]]:
     """The quantifier domains of ``f`` on worlds whose elements lie in
     ``elements``: called with a dict whose keys are such a world's
     elements, the returned function lists the constants that lie in ``u``,
@@ -348,9 +356,8 @@ def walk_pool(
     values of its free variables first among a world's keys, and
     ``elements`` holds every value they take.  The one place a domain is
     formed and generics are picked, so a walk over many worlds, or the
-    walks of every grounding of one formula, pick them once.  ``analysis``
-    is ``_analysis(f)`` where the caller has it."""
-    rank, consts = (analysis or _analysis(f))[:2]
+    walks of every grounding of one formula, pick them once."""
+    rank, consts = f.analysis[:2]
     if not rank:
         return lambda world: []
     generics = u.fresh_elements(consts.union(elements), rank)
@@ -358,9 +365,7 @@ def walk_pool(
     return lambda world: [*(head | world), *generics]
 
 
-def compile_sentence(
-    f: Formula, analysis: tuple | None = None
-) -> Callable[..., Callable[[list[Element]], bool]]:
+def compile_sentence(f: Formula) -> Callable[..., Callable[[list[Element]], bool]]:
     """``f`` as nested closures, bound to a world by ``bind(tuples_of)``,
     where ``bind = compile_sentence(f)`` and ``tuples_of`` maps a relation
     to the world's set of its argument tuples (``Instance.tuples_of``, or
@@ -368,8 +373,7 @@ def compile_sentence(
     truth of ``f`` on that world with quantifiers over ``domain``.  An open
     formula is bound to one grounding as well, by
     ``bind(tuples_of, values)`` with one value per free variable in the
-    order of :func:`free_variables`; a sentence takes none.  ``analysis``
-    is ``_analysis(f)`` where the caller has it.
+    order of :func:`free_variables`; a sentence takes none.
 
     The closures read one list: the domain, the tuple set of each relation
     the formula names, each constant, each free variable's value, then one
@@ -389,7 +393,7 @@ def compile_sentence(
     needs a fact about its variable.  The order changes how soon a
     quantifier stops, never its truth value.
     """
-    rank, consts, free, atoms, _ = analysis or _analysis(f)
+    rank, consts, free, atoms, _ = f.analysis
     relations = list(dict.fromkeys(relation for relation, _ in atoms))
     const_slot = {c: 1 + len(relations) + i for i, c in enumerate(consts)}
     free_slot = {v: 1 + len(relations) + len(const_slot) + j for j, v in enumerate(free)}
@@ -468,25 +472,21 @@ def eval_boolean(
     """Truth of a sentence on a finite instance ``d`` over an infinite universe.
 
     Quantifiers range over the domain that :func:`walk_pool` forms from the
-    active domain of ``d``; the sentence is analysed once for that domain
-    and its closures.  A caller that evaluates a formula on many worlds
-    compiles it once (:func:`compile_sentence`), binds it to a world whose
-    tuple sets change in place (an open formula to one grounding), takes
-    one :func:`walk_pool` for all of them, and passes the world as ``d``
-    (any object then, since only the closures read it), its domain as
-    ``domain`` and the bound closures as ``compiled``.
+    active domain of ``d``; that domain and its closures read the one
+    analysis the sentence carries.  A caller that evaluates a formula on
+    many worlds compiles it once (:func:`compile_sentence`), binds it to a
+    world whose tuple sets change in place (an open formula to one
+    grounding), takes one :func:`walk_pool` for all of them, and passes the
+    world as ``d`` (any object then, since only the closures read it), its
+    domain as ``domain`` and the bound closures as ``compiled``.
     """
-    analysis = None
     if domain is None:
-        analysis = _analysis(f)
         adom = active_domain(d)
-        domain = walk_pool(f, adom, u, analysis)(dict.fromkeys(adom))
-    return (compiled or compile_sentence(f, analysis)(d.tuples_of))(domain)
+        domain = walk_pool(f, adom, u)(dict.fromkeys(adom))
+    return (compiled or compile_sentence(f)(d.tuples_of))(domain)
 
 
-def groundings(
-    f: Formula, elements: set[Element], u: Universe, analysis: tuple | None = None
-) -> Iterator[tuple[tuple, tuple]]:
+def groundings(f: Formula, elements: set[Element], u: Universe) -> Iterator[tuple[tuple, tuple]]:
     """``(key, values)`` for each grounding of the open formula ``f``: the
     values of its free variables, in the order of :func:`free_variables`,
     which ``compile_sentence(f)``'s ``bind`` takes.
@@ -497,10 +497,9 @@ def groundings(
     repeats them at the same positions, so each such pattern is grounded
     once, on fresh elements in first-use order, its key naming the j-th
     ``Fresh(j)``.  Keys come in lexicographic order, candidates before
-    fresh elements.  ``analysis`` is ``_analysis(f)`` where the caller
-    has it.
+    fresh elements.
     """
-    _, consts, free, *_ = analysis or _analysis(f)
+    _, consts, free, *_ = f.analysis
     taken = elements | {c for c in consts if u.contains(c)}
     fresh = u.fresh_elements(taken, len(free))
     names = {e: Fresh(j) for j, e in enumerate(fresh, 1)}

@@ -36,6 +36,8 @@ _set = object.__setattr__
 
 def _tuple_getter(fields: tuple[str, ...]):
     """A callable returning the record's field values as a tuple."""
+    if not fields:  # ``attrgetter()`` takes at least one name
+        return lambda self: ()
     if len(fields) == 1:
         get = attrgetter(fields[0])
         return lambda self: (get(self),)

@@ -27,6 +27,7 @@ import math
 import random
 from typing import Callable, Hashable, Iterable, Sequence
 
+from infpdb import approx
 from infpdb.completion import completion_instance_prob
 from infpdb.core import Fact, FiniteDiscretePDB, Instance, Schema, active_domain
 from infpdb.errors import DuplicateFact
@@ -152,6 +153,13 @@ def count_walk(monkeypatch, approx, worlds: list | None = None) -> list[Formula]
 
     monkeypatch.setattr(approx, "eval_boolean", counting)
     return calls
+
+
+def world_walk(blocks: list, f: Formula, u: Universe) -> float:
+    """Exact probability of the sentence ``f`` on the finite space of
+    ``blocks``: one walk of ``approx._walker`` over the blocks' elements."""
+    elements = (e for block in blocks for facts, _ in block for g in facts for e in g.args)
+    return approx._walker(blocks, f, u, elements)(())
 
 
 def eval_on_pool(d: Instance, f: Formula, u: Universe, pool_size: int) -> bool:
@@ -476,13 +484,12 @@ def eval_query(d: Instance, f: Formula, u: Universe) -> frozenset[tuple] | objec
     answer relation is infinite.  The formula is analysed and compiled
     once, and each grounding's values are bound to its closures.
     """
-    analysis = _analysis(f)
-    if not analysis[2]:
+    if not free_variables(f):
         raise ValueError("open formula expected; use eval_boolean for sentences")
     adom = active_domain(d)
-    grounded = list(groundings(f, adom, u, analysis))
-    bind = compile_sentence(f, analysis)
-    domain_of = walk_pool(f, itertools.chain(adom, *(values for _, values in grounded)), u, analysis)
+    grounded = list(groundings(f, adom, u))
+    bind = compile_sentence(f)
+    domain_of = walk_pool(f, itertools.chain(adom, *(values for _, values in grounded)), u)
     world = dict.fromkeys(adom)
     answers: set[tuple] = set()
     for key, values in grounded:

@@ -43,7 +43,7 @@ from infpdb.universe import FactEnumeration, Universe
 
 from helpers import (
     atom_pins, constants, count_walk, naive_eval, quantifier_rank, random_sentence, reference_boolean_enclosure,
-    requantify, substitute,
+    requantify, substitute, world_walk,
 )
 
 NAT = Universe.naturals()
@@ -670,7 +670,7 @@ class TestPatternCut:
         for f in sentences:
             bind = compile_sentence(f)
             want = exact_event_prob(worlds, lambda d: eval_boolean(d, f, NAT, compiled=bind(d.tuples_of)))
-            assert abs(approx.world_walk(blocks, f, NAT) - want) <= 1e-12, (kind, f)
+            assert abs(world_walk(blocks, f, NAT) - want) <= 1e-12, (kind, f)
 
     # R(1, 2), R(1, 3), R(2, 3) and S(1)
     HEAD = ((fact("R", 1, 2), 0.5), (fact("R", 1, 3), 0.4), (fact("R", 2, 3), 0.7), (fact("S", 1), 0.6))
@@ -814,7 +814,7 @@ class TestSharedPoolWalk:
         sentences.append(quantifier("x", connective(sentences[0], Atom("S", (Var("x"),)))))
         # a negation and a disjunction cut the blocks as their operands do
         sentences += [Not(sentences[0]), Or(sentences[0], sentences[1])]
-        _assert_per_world(blocks, sentences, [approx.world_walk(blocks, f, NAT) for f in sentences])
+        _assert_per_world(blocks, sentences, [world_walk(blocks, f, NAT) for f in sentences])
 
     R12, R13, R21, R34, S1, S2, S3 = (
         fact("R", 1, 2), fact("R", 1, 3), fact("R", 2, 1), fact("R", 3, 4), fact("S", 1), fact("S", 2), fact("S", 3),
@@ -862,7 +862,7 @@ class TestSharedPoolWalk:
         monkeypatch.setattr(approx, "walk_pool", lambda *a: pools.append(a) or pool(*a))
         monkeypatch.setattr(approx, "eval_boolean", lambda *a, **kw: domains.append(kw["domain"]) or evaluate(*a, **kw))
         blocks = [[((fact("S", i),), 0.5)] for i in range(1, branching + 1)]
-        assert approx.world_walk(blocks, parse("exists x. S(x) & x = 1", RS2), NAT) == (0.5 if branching else 0.0)
+        assert world_walk(blocks, parse("exists x. S(x) & x = 1", RS2), NAT) == (0.5 if branching else 0.0)
         # the sentence is monotone: the walk visits every world of the facts
         # after S(1) without S(1), all false, then S(1)'s first world {S(1)},
         # which is true and settles every world that holds S(1)
@@ -879,7 +879,7 @@ class TestSharedPoolWalk:
         monkeypatch.setattr(approx, "eval_boolean", lambda *a, **kw: domains.append(kw["domain"]) or evaluate(*a, **kw))
         blocks = [[((self.S1,), 1.0)], [((self.R12,), 0.3), ((self.R34,), 0.5)]]
         f = parse("exists x. exists y. R(x, y) & S(x)", RS2)
-        assert approx.world_walk(blocks, f, NAT) == _per_world_walk(blocks, [f], NAT)[0] == 0.3
+        assert world_walk(blocks, f, NAT) == _per_world_walk(blocks, [f], NAT)[0] == 0.3
         assert len(pools) == 1 and [d[:-2] for d in domains] == [[1], [1, 2], [1, 3, 4]]
         assert all(not {1, 2, 3, 4} & set(d[-2:]) for d in domains)
 
@@ -887,7 +887,7 @@ class TestSharedPoolWalk:
     def test_index_cases_match_per_world_evaluation_bit_for_bit(self, case):
         sentences = [parse(text, RS2) for text in self.SENTENCES]
         blocks = self.CASES[case]
-        values = [approx.world_walk(blocks, f, NAT) for f in sentences]
+        values = [world_walk(blocks, f, NAT) for f in sentences]
         _assert_per_world(blocks, sentences, values)
         assert any(0.0 < v < 1.0 for v in values)
 
@@ -935,7 +935,7 @@ class TestSettledWalk:
                     patch.setattr(approx, "polarity", lambda *a: (False, False))
                 worlds = []
                 count_walk(patch, approx, worlds)
-                runs.append((approx.world_walk(blocks, g, NAT), worlds))
+                runs.append((world_walk(blocks, g, NAT), worlds))
         (settled, visited), (full, every) = runs
         rest = iter(every)
         assert all(world in rest for world in visited), g
@@ -965,7 +965,7 @@ def _walk_each_grounding(t, f, epsilon, u):
     elements = {e for block in blocks for facts, _ in block for g in facts for e in g.args}
     free, table = free_variables(f), {}
     for key, values in groundings(f, elements, u):
-        p = approx.world_walk(blocks, substitute(f, dict(zip(free, values))), u)
+        p = world_walk(blocks, substitute(f, dict(zip(free, values))), u)
         if p > 0.0 or not any(isinstance(e, Fresh) for e in key):
             table[key] = p
     return table
@@ -1005,8 +1005,8 @@ class TestOnePreparationPerCall:
         from infpdb import fo
 
         calls, cuts = collections.Counter(), []
-        for name in ("_analysis", "compile_sentence", "walk_pool"):
-            for module in (fo, approx):
+        for name, modules in (("_analysis", (fo,)), ("compile_sentence", (fo, approx)), ("walk_pool", (fo, approx))):
+            for module in modules:
                 # each wrapper calls the original, so a call counts once
                 fn = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name, **kw: calls.update([name]) or fn(*a, **kw))
@@ -1022,10 +1022,33 @@ class TestOnePreparationPerCall:
         # one cut per grounding, each through the blocks' one index
         assert len(cuts) >= len(table) and all(index is cuts[0] is not None for index in cuts)
         assert not hasattr(fo, "substitute")
+        # the formula keeps its analysis; each call compiles and pools again
+        calls.clear()
+        assert approx_nonboolean(space, f, 0.1, NAT) == table
+        assert calls == {"compile_sentence": 1, "walk_pool": 1}
         calls.clear()
         cuts.clear()
-        approx_boolean(space, parse("exists x. " + text.replace("y", "x"), RS2), 0.1, NAT)
+        g = parse("exists x. " + text.replace("y", "x"), RS2)
+        p, _ = approx_boolean(space, g, 0.1, NAT)
         assert calls == {"_analysis": 1, "compile_sentence": 1, "walk_pool": 1} and cuts == [None]
+        calls.clear()
+        assert approx_boolean(space, g, 0.1, NAT)[0] == p
+        assert calls == {"compile_sentence": 1, "walk_pool": 1}
+
+    @pytest.mark.parametrize("text", ["exists z. R(x, z) & !S(z) & !(z = 2)", "forall y. R(y, 2) -> S(y) | y = 'a'"])
+    def test_the_cached_analysis_is_never_changed(self, text):
+        from infpdb import fo
+
+        # every reader shares the analysis's set and lists
+        f = parse(text, RS2)
+        space = ti_construct(FactProbabilityAssignment(((fact("R", 1, 2), 0.5), (fact("S", 1), 0.5)), _tail_s()))
+        if free_variables(f):
+            approx_nonboolean(space, f, 0.1, NAT)
+        else:
+            approx_boolean(space, f, 0.1, NAT)
+            eval_boolean(Instance([fact("R", 1, 2)]), f, NAT)
+        assert f.analysis == fo._analysis(f)
+        assert list(groundings(f, {1, 2}, NAT)) and f.analysis == fo._analysis(f)
 
 
 def _tail_s():

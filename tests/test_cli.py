@@ -662,6 +662,22 @@ class TestQuery:
         assert "(2)\t0.400000" in out
         assert "probability <= 0.1" in out
 
+    def test_zero_ary_atom(self, tmp_path, capsys):
+        spec = {
+            "kind": "ti",
+            "schema": {"P": 0, "R": 1},
+            "universe": {"kind": "naturals"},
+            "head_facts": [{"relation": "P", "args": [], "p": "0.5"}],
+        }
+        spath, qpath = tmp_path / "s.json", tmp_path / "q.txt"
+        spath.write_text(json.dumps(spec))
+        qpath.write_text("P()")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 0
+        assert "probability = 0.500000" in capsys.readouterr().out
+        qpath.write_text("R()")
+        assert main(["query", str(spath), "--query", str(qpath), "--epsilon", "0.1"]) == 2
+        assert "expected a term, found ')'" in capsys.readouterr().err
+
     def test_syntax_error_exit(self, example_spec, tmp_path, capsys):
         qpath = tmp_path / "bad.txt"
         qpath.write_text("exists x. R(x,")
@@ -987,12 +1003,12 @@ class TestOracleCompare:
         assert "max abs difference" in out
 
     def test_injected_error_detected(self, example_spec, query_file, capsys, monkeypatch):
-        walk = approx.world_walk
+        walk = approx.conditional_query_prob
 
         def shifted(*args):
             return walk(*args) + 1e-6
 
-        monkeypatch.setattr(approx, "world_walk", shifted)
+        monkeypatch.setattr(approx, "conditional_query_prob", shifted)
         assert main(["oracle-compare", example_spec, "--query", query_file]) == 2
         assert "MISMATCH" in capsys.readouterr().err
 

@@ -78,6 +78,16 @@ class TestParse:
         with pytest.raises(QuerySyntaxError):
             parse("R(x, y)", S1)
 
+    def test_zero_ary_atom(self):
+        # REL() exactly when REL takes no argument
+        schema = Schema.of(P=0, R=1)
+        assert parse("P()", schema) == Atom("P", ())
+        assert eval_boolean(Instance([Fact("P", ())]), parse("exists x. P() & !R(x)", schema), NAT)
+        with pytest.raises(QuerySyntaxError, match="expected a term"):
+            parse("R()", schema)
+        with pytest.raises(QuerySyntaxError, match="takes 0 arguments, got 1"):
+            parse("P(x)", schema)
+
     def test_precedence(self):
         f = parse("R(x) | S(x) & !R(y) -> S(y)", S2)
         assert f == Implies(
@@ -199,8 +209,8 @@ class TestEvalBoolean:
     def test_ground_sentence_builds_no_domain(self, monkeypatch):
         domains, compile_sentence = [], fo.compile_sentence
 
-        def recording(f, *analysis):
-            bind = compile_sentence(f, *analysis)
+        def recording(f):
+            bind = compile_sentence(f)
             return lambda d: lambda domain, run=bind(d): domains.append(domain) or run(domain)
 
         monkeypatch.setattr(fo, "compile_sentence", recording)

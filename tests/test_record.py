@@ -332,6 +332,16 @@ def test_record_layout():
     assert Child(1, c="d") == Child(a=1, b=2, c="d") != Base(1, 2)
 
 
+def test_record_with_no_fields():
+    class Empty(Record):
+        pass
+
+    assert Empty._fields == () and Empty() == Empty() and hash(Empty()) == hash(())
+    assert repr(Empty()) == "test_record_with_no_fields.<locals>.Empty()"
+    with pytest.raises(TypeError):
+        Empty(1)
+
+
 def test_no_dataclass_remains():
     """A fresh interpreter imports every submodule; no class of the package is a dataclass."""
     code = (

@@ -1,6 +1,7 @@
 """The package's surface: every module-level function and class in
-``src/infpdb`` has a caller outside the tests, only the command line reads
-the environment, and README's library example runs on what ``infpdb``
+``src/infpdb``, and every method and property of those classes other than
+a dunder, has a caller outside the tests, only the command line reads the
+environment, and README's library example runs on what ``infpdb``
 exports.
 
 A definition that only the tests use belongs in ``tests/helpers.py``.  A
@@ -17,47 +18,68 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "infpdb"
-ALLOWED: set[str] = set()  # names defined ahead of their first caller
+# names defined ahead of their first caller: building BID spaces in code
+ALLOWED = {"BlockPartition.by_keys", "BlockPartition.explicit_blocks"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """Every name the module reads, with the top-level statement it is in."""
+def _references(tree: ast.Module) -> list[tuple[str, frozenset[ast.AST]]]:
+    """Every name the module reads, with the definitions it is read in."""
     out = []
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.append((node.id, top))
-            elif isinstance(node, ast.Attribute):
-                out.append((node.attr, top))
-            elif isinstance(node, ast.alias):
-                out.append((node.name.rsplit(".", 1)[-1], top))
+
+    def visit(node: ast.AST, inside: frozenset[ast.AST]) -> None:
+        if isinstance(node, DEFINITIONS):
+            inside = inside | {node}
+        if isinstance(node, ast.Name):
+            out.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, inside))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rsplit(".", 1)[-1], inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """``name`` of each module-level function or class, and ``Class.name``
+    of each method or property of such a class that is not a dunder."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, DEFINITIONS[:2]) and not re.fullmatch(r"__\w+__", member.name):
+                    out.append((f"{node.name}.{member.name}", member))
     return out
 
 
 def unreferenced_definitions() -> list[str]:
-    """``module.name`` of each module-level function or class in the package
-    that nothing reads outside its own definition."""
+    """``module.name`` of each definition (:func:`_definitions`) in the
+    package that nothing reads outside its own body."""
     own = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     readers = own + sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in readers}
     references = [ref for tree in trees.values() for ref in _references(tree)]
     unused = []
     for path in own:
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not any(name == node.name and top is not node for name, top in references):
-                    unused.append(f"{path.stem}.{node.name}")
+        for qualname, node in _definitions(trees[path]):
+            if not any(name == node.name and node not in inside for name, inside in references):
+                unused.append(f"{path.stem}.{qualname}")
     return unused
 
 
 def test_src_defines_nothing_only_the_tests_use():
-    unused = [name for name in unreferenced_definitions() if name.rsplit(".", 1)[-1] not in ALLOWED]
+    unused = [name for name in unreferenced_definitions() if name.split(".", 1)[1] not in ALLOWED]
     assert unused == [], f"move to tests/helpers.py or give a caller: {unused}"
 
 
 def test_the_allowed_names_are_still_defined_and_unused():
     # an entry that gains a caller, or goes, leaves the list
-    assert {name.rsplit(".", 1)[-1] for name in unreferenced_definitions()} >= ALLOWED
+    assert {name.split(".", 1)[1] for name in unreferenced_definitions()} >= ALLOWED
 
 
 def environment_readers() -> list[str]:
